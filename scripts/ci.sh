@@ -10,9 +10,10 @@
 #      the simulator's own MemSanitizer tests run instrumented.
 #   3. TSan (-DTE_SANITIZE=thread) over the concurrency surface only --
 #      the thread pool, the batch backends, the streaming scheduler (shared
-#      table cache + lent pools), the stress suite, and the te::serve
-#      layer. Only those test binaries are built; `ctest -L` skips the
-#      label-less NOT_BUILT placeholders of the rest.
+#      table cache + lent pools), the stress suite, the te::serve layer,
+#      and te::obs (per-thread metric shards). Only those test binaries
+#      are built; `ctest -L` skips the label-less NOT_BUILT placeholders
+#      of the rest.
 #   4. observability gate: a bench_sshopm smoke run must emit a
 #      BENCH_sshopm.json that passes the te-obs-v1 schema validator, and a
 #      -DTE_OBS=OFF build must stay green (tier1) with bench_obs_overhead
@@ -43,6 +44,10 @@
 #   8. clang-tidy (when installed): the bugprone/performance profile from
 #      .clang-tidy over src/ and tools/, using the compile database of the
 #      pass-1 tree. Skipped with a notice on hosts without clang-tidy.
+#
+# Pass 1 additionally gates te::obs thread scaling: bench_obs_overhead
+# --threads 4 must publish bench.obs.thread_scaling >= 2 on hosts with at
+# least four hardware threads.
 #
 # Pass 1 additionally runs the te::serve soak smoke: bench_serve with chaos
 # mode (every shard killed and restarted mid-drain) must report zero
@@ -124,6 +129,24 @@ else
     --require-gauge kernels.blocked.parity 1
 fi
 
+# Obs thread-scaling smoke: the instrumented unrolled solve loop on 4
+# threads at once must run at least 2x the 1-thread aggregate rate (median
+# of 5 paired runs, about 1 s in total). te::obs
+# counters and histograms are sharded per thread; a regression to one shared
+# atomic cache line makes the threads contend and drops the scaling below 1x.
+# Like the blocked gate, the floor applies only where the host has the
+# cores; elsewhere the leg still runs and its artifact must validate.
+echo "=== build: obs thread-scaling smoke (bench_obs_overhead --threads 4) ==="
+cmake --build build -j "${JOBS}" --target bench_obs_overhead
+./build/bench/bench_obs_overhead --threads 4 --solves 200000 --repeats 5 \
+  --metrics-json build/BENCH_obs.json
+if [ "$(nproc 2>/dev/null || echo 1)" -ge 4 ]; then
+  ./build/tools/obs_json_check build/BENCH_obs.json \
+    --require-gauge bench.obs.thread_scaling 2
+else
+  ./build/tools/obs_json_check build/BENCH_obs.json
+fi
+
 # Serve soak smoke: the service layer end to end. bench_serve runs the
 # fairness phase (DRR must keep the light tenant's p99 at least 2x below
 # the flooding tenant's), the admission phase (exact reject counts at a
@@ -156,10 +179,12 @@ run_pass build-asan \
   "$@"
 
 # Pass 3: TSan over the concurrency surface (thread pool, batch backends,
-# streaming scheduler, stress suite, and the serve layer -- background pump
-# thread, shared cross-shard cache, socket front-end). Building only these
-# binaries keeps the pass affordable.
-TSAN_TARGETS=(parallel_test batch_test scheduler_test stress_test serve_test)
+# streaming scheduler, stress suite, the serve layer -- background pump
+# thread, shared cross-shard cache, socket front-end -- and te::obs, whose
+# per-thread shard assignment and merge-on-read every worker shares).
+# Building only these binaries keeps the pass affordable.
+TSAN_TARGETS=(parallel_test batch_test scheduler_test stress_test serve_test
+  obs_test)
 echo "=== build-tsan: configure ==="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

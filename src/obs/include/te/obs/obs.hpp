@@ -6,16 +6,23 @@
 // counters. te::obs replaces the per-bench printf plumbing with one
 // registry-based metric model:
 //
-//   Counter   -- monotone int64 (relaxed atomic; safe from any thread)
+//   Counter   -- monotone int64, sharded per thread (safe from any thread)
 //   Gauge     -- last-written double (atomic; "current value" semantics)
 //   Histogram -- count/total/min/max plus log2 buckets of a double-valued
 //                observation stream (iteration counts, chunk latencies,
-//                span durations). `Timer` is an alias: the canonical unit
-//                for time-valued histograms is seconds.
+//                span durations), sharded per thread. `Timer` is an alias:
+//                the canonical unit for time-valued histograms is seconds.
 //   Registry  -- thread-safe name -> metric table with stable references:
 //                a Counter& fetched once stays valid for the registry's
-//                lifetime, so hot paths resolve names once and then pay a
-//                single relaxed atomic op per event.
+//                lifetime, so hot paths resolve names once and then pay an
+//                uncontended atomic op on their own thread's shard per event.
+//
+// Counters and histograms are written on the hot paths of every worker
+// thread (one counter bump per ttsv call), so each keeps kShards
+// cache-line-padded shards: a thread writes only the shard it was assigned
+// round-robin on its first write, and readers merge all shards. Writers on
+// different shards never touch a shared cache line; threads beyond kShards
+// share shards, which costs contention but never loses an event.
 //
 // RAII trace spans (span.hpp) and JSON/CSV exporters (export.hpp) sit on
 // top. Everything compiles to empty inline stubs when the build sets
@@ -25,6 +32,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -119,18 +127,53 @@ struct Snapshot {
 // Enabled implementations.
 // ---------------------------------------------------------------------------
 
-/// Monotone event counter. All operations are relaxed atomics: counters are
-/// statistics, not synchronization.
+namespace detail {
+
+/// Shards per counter/histogram. A power of two, so a thread's shard is its
+/// round-robin ticket masked; 16 covers the worker pools this library runs
+/// while keeping a counter at 1 KB.
+inline constexpr std::uint32_t kShards = 16;
+static_assert((kShards & (kShards - 1)) == 0, "kShards must be a power of 2");
+inline constexpr std::size_t kCacheLine = 64;
+inline constexpr std::uint32_t kNoShard = ~std::uint32_t{0};
+
+/// Round-robin ticket dispenser for shard assignment.
+inline std::atomic<std::uint32_t> next_shard{0};
+/// This thread's shard, assigned on its first metric write.
+inline thread_local std::uint32_t thread_shard = kNoShard;
+
+/// The calling thread's shard index in [0, kShards).
+inline std::uint32_t shard_index() {
+  std::uint32_t s = thread_shard;
+  if (s == kNoShard) [[unlikely]] {
+    s = next_shard.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
+    thread_shard = s;
+  }
+  return s;
+}
+
+}  // namespace detail
+
+/// Monotone event counter. Writes are relaxed atomic adds on the calling
+/// thread's shard; value() sums the shards. Counters are statistics, not
+/// synchronization.
 class Counter {
  public:
-  void inc() { v_.fetch_add(1, std::memory_order_relaxed); }
-  void add(std::int64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
+  void inc() { add(1); }
+  void add(std::int64_t n) {
+    shards_[detail::shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+  }
   [[nodiscard]] std::int64_t value() const {
-    return v_.load(std::memory_order_relaxed);
+    std::int64_t sum = 0;
+    for (const Shard& s : shards_) sum += s.v.load(std::memory_order_relaxed);
+    return sum;
   }
 
  private:
-  std::atomic<std::int64_t> v_{0};
+  struct alignas(detail::kCacheLine) Shard {
+    std::atomic<std::int64_t> v{0};
+  };
+  std::array<Shard, detail::kShards> shards_{};
 };
 
 /// Last-value gauge (queue depth, cache hit rate, occupancy fraction).
@@ -145,37 +188,32 @@ class Gauge {
   std::atomic<double> v_{0};
 };
 
-/// Streaming histogram: count/total/min/max plus log2 buckets. record() is
-/// lock-free (relaxed atomics per field); min/max use CAS loops. The small
-/// tearing window between fields is acceptable for statistics.
+/// Streaming histogram: count/total/min/max plus log2 buckets. record()
+/// touches only the calling thread's shard (lock-free; the min/max CAS
+/// loops only contend when threads share a shard). Readers merge the
+/// shards. The count is the sum of the buckets, so the two always agree,
+/// and the bucket increment is a release that the merge acquires, so every
+/// counted event's min/max is in the merge; total may lead or trail the
+/// count by in-flight events.
 class Histogram {
  public:
   void record(double v);
 
-  [[nodiscard]] std::int64_t count() const {
-    return count_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::int64_t count() const { return merged().count; }
+  [[nodiscard]] double total() const { return merged().total; }
+  [[nodiscard]] double min() const { return merged().min; }
+  [[nodiscard]] double max() const { return merged().max; }
+  [[nodiscard]] double mean() const { return merged().mean(); }
+  [[nodiscard]] std::array<std::int64_t, kHistogramBuckets> buckets() const {
+    return merged().buckets;
   }
-  [[nodiscard]] double total() const {
-    return total_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double min() const {
-    return count() > 0 ? min_.load(std::memory_order_relaxed) : 0.0;
-  }
-  [[nodiscard]] double max() const {
-    return count() > 0 ? max_.load(std::memory_order_relaxed) : 0.0;
-  }
-  [[nodiscard]] double mean() const {
-    const std::int64_t c = count();
-    return c > 0 ? total() / static_cast<double>(c) : 0.0;
-  }
-  [[nodiscard]] std::array<std::int64_t, kHistogramBuckets> buckets() const;
 
   /// Estimated q-quantile of everything recorded so far (q in [0, 1]):
   /// p50 = quantile(0.5), p99 = quantile(0.99). Log2-bucket resolution --
   /// the estimate is exact at the recorded min/max and within one bucket
   /// (a factor of 2) elsewhere, which is the right grain for latency SLOs.
   [[nodiscard]] double quantile(double q) const {
-    return quantile_from_buckets(buckets(), count(), min(), max(), q);
+    return merged().quantile(q);
   }
 
   /// Bucket for one observation: log2 of the value in microsecond-scale
@@ -184,11 +222,18 @@ class Histogram {
   [[nodiscard]] static int bucket_index(double v);
 
  private:
-  std::atomic<std::int64_t> count_{0};
-  std::atomic<double> total_{0};
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-  std::array<std::atomic<std::int64_t>, kHistogramBuckets> buckets_{};
+  friend class Registry;
+
+  /// Every shard merged into one sample (the empty stream reads zeros).
+  [[nodiscard]] HistogramSample merged() const;
+
+  struct alignas(detail::kCacheLine) Shard {
+    std::atomic<double> total{0};
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
+    std::array<std::atomic<std::int64_t>, kHistogramBuckets> buckets{};
+  };
+  std::array<Shard, detail::kShards> shards_{};
 };
 
 /// Time-valued histogram; canonical unit: seconds.
@@ -221,8 +266,9 @@ class Registry {
   /// Seconds since this registry was constructed (span timestamps base).
   [[nodiscard]] double now_seconds() const;
 
-  /// Copy-out of every metric, ordered by name. Values are read with
-  /// relaxed loads; concurrent writers may or may not be included.
+  /// Copy-out of every metric, ordered by name, with each counter and
+  /// histogram merged across its shards. Concurrent writers may or may not
+  /// be included.
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Drop every metric and span (bench/test isolation; references returned

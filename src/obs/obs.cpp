@@ -50,27 +50,40 @@ namespace te::obs {
 // ---------------------------------------------------------------------------
 
 void Histogram::record(double v) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double t = total_.load(std::memory_order_relaxed);
-  while (!total_.compare_exchange_weak(t, t + v, std::memory_order_relaxed)) {
-  }
-  double lo = min_.load(std::memory_order_relaxed);
+  Shard& s = shards_[detail::shard_index()];
+  s.total.fetch_add(v, std::memory_order_relaxed);
+  double lo = s.min.load(std::memory_order_relaxed);
   while (v < lo &&
-         !min_.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
+         !s.min.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
   }
-  double hi = max_.load(std::memory_order_relaxed);
+  double hi = s.max.load(std::memory_order_relaxed);
   while (v > hi &&
-         !max_.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
+         !s.max.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
   }
-  buckets_[static_cast<std::size_t>(bucket_index(v))].fetch_add(
-      1, std::memory_order_relaxed);
+  // Last, and a release: a reader that sees this event in the buckets also
+  // sees its min/max.
+  s.buckets[static_cast<std::size_t>(bucket_index(v))].fetch_add(
+      1, std::memory_order_release);
 }
 
-std::array<std::int64_t, kHistogramBuckets> Histogram::buckets() const {
-  std::array<std::int64_t, kHistogramBuckets> out{};
-  for (int i = 0; i < kHistogramBuckets; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
+HistogramSample Histogram::merged() const {
+  HistogramSample out;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const Shard& s : shards_) {
+    for (std::size_t i = 0; i < s.buckets.size(); ++i) {
+      out.buckets[i] += s.buckets[i].load(std::memory_order_acquire);
+    }
+    out.total += s.total.load(std::memory_order_relaxed);
+    lo = std::min(lo, s.min.load(std::memory_order_relaxed));
+    hi = std::max(hi, s.max.load(std::memory_order_relaxed));
+  }
+  for (const std::int64_t b : out.buckets) out.count += b;
+  if (out.count > 0) {
+    out.min = lo;
+    out.max = hi;
+  } else {
+    out.total = 0;
   }
   return out;
 }
@@ -163,13 +176,8 @@ Snapshot Registry::snapshot() const {
   }
   snap.histograms.reserve(impl_->histograms.size());
   for (const auto& [name, h] : impl_->histograms) {
-    HistogramSample s;
+    HistogramSample s = h.merged();
     s.name = name;
-    s.count = h.count();
-    s.total = h.total();
-    s.min = h.min();
-    s.max = h.max();
-    s.buckets = h.buckets();
     snap.histograms.push_back(std::move(s));
   }
   // Ring -> oldest-first order.

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <latch>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -147,20 +149,172 @@ TEST(ObsRegistry, ResetDropsEverything) {
   EXPECT_TRUE(reg.snapshot().empty());
 }
 
-TEST(ObsRegistry, ThreadedCountersDontLoseIncrements) {
-  obs::Registry reg;
-  obs::Counter& c = reg.counter("shared");
-  constexpr int kThreads = 8;
-  constexpr int kIncs = 20000;
+// ---------------------------------------------------------------------------
+// Sharded metrics: every thread writes its own shard and readers merge, so
+// the merged view must equal what one thread recording the same events
+// would have produced -- exactly, for integer-valued observations whose
+// sums are exact in any order.
+// ---------------------------------------------------------------------------
+
+/// Runs body(thread_index) on `threads` threads released together.
+template <typename Body>
+void run_together(int threads, Body body) {
+  std::latch go(threads);
   std::vector<std::thread> ts;
-  ts.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&] {
-      for (int i = 0; i < kIncs; ++i) c.inc();
+  ts.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    ts.emplace_back([&, t] {
+      go.arrive_and_wait();
+      body(t);
     });
   }
   for (auto& t : ts) t.join();
-  EXPECT_EQ(c.value(), static_cast<std::int64_t>(kThreads) * kIncs);
+}
+
+/// Deterministic integer observation i of thread t: iteration-count-like
+/// values in [0, 200), which span buckets 0 and 20..27.
+double sharded_value(int t, int i) {
+  return static_cast<double>((t * 7919 + i * 104729) % 200);
+}
+
+void expect_histogram_merge_exact(int threads) {
+  constexpr int kPerThread = 3000;
+  obs::Registry reg;
+  obs::Histogram& h = reg.histogram("sharded");
+  run_together(threads, [&](int t) {
+    for (int i = 0; i < kPerThread; ++i) h.record(sharded_value(t, i));
+  });
+
+  obs::Registry ref_reg;
+  obs::Histogram& ref = ref_reg.histogram("reference");
+  for (int t = 0; t < threads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) ref.record(sharded_value(t, i));
+  }
+
+  ASSERT_EQ(ref.count(), static_cast<std::int64_t>(threads) * kPerThread);
+  EXPECT_EQ(h.count(), ref.count());
+  EXPECT_EQ(h.total(), ref.total());
+  EXPECT_EQ(h.min(), ref.min());
+  EXPECT_EQ(h.max(), ref.max());
+  EXPECT_EQ(h.buckets(), ref.buckets());
+  for (const double q : {0.5, 0.95, 0.99}) {
+    EXPECT_EQ(h.quantile(q), ref.quantile(q)) << "q = " << q;
+  }
+  const obs::Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  const obs::HistogramSample& s = snap.histograms[0];
+  EXPECT_EQ(s.count, ref.count());
+  EXPECT_EQ(s.total, ref.total());
+  EXPECT_EQ(s.min, ref.min());
+  EXPECT_EQ(s.max, ref.max());
+  EXPECT_EQ(s.buckets, ref.buckets());
+  EXPECT_EQ(s.quantile(0.99), ref.quantile(0.99));
+}
+
+constexpr int kManyThreads = 40;
+static_assert(kManyThreads > static_cast<int>(obs::detail::kShards),
+              "the oversubscribed tests must force threads to share shards");
+
+TEST(ObsSharded, HistogramMergeMatchesSingleThreadReference8Threads) {
+  expect_histogram_merge_exact(8);
+}
+
+TEST(ObsSharded, HistogramMergeMatchesSingleThreadReferenceManyThreads) {
+  expect_histogram_merge_exact(kManyThreads);
+}
+
+TEST(ObsRegistry, ThreadedCountersDontLoseIncrements) {
+  // 8 threads get shards of their own; 40 must share them.
+  for (const int threads : {8, kManyThreads}) {
+    obs::Registry reg;
+    obs::Counter& c = reg.counter("shared");
+    constexpr int kIncs = 20000;
+    run_together(threads, [&](int t) {
+      for (int i = 0; i < kIncs; ++i) c.inc();
+      c.add(t);
+    });
+    const std::int64_t added = threads * (threads - 1) / 2;
+    EXPECT_EQ(c.value(), std::int64_t{threads} * kIncs + added) << threads;
+    const obs::Snapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.counters.size(), 1u);
+    EXPECT_EQ(snap.counters[0].value, c.value());
+  }
+}
+
+TEST(ObsSharded, ResetClearsEveryShard) {
+  obs::Registry reg;
+  // Enough threads that every shard of both metrics gets written.
+  run_together(kManyThreads, [&](int t) {
+    reg.counter("c").add(1000);
+    reg.histogram("h").record(static_cast<double>(t + 1));
+  });
+  EXPECT_EQ(reg.counter("c").value(), std::int64_t{kManyThreads} * 1000);
+  reg.reset();
+  EXPECT_TRUE(reg.snapshot().empty());
+  EXPECT_EQ(reg.counter("c").value(), 0);
+  EXPECT_EQ(reg.histogram("h").count(), 0);
+  EXPECT_EQ(reg.histogram("h").total(), 0.0);
+
+  // Threads that already hold a shard must land on clean storage.
+  run_together(kManyThreads, [&](int) {
+    reg.counter("c").inc();
+    reg.histogram("h").record(3.0);
+  });
+  EXPECT_EQ(reg.counter("c").value(), kManyThreads);
+  EXPECT_EQ(reg.histogram("h").count(), kManyThreads);
+  EXPECT_EQ(reg.histogram("h").total(), 3.0 * kManyThreads);
+  EXPECT_EQ(reg.histogram("h").min(), 3.0);
+  EXPECT_EQ(reg.histogram("h").max(), 3.0);
+}
+
+TEST(ObsSharded, SnapshotDuringWritesNeverExceedsFinal) {
+  obs::Registry reg;
+  obs::Counter& c = reg.counter("events");
+  obs::Histogram& h = reg.histogram("values");
+  constexpr int kWriters = 8;
+  constexpr int kPerWriter = 20000;
+  constexpr std::int64_t kFinal = std::int64_t{kWriters} * kPerWriter;
+
+  std::atomic<bool> done{false};
+  std::int64_t snapshots = 0;
+  std::thread reader([&] {
+    std::int64_t last_counter = 0;
+    std::int64_t last_count = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const obs::Snapshot s = reg.snapshot();
+      ++snapshots;
+      ASSERT_EQ(s.counters.size(), 1u);
+      ASSERT_EQ(s.histograms.size(), 1u);
+      const std::int64_t cv = s.counters[0].value;
+      const obs::HistogramSample& hs = s.histograms[0];
+      EXPECT_LE(cv, kFinal);
+      EXPECT_GE(cv, last_counter);
+      EXPECT_LE(hs.count, kFinal);
+      EXPECT_GE(hs.count, last_count);
+      std::int64_t bucketed = 0;
+      for (const auto b : hs.buckets) bucketed += b;
+      EXPECT_EQ(bucketed, hs.count);
+      if (hs.count > 0) {
+        EXPECT_GE(hs.min, 1.0);
+        EXPECT_LE(hs.min, hs.max);
+        EXPECT_LE(hs.max, 2.0);
+      }
+      last_counter = cv;
+      last_count = hs.count;
+    }
+  });
+  run_together(kWriters, [&](int t) {
+    for (int i = 0; i < kPerWriter; ++i) {
+      c.inc();
+      h.record(((t + i) & 1) != 0 ? 2.0 : 1.0);
+    }
+  });
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(snapshots, 0);
+  EXPECT_EQ(c.value(), kFinal);
+  EXPECT_EQ(h.count(), kFinal);
+  EXPECT_EQ(h.total(), 1.5 * static_cast<double>(kFinal));
 }
 
 TEST(ObsSpan, NestingBuildsDottedPathsAndDepths) {
