@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
                     " starts per shape");
 
   TextTable t;
-  t.set_header({"m,n", "general ms", "cse ms", "precomp ms", "unrolled ms",
+  t.set_header({"m,n", "general ms", "precomp ms", "unrolled ms",
                 "precomp speedup", "unroll speedup", "tensor B",
                 "tables B", "storage factor"});
 
@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
     p.options = opt;
 
     const auto rg = batch::solve_cpu_sequential(p, Tier::kGeneral);
-    const auto rc = batch::solve_cpu_sequential(p, Tier::kCse);
     const auto rp = batch::solve_cpu_sequential(p, Tier::kPrecomputed);
     const auto ru = batch::solve_cpu_sequential(p, Tier::kUnrolled);
 
@@ -50,7 +49,6 @@ int main(int argc, char** argv) {
 
     t.add_row({std::to_string(m) + "," + std::to_string(n),
                fmt_fixed(rg.wall_seconds * 1e3, 1),
-               fmt_fixed(rc.wall_seconds * 1e3, 1),
                fmt_fixed(rp.wall_seconds * 1e3, 1),
                fmt_fixed(ru.wall_seconds * 1e3, 1),
                fmt_fixed(rg.wall_seconds / rp.wall_seconds, 2),

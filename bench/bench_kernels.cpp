@@ -69,7 +69,6 @@
 #include "te/kernels/dense.hpp"
 #include "te/kernels/dispatch.hpp"
 #include "te/kernels/general.hpp"
-#include "te/kernels/multi_dispatch.hpp"
 #include "te/kernels/precomputed.hpp"
 #include "te/obs/obs.hpp"
 #include "te/parallel/cpu_model.hpp"
@@ -229,7 +228,6 @@ void BM_Ttsv0_Dispatch(benchmark::State& state) {
 BENCHMARK(BM_Ttsv0_Dispatch)
     ->Args({4, 3, static_cast<long>(kernels::Tier::kGeneral)})
     ->Args({4, 3, static_cast<long>(kernels::Tier::kPrecomputed)})
-    ->Args({4, 3, static_cast<long>(kernels::Tier::kCse)})
     ->Args({4, 3, static_cast<long>(kernels::Tier::kBlocked)})
     ->Args({4, 3, static_cast<long>(kernels::Tier::kUnrolled)});
 
@@ -286,7 +284,7 @@ void BM_TtsvPair_Multi(benchmark::State& state) {
     state.SkipWithError("shape not registered");
     return;
   }
-  kernels::MultiKernels<float> k(f.a, tier, &f.tables, w);
+  kernels::BoundKernels<float> k(f.a, tier, &f.tables, nullptr, w);
   state.SetLabel(std::string(kernels::tier_name(tier)) + "/w" +
                  std::to_string(w) + (k.vectorized() ? "" : "/fallback"));
   kernels::VectorBatch<float> x(n, w);
@@ -532,7 +530,8 @@ int run_jit_smoke() {
 
     // Every admitted lane width, each lane against a scalar general call.
     for (const int w : {2, 4, 8}) {
-      kernels::MultiKernels<double> mk(a, kernels::Tier::kJit, nullptr, w);
+      kernels::BoundKernels<double> mk(a, kernels::Tier::kJit, nullptr,
+                                       nullptr, w);
       kernels::VectorBatch<double> xb(n, w);
       kernels::VectorBatch<double> yb(n, w);
       for (int i = 0; i < n; ++i) {

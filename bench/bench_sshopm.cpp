@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
                std::to_string(degen), std::to_string(nonfin)});
   };
 
-  for (const Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kCse,
-                          Tier::kBlocked, Tier::kUnrolled}) {
+  for (const Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked,
+                          Tier::kUnrolled}) {
     add_row("cpu-sequential", tier, batch::solve_cpu_sequential(p, tier));
   }
   for (const Tier tier : {Tier::kGeneral, Tier::kUnrolled}) {
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
 
       double best_speedup = 0;
       for (const int width : kernels::multi_widths()) {
-        kernels::MultiKernels<float> mk(a, tier, tab, width);
+        kernels::BoundKernels<float> mk(a, tier, tab, nullptr, width);
         WallTimer timer;
         const auto got = sshopm::solve_multi(
             mk,

@@ -1,7 +1,8 @@
 // tensoreig_cli: end-user command-line driver for the batched eigensolver.
 //
 //   $ ./tensoreig_cli --input voxels.tesymb [--backend gpu|cpu|cpu-parallel]
-//                     [--tier general|precomputed|cse|unrolled|jit|auto]
+//                     [--tier general|precomputed|blocked|unrolled|
+//                             blocked_par|jit|auto]
 //                     [--starts 128] [--alpha 0] [--threads 4]
 //                     [--chunk 32] [--checkpoint run.tetc [--resume]]
 //                     [--spill-dir DIR] [--refine] [--max-peaks 4]
@@ -35,14 +36,9 @@
 namespace {
 
 te::kernels::Tier parse_tier(const std::string& s) {
-  using te::kernels::Tier;
-  if (s == "general") return Tier::kGeneral;
-  if (s == "precomputed") return Tier::kPrecomputed;
-  if (s == "cse") return Tier::kCse;
-  if (s == "unrolled") return Tier::kUnrolled;
-  if (s == "blocked_par") return Tier::kBlockedPar;
-  TE_REQUIRE(false, "unknown tier '" << s << "'");
-  return Tier::kGeneral;
+  const auto tier = te::kernels::tier_from_name(s);
+  TE_REQUIRE(tier.has_value(), "unknown tier '" << s << "'");
+  return *tier;
 }
 
 te::batch::Backend parse_backend(const std::string& s) {
@@ -95,10 +91,11 @@ int main(int argc, char** argv) {
     std::cerr
         << "usage: tensoreig_cli --input batch.{tesymb|tetc} [options]\n"
            "  --backend gpu|cpu|cpu-parallel   execution backend (gpu)\n"
-           "  --tier general|precomputed|cse|unrolled|jit|auto\n"
-           "                 kernel tier (unrolled); 'jit' compiles a\n"
-           "                 shape-specialized kernel via $TE_JIT_CC and\n"
-           "                 falls back to precomputed when unavailable\n"
+           "  --tier T       kernel tier (unrolled): general, precomputed,\n"
+           "                 blocked, unrolled, blocked_par, jit or auto;\n"
+           "                 'jit' compiles a shape-specialized kernel via\n"
+           "                 $TE_JIT_CC and falls back to precomputed when\n"
+           "                 unavailable\n"
            "  --starts N     starting vectors per tensor (128)\n"
            "  --alpha A      SS-HOPM shift; 'auto' = (m-1)||A||_F (0)\n"
            "  --threads P    cpu-parallel worker count (4)\n"

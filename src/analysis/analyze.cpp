@@ -9,19 +9,11 @@
 #include "te/analysis/checker.hpp"
 #include "te/analysis/extract.hpp"
 #include "te/kernels/dispatch.hpp"
-#include "te/kernels/multi_dispatch.hpp"
 #include "te/obs/obs.hpp"
 
 namespace te::analysis {
 
 namespace {
-
-constexpr kernels::Tier kScalarTiers[] = {
-    kernels::Tier::kGeneral,  kernels::Tier::kPrecomputed,
-    kernels::Tier::kCse,      kernels::Tier::kBlocked,
-    kernels::Tier::kUnrolled, kernels::Tier::kBlockedPar,
-    kernels::Tier::kJit,
-};
 
 // Device-side tiers: the ones sshopm_device_thread dispatches on.
 constexpr kernels::Tier kDeviceTiers[] = {
@@ -66,7 +58,7 @@ ShapeAnalysis analyze_shape(int order, int dim, const AnalyzeOptions& opt) {
     widths.assign(w.begin(), w.end());
   }
 
-  for (const kernels::Tier tier : kScalarTiers) {
+  for (const kernels::Tier tier : kernels::kAllTiers) {
     if (!tier_available(order, dim, tier)) continue;
 
     AccessPlan plan = extract_plan(bind_tier(order, dim, tier));

@@ -7,7 +7,6 @@
 
 #include "te/comb/multinomial.hpp"
 #include "te/kernels/dispatch.hpp"
-#include "te/kernels/multi_dispatch.hpp"
 #include "te/tensor/symmetric_tensor.hpp"
 #include "te/util/assert.hpp"
 
@@ -191,8 +190,7 @@ std::vector<AccessPlan> extract_multi_plans(const MultiProbeKernel& k) {
 ProbeKernel bind_tier(int order, int dim, kernels::Tier tier) {
   // Table tiers share one KernelTables across all probes (shape-only data).
   std::shared_ptr<kernels::KernelTables<double>> tables;
-  if (tier == kernels::Tier::kPrecomputed ||
-      tier == kernels::Tier::kBlocked) {
+  if (kernels::uses_tables(tier)) {
     tables = std::make_shared<kernels::KernelTables<double>>(order, dim);
   }
 
@@ -223,8 +221,7 @@ ProbeKernel bind_tier(int order, int dim, kernels::Tier tier) {
 MultiProbeKernel bind_multi_tier(int order, int dim, kernels::Tier tier,
                                  int width) {
   std::shared_ptr<kernels::KernelTables<double>> tables;
-  if (tier == kernels::Tier::kPrecomputed ||
-      tier == kernels::Tier::kBlocked) {
+  if (kernels::uses_tables(tier)) {
     tables = std::make_shared<kernels::KernelTables<double>>(order, dim);
   }
 
@@ -240,7 +237,8 @@ MultiProbeKernel bind_multi_tier(int order, int dim, kernels::Tier tier,
     SymmetricTensor<double> a(order, dim,
                               std::vector<double>(values.begin(),
                                                   values.end()));
-    const kernels::MultiKernels<double> m(a, tier, tables.get(), width);
+    const kernels::BoundKernels<double> m(a, tier, tables.get(), nullptr,
+                                          width);
     m.ttsv0(x, out0);
   };
   k.ttsv1 = [order, dim, tier, tables, width](
@@ -250,7 +248,8 @@ MultiProbeKernel bind_multi_tier(int order, int dim, kernels::Tier tier,
     SymmetricTensor<double> a(order, dim,
                               std::vector<double>(values.begin(),
                                                   values.end()));
-    const kernels::MultiKernels<double> m(a, tier, tables.get(), width);
+    const kernels::BoundKernels<double> m(a, tier, tables.get(), nullptr,
+                                          width);
     m.ttsv1(x, y);
   };
   return k;

@@ -26,6 +26,7 @@
 #include "te/kernels/dispatch.hpp"
 #include "te/kernels/flop_model.hpp"
 #include "te/parallel/thread_pool.hpp"
+#include "te/sshopm/multi.hpp"
 #include "te/sshopm/spectrum.hpp"
 #include "te/sshopm/sshopm.hpp"
 #include "te/tensor/generators.hpp"
@@ -131,6 +132,24 @@ template <Real T>
   return total;
 }
 
+namespace detail {
+/// Every start of tensor t into its tensor-major slots of `results` -- the
+/// one CPU per-tensor step behind the one-shot backends and the
+/// scheduler's chunks, so chunked CPU execution is bitwise identical to
+/// the one-shot call by construction.
+template <Real T>
+void solve_tensor(const BatchProblem<T>& p, int t, kernels::Tier tier,
+                  const kernels::KernelTables<T>* tables, int width,
+                  std::span<sshopm::Result<T>> results) {
+  const kernels::BoundKernels<T> k(p.tensors[static_cast<std::size_t>(t)],
+                                   tier, tables, nullptr, width);
+  const auto nv = static_cast<std::size_t>(p.num_starts());
+  sshopm::solve_starts(k, std::span<const std::vector<T>>(p.starts),
+                       p.options,
+                       results.subspan(static_cast<std::size_t>(t) * nv, nv));
+}
+}  // namespace detail
+
 /// Sequential CPU backend (paper "CPU - 1 core").
 template <Real T>
 [[nodiscard]] BatchResult<T> solve_cpu_sequential(const BatchProblem<T>& p,
@@ -142,17 +161,12 @@ template <Real T>
   out.results.resize(static_cast<std::size_t>(p.num_tensors()) *
                      p.num_starts());
 
-  const kernels::KernelTables<T> tables(p.order, p.dim);
+  std::optional<kernels::KernelTables<T>> tables;
+  if (kernels::uses_tables(tier)) tables.emplace(p.order, p.dim);
   WallTimer timer;
   for (int t = 0; t < p.num_tensors(); ++t) {
-    kernels::BoundKernels<T> k(p.tensors[static_cast<std::size_t>(t)], tier,
-                               &tables);
-    for (int v = 0; v < p.num_starts(); ++v) {
-      const auto& x0 = p.starts[static_cast<std::size_t>(v)];
-      out.results[static_cast<std::size_t>(t) * p.num_starts() + v] =
-          sshopm::solve(k, std::span<const T>(x0.data(), x0.size()),
-                        p.options);
-    }
+    detail::solve_tensor(p, t, tier, tables ? &*tables : nullptr, 1,
+                         std::span<sshopm::Result<T>>(out.results));
   }
   out.wall_seconds = timer.seconds();
   out.modeled_seconds = out.wall_seconds;
@@ -173,17 +187,13 @@ template <Real T>
   out.results.resize(static_cast<std::size_t>(p.num_tensors()) *
                      p.num_starts());
 
-  const kernels::KernelTables<T> tables(p.order, p.dim);
+  std::optional<kernels::KernelTables<T>> tables;
+  if (kernels::uses_tables(tier)) tables.emplace(p.order, p.dim);
   WallTimer timer;
   pool.parallel_for(p.num_tensors(), [&](std::int64_t t) {
-    kernels::BoundKernels<T> k(p.tensors[static_cast<std::size_t>(t)], tier,
-                               &tables);
-    for (int v = 0; v < p.num_starts(); ++v) {
-      const auto& x0 = p.starts[static_cast<std::size_t>(v)];
-      out.results[static_cast<std::size_t>(t) * p.num_starts() + v] =
-          sshopm::solve(k, std::span<const T>(x0.data(), x0.size()),
-                        p.options);
-    }
+    detail::solve_tensor(p, static_cast<int>(t), tier,
+                         tables ? &*tables : nullptr, 1,
+                         std::span<sshopm::Result<T>>(out.results));
   });
   out.wall_seconds = timer.seconds();
   out.modeled_seconds = out.wall_seconds;

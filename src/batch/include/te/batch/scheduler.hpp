@@ -43,7 +43,6 @@
 #include "te/io/checkpoint.hpp"
 #include "te/obs/obs.hpp"
 #include "te/obs/span.hpp"
-#include "te/sshopm/multi.hpp"
 
 namespace te::batch {
 
@@ -532,12 +531,17 @@ class Scheduler {
     sshopm::Result<T>* out_base =
         job.result.results.data() +
         static_cast<std::size_t>(c.begin) * nv;
+    // CPU backends: the one-shot backends' own per-tensor step, so chunked
+    // execution is bitwise identical to solve_cpu_* (table contents are a
+    // pure function of (order, dim), so cache sharing cannot perturb it).
+    const std::span<sshopm::Result<T>> results(job.result.results);
 
     WallTimer timer;
     switch (backend_) {
       case Backend::kCpuSequential: {
         for (int t = c.begin; t < c.end; ++t) {
-          solve_one_tensor(job, t, tables.get());
+          detail::solve_tensor(p, t, job.tier, tables.get(), opt_.simd_width,
+                               results);
         }
         break;
       }
@@ -546,7 +550,8 @@ class Scheduler {
         pool().submit_range(
             c.begin, c.end, [&](std::int64_t b, std::int64_t e, int) {
               for (std::int64_t t = b; t < e; ++t) {
-                solve_one_tensor(job, static_cast<int>(t), tables.get());
+                detail::solve_tensor(p, static_cast<int>(t), job.tier,
+                                     tables.get(), opt_.simd_width, results);
               }
             });
         break;
@@ -666,37 +671,6 @@ class Scheduler {
       ++job.chunks_restored;
       TE_OBS_ONLY(
           detail::SchedulerMetrics::get().ckpt_chunks_restored.inc());
-    }
-  }
-
-  /// One tensor, all starts -- the identical arithmetic (BoundKernels +
-  /// sshopm::solve) of the one-shot CPU backends, writing into this job's
-  /// result slots. Table sharing cannot perturb results: table contents are
-  /// a pure function of (order, dim). With simd_width != 1 the start sweep
-  /// runs lane-blocked through sshopm::solve_multi instead (same slot
-  /// layout, classification parity per DESIGN.md section 11).
-  void solve_one_tensor(Job& job, int t,
-                        const kernels::KernelTables<T>* tables) {
-    const BatchProblem<T>& p = job.problem;
-    sshopm::Result<T>* out =
-        job.result.results.data() +
-        static_cast<std::size_t>(t) * p.num_starts();
-    if (opt_.simd_width != 1) {
-      kernels::MultiKernels<T> k(p.tensors[static_cast<std::size_t>(t)],
-                                 job.tier, tables, opt_.simd_width);
-      auto runs = sshopm::solve_multi(
-          k, std::span<const std::vector<T>>(p.starts.data(),
-                                             p.starts.size()),
-          p.options);
-      std::move(runs.begin(), runs.end(), out);
-      return;
-    }
-    kernels::BoundKernels<T> k(p.tensors[static_cast<std::size_t>(t)],
-                               job.tier, tables);
-    for (int v = 0; v < p.num_starts(); ++v) {
-      const auto& x0 = p.starts[static_cast<std::size_t>(v)];
-      out[v] = sshopm::solve(k, std::span<const T>(x0.data(), x0.size()),
-                             p.options);
     }
   }
 

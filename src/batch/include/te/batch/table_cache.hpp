@@ -95,8 +95,9 @@ class TableCache {
     return spill_path_locked(order, dim);
   }
 
-  /// Tables for one shape/tier. Tiers that never read tables (general, cse,
-  /// unrolled) return nullptr without touching the cache or its counters.
+  /// Tables for one shape/tier. Tiers that never read tables (every tier
+  /// but precomputed and blocked, kernels::uses_tables) return nullptr
+  /// without touching the cache or its counters.
   /// The returned pointer remains valid after eviction (shared ownership).
   ///
   /// Safe for cross-shard sharing: the combinatorial build (and the spill
@@ -110,10 +111,7 @@ class TableCache {
   /// lock at insert time, on the coherent bytes_resident ledger.
   [[nodiscard]] std::shared_ptr<const kernels::KernelTables<T>> get(
       int order, int dim, kernels::Tier tier) {
-    if (tier != kernels::Tier::kPrecomputed &&
-        tier != kernels::Tier::kBlocked) {
-      return nullptr;
-    }
+    if (!kernels::uses_tables(tier)) return nullptr;
     std::unique_lock lock(mutex_);
     for (;;) {
       for (auto it = entries_.begin(); it != entries_.end(); ++it) {

@@ -112,12 +112,6 @@ class IndexClassIterator {
   /// Rank of the current class == number of next() calls so far.
   [[nodiscard]] offset_t rank() const { return rank_; }
 
-  /// Position of the most significant index that changed in the last
-  /// next() call (0 after construction/reset: everything is "new"). All
-  /// positions before it are unchanged -- the hook the prefix-sharing
-  /// (CSE) kernels use to reuse partial products across classes.
-  [[nodiscard]] int last_changed() const { return last_changed_; }
-
   [[nodiscard]] bool done() const { return done_; }
 
   /// Advance to the successor class (paper Fig. 4, UPDATEINDEX): increment
@@ -139,7 +133,6 @@ class IndexClassIterator {
   // already caps the order at 20.
   std::array<index_t, kMaxFactorialArg> index_{};
   offset_t rank_ = 0;
-  int last_changed_ = 0;
   bool done_ = false;
 };
 

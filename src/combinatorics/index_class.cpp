@@ -96,14 +96,12 @@ void IndexClassIterator::next() {
   }
   const index_t v = ++index_[static_cast<std::size_t>(j)];
   for (int k = j + 1; k < order_; ++k) index_[static_cast<std::size_t>(k)] = v;
-  last_changed_ = j;
   ++rank_;
 }
 
 void IndexClassIterator::reset() {
   index_.fill(0);
   rank_ = 0;
-  last_changed_ = 0;
   done_ = false;
 }
 

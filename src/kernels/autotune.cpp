@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "te/kernels/multi_dispatch.hpp"
 #include "te/tensor/generators.hpp"
 #include "te/util/rng.hpp"
 #include "te/util/timer.hpp"
@@ -15,8 +14,6 @@ double AutotuneReport::best_us() const {
       return general_us;
     case Tier::kPrecomputed:
       return precomputed_us;
-    case Tier::kCse:
-      return cse_us;
     case Tier::kBlocked:
       return blocked_us;
     case Tier::kUnrolled:
@@ -45,9 +42,7 @@ AutotuneReport autotune_tier(int order, int dim, int min_reps) {
   float sink = 0;
 
   const auto measure = [&](Tier tier) -> double {
-    const KernelTables<float>* tab =
-        (tier == Tier::kPrecomputed || tier == Tier::kBlocked) ? &tables
-                                                               : nullptr;
+    const KernelTables<float>* tab = uses_tables(tier) ? &tables : nullptr;
     if (tier == Tier::kUnrolled && find_unrolled<float>(order, dim) == nullptr) {
       return -1;
     }
@@ -66,7 +61,6 @@ AutotuneReport autotune_tier(int order, int dim, int min_reps) {
 
   report.general_us = measure(Tier::kGeneral);
   report.precomputed_us = measure(Tier::kPrecomputed);
-  report.cse_us = measure(Tier::kCse);
   report.blocked_us = measure(Tier::kBlocked);
   report.unrolled_us = measure(Tier::kUnrolled);
   report.jit_us = measure(Tier::kJit);
@@ -83,7 +77,6 @@ AutotuneReport autotune_tier(int order, int dim, int min_reps) {
     }
   };
   consider(Tier::kPrecomputed, report.precomputed_us);
-  consider(Tier::kCse, report.cse_us);
   consider(Tier::kBlocked, report.blocked_us);
   consider(Tier::kUnrolled, report.unrolled_us);
   consider(Tier::kJit, report.jit_us);
@@ -97,7 +90,7 @@ MultiWidthReport autotune_multi_width(int order, int dim, Tier tier,
   const auto a = random_symmetric_tensor<float>(rng, 1, order, dim);
   const KernelTables<float>* tab = nullptr;
   KernelTables<float> tables(order, dim);
-  if (tier == Tier::kPrecomputed || tier == Tier::kBlocked) tab = &tables;
+  if (uses_tables(tier)) tab = &tables;
 
   MultiWidthReport report;
   report.tier = tier;
@@ -111,7 +104,7 @@ MultiWidthReport autotune_multi_width(int order, int dim, Tier tier,
     if (tier == Tier::kJit && find_jit<float>(order, dim) == nullptr) {
       return -1;
     }
-    MultiKernels<float> k(a, tier, tab, width);
+    BoundKernels<float> k(a, tier, tab, nullptr, width);
     // A width that degrades to the per-lane fallback is the scalar math
     // plus gather overhead -- never preferable to width 1, so don't let
     // timing noise pick it. The predicate is the facade's own vectorized()

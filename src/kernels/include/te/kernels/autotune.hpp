@@ -19,7 +19,6 @@ struct AutotuneReport {
   Tier best = Tier::kGeneral;
   double general_us = -1;
   double precomputed_us = -1;
-  double cse_us = -1;
   double blocked_us = -1;
   double unrolled_us = -1;
   double jit_us = -1;
@@ -49,11 +48,11 @@ struct MultiWidthReport {
 
 /// Measure the multi kernels at (order, dim, tier) across width 1 and all
 /// registered vector widths with a vectorized route, and pick the
-/// cheapest per lane. The refusal predicate is MultiKernels::vectorized()
+/// cheapest per lane. The refusal predicate is BoundKernels::vectorized()
 /// -- genuine per-lane fallback -- so JIT-admitted widths are timed like
-/// any registry width; tiers with no vectorized route at a width (cse,
-/// blocked, unregistered unrolled or unadmitted JIT widths) report width 1
-/// without timing the fallback. The chosen width is recorded in the te::obs gauge
+/// any registry width; tiers with no vectorized route at a width (blocked,
+/// blocked_par, unregistered unrolled or unadmitted JIT widths) report
+/// width 1 without timing the fallback. The chosen width is recorded in the te::obs gauge
 /// `kernels.multi.autotune_width.<tier>` so dispatch regressions show up
 /// in exported metric trajectories.
 [[nodiscard]] MultiWidthReport autotune_multi_width(int order, int dim,

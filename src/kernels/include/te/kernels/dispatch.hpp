@@ -1,22 +1,25 @@
 #pragma once
-// Runtime selection of a kernel tier.
+// Runtime selection of a kernel tier and a lane width.
 //
 // The unrolled tier is a family of compile-time instantiations; this header
 // exposes a registry of prebuilt shapes (the application sizes plus a sweep
-// used by the occupancy study) and a BoundKernels facade that lets SS-HOPM
-// and the batch backends pick a tier with a runtime enum while the kernels
-// themselves stay fully typed.
+// used by the occupancy study), the registries of the multi-vector (SoA)
+// kernels, and the one BoundKernels facade that lets SS-HOPM and the batch
+// backends pick a tier and a width at runtime while the kernels themselves
+// stay fully typed.
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 
 #include "te/kernels/blocked.hpp"
 #include "te/kernels/blocked_par.hpp"
-#include "te/kernels/cse.hpp"
 #include "te/kernels/general.hpp"
 #include "te/kernels/jit_registry.hpp"
+#include "te/kernels/multi.hpp"
 #include "te/kernels/precomputed.hpp"
 #include "te/obs/obs.hpp"
 #include "te/tensor/symmetric_tensor.hpp"
@@ -25,22 +28,37 @@
 namespace te::kernels {
 
 /// Kernel implementation tier (paper Section V's "General" vs "Unrolled";
-/// kPrecomputed is the Section III-B.5 storage/compute trade; kCse is the
-/// Section V-D common-subexpression variant with prefix-sharing; kJit is
-/// the unrolled expansion generated, compiled and admitted at *runtime*
-/// for shapes the compile-time registry never saw).
+/// kPrecomputed is the Section III-B.5 storage/compute trade; kJit is the
+/// unrolled expansion generated, compiled and admitted at *runtime* for
+/// shapes the compile-time registry never saw).
+///
+/// The values are persisted (checkpoint job records and problem
+/// fingerprints store static_cast<int32_t>(tier)), so they never change.
+/// Slot 2 belonged to a retired tier and stays unused.
 enum class Tier {
-  kGeneral,
-  kPrecomputed,
-  kCse,
-  kBlocked,
-  kUnrolled,
-  kBlockedPar,
-  kJit,
+  kGeneral = 0,
+  kPrecomputed = 1,
+  kBlocked = 3,
+  kUnrolled = 4,
+  kBlockedPar = 5,
+  kJit = 6,
 };
 
+static_assert(static_cast<int>(Tier::kGeneral) == 0 &&
+                  static_cast<int>(Tier::kPrecomputed) == 1 &&
+                  static_cast<int>(Tier::kBlocked) == 3 &&
+                  static_cast<int>(Tier::kUnrolled) == 4 &&
+                  static_cast<int>(Tier::kBlockedPar) == 5 &&
+                  static_cast<int>(Tier::kJit) == 6,
+              "Tier values are persisted; do not renumber");
+
+/// Every tier, in the order metrics arrays and tier sweeps use.
+inline constexpr std::array<Tier, 6> kAllTiers = {
+    Tier::kGeneral,  Tier::kPrecomputed, Tier::kBlocked,
+    Tier::kUnrolled, Tier::kBlockedPar,  Tier::kJit};
+
 /// Number of tiers (metrics arrays and tier sweeps size off this).
-inline constexpr int kNumTiers = 7;
+inline constexpr int kNumTiers = static_cast<int>(kAllTiers.size());
 
 [[nodiscard]] constexpr std::string_view tier_name(Tier t) {
   switch (t) {
@@ -48,8 +66,6 @@ inline constexpr int kNumTiers = 7;
       return "general";
     case Tier::kPrecomputed:
       return "precomputed";
-    case Tier::kCse:
-      return "cse";
     case Tier::kBlocked:
       return "blocked";
     case Tier::kUnrolled:
@@ -60,6 +76,28 @@ inline constexpr int kNumTiers = 7;
       return "jit";
   }
   return "?";
+}
+
+/// Inverse of tier_name; nullopt for names no tier carries.
+[[nodiscard]] constexpr std::optional<Tier> tier_from_name(
+    std::string_view name) {
+  for (const Tier t : kAllTiers) {
+    if (tier_name(t) == name) return t;
+  }
+  return std::nullopt;
+}
+
+/// Position of `t` in kAllTiers (the index of its per-tier metrics slot).
+[[nodiscard]] constexpr int tier_index(Tier t) {
+  for (int i = 0; i < kNumTiers; ++i) {
+    if (kAllTiers[static_cast<std::size_t>(i)] == t) return i;
+  }
+  return 0;
+}
+
+/// True for the tiers that read KernelTables (and so need them built).
+[[nodiscard]] constexpr bool uses_tables(Tier t) {
+  return t == Tier::kPrecomputed || t == Tier::kBlocked;
 }
 
 #if TE_OBS_ENABLED
@@ -73,12 +111,9 @@ struct DispatchMetrics {
   static DispatchMetrics& get() {
     static DispatchMetrics m = [] {
       DispatchMetrics d;
-      constexpr Tier kTiers[kNumTiers] = {
-          Tier::kGeneral,  Tier::kPrecomputed, Tier::kCse,
-          Tier::kBlocked,  Tier::kUnrolled,    Tier::kBlockedPar,
-          Tier::kJit};
       for (int i = 0; i < kNumTiers; ++i) {
-        const std::string base(tier_name(kTiers[i]));
+        const std::string base(
+            tier_name(kAllTiers[static_cast<std::size_t>(i)]));
         d.ttsv0_calls[i] =
             &obs::global().counter("kernels.ttsv0.calls." + base);
         d.ttsv1_calls[i] =
@@ -113,6 +148,63 @@ template <Real T>
 template <Real T>
 [[nodiscard]] const UnrolledEntry<T>* find_unrolled(int order, int dim);
 
+/// Lane widths with vectorized kernel instantiations, ascending. Width 1
+/// is always accepted by BoundKernels as the scalar per-lane route.
+[[nodiscard]] std::span<const int> multi_widths() noexcept;
+
+/// True when `width` is 1 or a registered vector width.
+[[nodiscard]] bool is_multi_width(int width) noexcept;
+
+/// Heuristic lane pick for (order, dim, tier): one full vector register of
+/// T (AVX-512: 16 floats / 8 doubles) for the tiers with vectorized
+/// routes, 1 for the tiers that would fall back to scalar anyway.
+template <Real T>
+[[nodiscard]] int pick_simd_width(int order, int dim, Tier tier);
+
+/// Vectorized general-tier entry points for one width.
+template <Real T>
+struct MultiGeneralFns {
+  int width;
+  void (*ttsv0)(int order, int dim, const T* values, const T* xb, T* out,
+                OpCounts* ops);
+  void (*ttsv1)(int order, int dim, const T* values, const T* xb, T* yb,
+                OpCounts* ops);
+};
+
+/// Vectorized precomputed-tier entry points for one width.
+template <Real T>
+struct MultiPrecomputedFns {
+  int width;
+  void (*ttsv0)(const KernelTables<T>& tab, const T* values, const T* xb,
+                T* out, OpCounts* ops);
+  void (*ttsv1)(const KernelTables<T>& tab, const T* values, const T* xb,
+                T* yb, OpCounts* ops);
+};
+
+/// One prebuilt (order, dim, width) unrolled multi shape.
+template <Real T>
+struct MultiUnrolledEntry {
+  int order;
+  int dim;
+  int width;
+  void (*ttsv0)(const T* a, const T* xb, T* out);
+  void (*ttsv1)(const T* a, const T* xb, T* yb);
+};
+
+/// Lookups; nullptr when no vectorized instantiation exists.
+template <Real T>
+[[nodiscard]] const MultiGeneralFns<T>* find_multi_general(int width) noexcept;
+template <Real T>
+[[nodiscard]] const MultiPrecomputedFns<T>* find_multi_precomputed(
+    int width) noexcept;
+template <Real T>
+[[nodiscard]] const MultiUnrolledEntry<T>* find_multi_unrolled(
+    int order, int dim, int width) noexcept;
+
+/// Largest dimension the VectorBatch calls accept (their per-lane fallback
+/// gathers a lane into a stack buffer of this size).
+inline constexpr int kMaxBatchDim = 64;
+
 /// Default block size for the blocked_par tier's internal repack: one
 /// block for paper-scale dims (the layout degenerates to the flat walk),
 /// 32-index blocks at large n so each block-class's x/y footprint stays
@@ -121,26 +213,46 @@ template <Real T>
   return dim < 32 ? dim : 32;
 }
 
-/// Tensor + tier bound together behind a uniform call interface.
+/// Tensor + tier + lane width bound together behind a uniform call
+/// interface.
 ///
-/// The bound tensor and (for kPrecomputed) tables must outlive the facade.
-/// kUnrolled requires the shape to be present in the registry; callers that
-/// want graceful fallback should check find_unrolled first. kJit likewise
-/// requires an admitted runtime kernel (te::jit acquires, proves and
-/// registers them; jit::acquire_tier is the graceful-fallback entry point
-/// that degrades to kPrecomputed instead of throwing here). kBlockedPar
-/// repacks the tensor into the blocked layout at bind time and runs on the
-/// supplied ParallelExecutor (sequential when none given); its reusable
-/// workspace makes ttsv0/ttsv1 non-reentrant on one facade instance --
-/// share tensors across threads, not BoundKernels.
+/// Span calls (one vector) run the tier's scalar kernel. VectorBatch calls
+/// (width() vectors in SoA layout) run the vectorized multi kernel where a
+/// bit-compatible one exists -- general, precomputed, and unrolled/jit
+/// shapes registered at this width -- and otherwise gather each lane
+/// through the scalar kernel, which is bitwise identical to the span path
+/// by construction. Only the vectorized routes trade bit-identity for the
+/// documented contraction-level tolerance (DESIGN.md section 11).
+///
+/// Width: 1 (the default) binds the scalar kernels only and never consults
+/// the multi registries; 0 resolves to pick_simd_width(); anything else must
+/// be a registered power of two (multi_widths()). Widths other than 1 need
+/// dim <= kMaxBatchDim.
+///
+/// The bound tensor, the tables (precomputed/blocked) and the executor
+/// (blocked_par) must outlive the facade. kUnrolled requires the shape to
+/// be present in the registry; callers that want graceful fallback should
+/// check find_unrolled first. kJit likewise requires an admitted runtime
+/// kernel (te::jit acquires, proves and registers them; jit::acquire_tier
+/// is the graceful-fallback entry point that degrades to kPrecomputed
+/// instead of throwing here). kBlockedPar repacks the tensor into the
+/// blocked layout at bind time and runs on the supplied ParallelExecutor
+/// (sequential when none given).
+///
+/// Thread safety: every call is const. For all tiers but kBlockedPar the
+/// facade is immutable after construction and may be shared across
+/// threads. kBlockedPar keeps one reusable workspace per facade (shared by
+/// its copies), which makes its calls non-reentrant -- including the
+/// VectorBatch calls, whose lanes fall back to it. Share tensors and
+/// tables across threads, and give each thread its own BoundKernels.
 template <Real T>
 class BoundKernels {
  public:
   BoundKernels(const SymmetricTensor<T>& a, Tier tier,
                const KernelTables<T>* tables = nullptr,
-               const ParallelExecutor* par = nullptr)
+               const ParallelExecutor* par = nullptr, int width = 1)
       : a_(&a), tier_(tier), tables_(tables), par_(par) {
-    if (tier == Tier::kPrecomputed || tier == Tier::kBlocked) {
+    if (uses_tables(tier)) {
       TE_REQUIRE(tables != nullptr &&
                      tables->order() == a.order() && tables->dim() == a.dim(),
                  "precomputed/blocked tiers need matching KernelTables");
@@ -160,23 +272,152 @@ class BoundKernels {
           a, default_block_dim(a.dim()));
       blocked_ws_ = std::make_shared<BlockedParWorkspace<T>>();
     }
+    if (width != 1) bind_width(width);
   }
 
   [[nodiscard]] const SymmetricTensor<T>& tensor() const { return *a_; }
   [[nodiscard]] Tier tier() const { return tier_; }
 
+  /// Lanes per VectorBatch call (resolved; what every batch must be sized
+  /// to).
+  [[nodiscard]] int width() const { return width_; }
+
+  /// True when VectorBatch calls take a SIMD route; false means the
+  /// per-lane scalar fallback (bitwise identical to the span calls).
+  [[nodiscard]] bool vectorized() const {
+    return multi_general_ != nullptr || multi_precomputed_ != nullptr ||
+           multi_unrolled_ != nullptr || multi_jit_ != nullptr;
+  }
+
   [[nodiscard]] T ttsv0(std::span<const T> x, OpCounts* ops = nullptr) const {
     TE_OBS_ONLY(
-        detail::DispatchMetrics::get()
-            .ttsv0_calls[static_cast<int>(tier_)]
-            ->inc());
+        detail::DispatchMetrics::get().ttsv0_calls[tier_index(tier_)]->inc());
+    return scalar_ttsv0(x, ops);
+  }
+
+  void ttsv1(std::span<const T> x, std::span<T> y,
+             OpCounts* ops = nullptr) const {
+    TE_OBS_ONLY(
+        detail::DispatchMetrics::get().ttsv1_calls[tier_index(tier_)]->inc());
+    scalar_ttsv1(x, y, ops);
+  }
+
+  /// out[w] = A x_w^m for every lane w; out.size() == width().
+  void ttsv0(const VectorBatch<T>& x, std::span<T> out,
+             OpCounts* ops = nullptr) const {
+    check_batch(x);
+    TE_REQUIRE(static_cast<int>(out.size()) == width_,
+               "output span must have one scalar per lane");
+    TE_OBS_ONLY(
+        detail::DispatchMetrics::get().ttsv0_calls[tier_index(tier_)]->inc());
+    const T* values = a_->values().data();
+    if (multi_general_ != nullptr) {
+      multi_general_->ttsv0(a_->order(), a_->dim(), values, x.data(),
+                            out.data(), ops);
+    } else if (multi_precomputed_ != nullptr) {
+      multi_precomputed_->ttsv0(*tables_, values, x.data(), out.data(), ops);
+    } else if (multi_unrolled_ != nullptr) {
+      if (ops) *ops += unrolled_->ops0 * width_;
+      multi_unrolled_->ttsv0(values, x.data(), out.data());
+    } else if (multi_jit_ != nullptr) {
+      if (ops) *ops += jit_->ops0 * width_;
+      multi_jit_->ttsv0(values, x.data(), out.data());
+    } else {
+      T sx[kMaxBatchDim];
+      const auto n = static_cast<std::size_t>(a_->dim());
+      for (int w = 0; w < width_; ++w) {
+        x.store_lane(w, {sx, n});
+        out[static_cast<std::size_t>(w)] = scalar_ttsv0({sx, n}, ops);
+      }
+    }
+  }
+
+  /// y_w = A x_w^{m-1} for every lane w; y must match x's shape.
+  void ttsv1(const VectorBatch<T>& x, VectorBatch<T>& y,
+             OpCounts* ops = nullptr) const {
+    check_batch(x);
+    check_batch(y);
+    TE_OBS_ONLY(
+        detail::DispatchMetrics::get().ttsv1_calls[tier_index(tier_)]->inc());
+    const T* values = a_->values().data();
+    if (multi_general_ != nullptr) {
+      multi_general_->ttsv1(a_->order(), a_->dim(), values, x.data(),
+                            y.data(), ops);
+    } else if (multi_precomputed_ != nullptr) {
+      multi_precomputed_->ttsv1(*tables_, values, x.data(), y.data(), ops);
+    } else if (multi_unrolled_ != nullptr) {
+      if (ops) *ops += unrolled_->ops1 * width_;
+      multi_unrolled_->ttsv1(values, x.data(), y.data());
+    } else if (multi_jit_ != nullptr) {
+      if (ops) *ops += jit_->ops1 * width_;
+      multi_jit_->ttsv1(values, x.data(), y.data());
+    } else {
+      T sx[kMaxBatchDim];
+      T sy[kMaxBatchDim];
+      const auto n = static_cast<std::size_t>(a_->dim());
+      for (int w = 0; w < width_; ++w) {
+        x.store_lane(w, {sx, n});
+        scalar_ttsv1({sx, n}, {sy, n}, ops);
+        y.load_lane(w, {sy, n});
+      }
+    }
+  }
+
+  /// kBlockedPar only: the internal blocked repack of the bound tensor.
+  [[nodiscard]] const BlockedSymmetricTensor<T>* blocked() const {
+    return blocked_.get();
+  }
+
+ private:
+  /// Resolve a width other than 1 and look up its vectorized route.
+  void bind_width(int width) {
+    TE_REQUIRE(a_->dim() <= kMaxBatchDim,
+               "multi kernels support dim <= " << kMaxBatchDim);
+    width_ = width == 0 ? pick_simd_width<T>(a_->order(), a_->dim(), tier_)
+                        : width;
+    TE_REQUIRE(is_multi_width(width_), "unsupported simd width " << width_);
+    if (width_ > 1) {
+      switch (tier_) {
+        case Tier::kGeneral:
+          multi_general_ = find_multi_general<T>(width_);
+          break;
+        case Tier::kPrecomputed:
+          multi_precomputed_ = find_multi_precomputed<T>(width_);
+          break;
+        case Tier::kUnrolled:
+          multi_unrolled_ =
+              find_multi_unrolled<T>(a_->order(), a_->dim(), width_);
+          break;
+        case Tier::kJit:
+          multi_jit_ = find_jit_multi<T>(a_->order(), a_->dim(), width_);
+          break;
+        case Tier::kBlocked:
+        case Tier::kBlockedPar:
+          // No bit-compatible vectorized route; per-lane scalar fallback.
+          break;
+      }
+    }
+    TE_OBS_ONLY({
+      static obs::Gauge& simd_width =
+          obs::global().gauge("kernels.multi.simd_width");
+      simd_width.set(static_cast<double>(width_));
+    });
+  }
+
+  void check_batch(const VectorBatch<T>& b) const {
+    TE_REQUIRE(b.dim() == a_->dim() && b.width() == width_ &&
+                   b.dim() <= kMaxBatchDim,
+               "batch shape (" << b.dim() << " x " << b.width()
+                               << ") does not match kernels (" << a_->dim()
+                               << " x " << width_ << ")");
+  }
+
+  [[nodiscard]] T scalar_ttsv0(std::span<const T> x, OpCounts* ops) const {
     switch (tier_) {
       case Tier::kGeneral:
         return ttsv0_general(*a_, x, ops);
       case Tier::kPrecomputed:
         return ttsv0_precomputed(*a_, *tables_, x, ops);
-      case Tier::kCse:
-        return ttsv0_cse(*a_, x, ops);
       case Tier::kBlocked:
         return ttsv0_blocked(*a_, *tables_, x, ops);
       case Tier::kUnrolled: {
@@ -195,21 +436,14 @@ class BoundKernels {
     return T(0);
   }
 
-  void ttsv1(std::span<const T> x, std::span<T> y,
-             OpCounts* ops = nullptr) const {
-    TE_OBS_ONLY(
-        detail::DispatchMetrics::get()
-            .ttsv1_calls[static_cast<int>(tier_)]
-            ->inc());
+  void scalar_ttsv1(std::span<const T> x, std::span<T> y,
+                    OpCounts* ops) const {
     switch (tier_) {
       case Tier::kGeneral:
         ttsv1_general(*a_, x, y, ops);
         return;
       case Tier::kPrecomputed:
         ttsv1_precomputed(*a_, *tables_, x, y, ops);
-        return;
-      case Tier::kCse:
-        ttsv1_cse(*a_, x, y, ops);
         return;
       case Tier::kBlocked:
         ttsv1_blocked(*a_, *tables_, x, y, ops);
@@ -230,12 +464,6 @@ class BoundKernels {
     TE_REQUIRE(false, "unreachable");
   }
 
-  /// kBlockedPar only: the internal blocked repack of the bound tensor.
-  [[nodiscard]] const BlockedSymmetricTensor<T>* blocked() const {
-    return blocked_.get();
-  }
-
- private:
   const SymmetricTensor<T>* a_;
   Tier tier_;
   const KernelTables<T>* tables_ = nullptr;
@@ -244,6 +472,11 @@ class BoundKernels {
   const ParallelExecutor* par_ = nullptr;
   std::shared_ptr<BlockedSymmetricTensor<T>> blocked_;
   std::shared_ptr<BlockedParWorkspace<T>> blocked_ws_;
+  int width_ = 1;
+  const MultiGeneralFns<T>* multi_general_ = nullptr;
+  const MultiPrecomputedFns<T>* multi_precomputed_ = nullptr;
+  const MultiUnrolledEntry<T>* multi_unrolled_ = nullptr;
+  const JitMultiEntry<T>* multi_jit_ = nullptr;
 };
 
 }  // namespace te::kernels

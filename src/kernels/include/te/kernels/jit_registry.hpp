@@ -5,9 +5,10 @@
 // runtime twin: te::jit generates specialized ttsv0/ttsv1 source for an
 // arbitrary (order, dim), compiles it with the host toolchain, dlopens the
 // object, proves the loaded binary with the te::analysis probing pass, and
-// only then registers the function pointers here. BoundKernels/MultiKernels
-// dispatch through this table exactly like they dispatch through the
-// unrolled registry -- te_kernels itself never depends on the codegen
+// only then registers the function pointers here. BoundKernels (span and
+// VectorBatch calls alike) dispatches through this table exactly like it
+// dispatches through the unrolled registry -- te_kernels itself never
+// depends on the codegen
 // machinery, so every existing client picks up the tier for free.
 //
 // Registration is append-or-replace keyed on (order, dim[, width]) per

@@ -1,4 +1,4 @@
-#include "te/kernels/multi_dispatch.hpp"
+#include "te/kernels/dispatch.hpp"
 
 namespace te::kernels {
 
@@ -93,8 +93,7 @@ int pick_simd_width(int order, int dim, Tier tier) {
   (void)dim;
   // No bit-compatible vectorized route for these tiers; lane-blocking would
   // only add gather/scatter overhead, so stay on the per-vector path.
-  if (tier == Tier::kCse || tier == Tier::kBlocked ||
-      tier == Tier::kBlockedPar) {
+  if (tier == Tier::kBlocked || tier == Tier::kBlockedPar) {
     return 1;
   }
   int w = simd::preferred_width<T>();

@@ -39,7 +39,8 @@ namespace te::serve {
 [[nodiscard]] std::optional<double> wire_number(const std::string& json,
                                                 const std::string& key);
 
-/// Kernel tier by protocol name ("general", "precomputed", ...).
+/// Kernel tier by protocol name ("general", "precomputed", ...); every
+/// tier but jit, which needs an acquire step serve does not run.
 [[nodiscard]] std::optional<kernels::Tier> wire_tier(const std::string& name);
 
 }  // namespace te::serve

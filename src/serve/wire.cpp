@@ -202,15 +202,10 @@ std::optional<double> wire_number(const std::string& json,
 }
 
 std::optional<kernels::Tier> wire_tier(const std::string& name) {
-  constexpr kernels::Tier kAll[] = {
-      kernels::Tier::kGeneral,  kernels::Tier::kPrecomputed,
-      kernels::Tier::kCse,      kernels::Tier::kBlocked,
-      kernels::Tier::kUnrolled, kernels::Tier::kBlockedPar,
-  };
-  for (const auto t : kAll) {
-    if (name == kernels::tier_name(t)) return t;
-  }
-  return std::nullopt;
+  // Serve has no JIT acquire path, so "jit" is refused like an unknown name.
+  const auto tier = kernels::tier_from_name(name);
+  if (tier == kernels::Tier::kJit) return std::nullopt;
+  return tier;
 }
 
 std::string handle_line(Server<float>& server, const std::string& line) {

@@ -24,11 +24,12 @@
 // routes themselves (FMA contraction inside the vectorized class walk,
 // DESIGN.md section 11); the per-lane fallback routes are bitwise.
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
 
-#include "te/kernels/multi_dispatch.hpp"
+#include "te/kernels/dispatch.hpp"
 #include "te/obs/obs.hpp"
 #include "te/sshopm/sshopm.hpp"
 #include "te/util/op_counter.hpp"
@@ -66,7 +67,7 @@ struct MultiSolveMetrics {
 /// along inside a partially-live block.
 template <Real T>
 [[nodiscard]] std::vector<Result<T>> solve_multi(
-    const kernels::MultiKernels<T>& k, std::span<const std::vector<T>> starts,
+    const kernels::BoundKernels<T>& k, std::span<const std::vector<T>> starts,
     const Options& opt, OpCounts* ops = nullptr) {
   const int n = k.tensor().dim();
   const int width = k.width();
@@ -240,6 +241,27 @@ template <Real T>
   (void)live_lane_iters;
   (void)wasted_lane_iters;
   return results;
+}
+
+/// The start sweep: SS-HOPM from every start against one bound tensor,
+/// results written in start order into `out` (one slot per start). Width-1
+/// facades run solve() per start -- the bitwise reference path -- and wider
+/// ones run the lane-blocked solve_multi. The one-shot CPU backends, the
+/// scheduler's CPU chunks and find_eigenpairs all sweep through here.
+template <Real T>
+void solve_starts(const kernels::BoundKernels<T>& k,
+                  std::span<const std::vector<T>> starts, const Options& opt,
+                  std::span<Result<T>> out, OpCounts* ops = nullptr) {
+  TE_REQUIRE(out.size() == starts.size(), "one result slot per start");
+  if (k.width() == 1) {
+    for (std::size_t v = 0; v < starts.size(); ++v) {
+      out[v] = solve(k, std::span<const T>(starts[v].data(), starts[v].size()),
+                     opt, ops);
+    }
+    return;
+  }
+  auto runs = solve_multi(k, starts, opt, ops);
+  std::move(runs.begin(), runs.end(), out.begin());
 }
 
 }  // namespace te::sshopm

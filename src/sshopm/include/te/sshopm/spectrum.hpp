@@ -260,18 +260,9 @@ template <Real T>
     }
     return pairs;
   }
-  std::vector<Result<T>> runs;
-  if (opt.simd_width != 1) {
-    kernels::MultiKernels<T> k(a, tier, tables, opt.simd_width);
-    runs = solve_multi(k, starts, opt.inner, ops);
-  } else {
-    kernels::BoundKernels<T> k(a, tier, tables);
-    runs.reserve(starts.size());
-    for (const auto& x0 : starts) {
-      runs.push_back(
-          solve(k, std::span<const T>(x0.data(), x0.size()), opt.inner, ops));
-    }
-  }
+  const kernels::BoundKernels<T> k(a, tier, tables, nullptr, opt.simd_width);
+  std::vector<Result<T>> runs(starts.size());
+  solve_starts(k, starts, opt.inner, std::span<Result<T>>(runs), ops);
   return cluster_results(a, std::span<const Result<T>>(runs.data(),
                                                        runs.size()),
                          opt);

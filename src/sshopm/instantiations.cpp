@@ -15,11 +15,19 @@ template Result<double> solve(const kernels::BoundKernels<double>&,
                               OpCounts*);
 
 template std::vector<Result<float>> solve_multi(
-    const kernels::MultiKernels<float>&, std::span<const std::vector<float>>,
+    const kernels::BoundKernels<float>&, std::span<const std::vector<float>>,
     const Options&, OpCounts*);
 template std::vector<Result<double>> solve_multi(
-    const kernels::MultiKernels<double>&, std::span<const std::vector<double>>,
+    const kernels::BoundKernels<double>&, std::span<const std::vector<double>>,
     const Options&, OpCounts*);
+
+template void solve_starts(const kernels::BoundKernels<float>&,
+                           std::span<const std::vector<float>>, const Options&,
+                           std::span<Result<float>>, OpCounts*);
+template void solve_starts(const kernels::BoundKernels<double>&,
+                           std::span<const std::vector<double>>,
+                           const Options&, std::span<Result<double>>,
+                           OpCounts*);
 
 template std::vector<Eigenpair<float>> find_eigenpairs(
     const SymmetricTensor<float>&, kernels::Tier,

@@ -25,8 +25,9 @@ TEST(AnalysisSweep, EveryRegisteredShapeTierAndWidthProves) {
       EXPECT_TRUE(r.proven()) << r.summary();
     }
   }
-  // 6 scalar tiers x (1 + 4 widths) + 3 device tiers per shape.
-  EXPECT_EQ(reports, static_cast<std::int64_t>(all.size()) * 33);
+  // 5 scalar tiers (jit has no admitted kernels here) x (1 + 4 widths) +
+  // 3 device tiers per shape.
+  EXPECT_EQ(reports, static_cast<std::int64_t>(all.size()) * 28);
 
 #if TE_OBS_ENABLED
   // analyze_all publishes the CI gauges obs_json_check gates on.

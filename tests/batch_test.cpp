@@ -65,6 +65,25 @@ TEST(BatchCpu, ParallelMatchesSequentialBitwise) {
   }
 }
 
+// Only the tiers that read KernelTables (precomputed, blocked) build them:
+// an unrolled one-shot solve on either CPU backend builds none.
+TEST(BatchCpu, TableFreeTiersBuildNoTables) {
+#if TE_OBS_ENABLED
+  auto p = BatchProblem<float>::random(6, 3, 4, 4, 3);
+  p.options.alpha = 1.0;
+  const auto& built = obs::global().counter("kernels.tables.built");
+  const auto before = built.value();
+  ThreadPool pool(2);
+  (void)solve_cpu_sequential(p, Tier::kUnrolled);
+  (void)solve_cpu_parallel(p, Tier::kUnrolled, pool);
+  EXPECT_EQ(built.value(), before);
+  (void)solve_cpu_sequential(p, Tier::kPrecomputed);
+  EXPECT_EQ(built.value(), before + 1);
+#else
+  GTEST_SKIP() << "te::obs compiled out";
+#endif
+}
+
 TEST(BatchCpu, TiersAgreeOnEigenpairs) {
   auto p = BatchProblem<double>::random(4, 6, 8, 4, 3);
   p.options.alpha = 1.0;

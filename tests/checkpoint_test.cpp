@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "te/batch/scheduler.hpp"
 #include "te/io/reader.hpp"
@@ -68,8 +69,12 @@ void run_kill_resume_cycle(Backend backend, Tier tier) {
   ref_sched.run();
   const auto& ref = ref_sched.result(ref_id).results;
 
+  // One log file per backend: ctest runs the three cycle tests in
+  // parallel processes, which must not share a path.
+  const std::string name =
+      "cycle_" + std::to_string(static_cast<int>(backend)) + ".tetc";
   for (int k = 0; k <= 4; ++k) {
-    TmpFile ckpt("cycle.tetc");
+    TmpFile ckpt(name.c_str());
     {
       SchedulerOptions opt = base;
       opt.checkpoint_path = ckpt.path;
@@ -220,6 +225,24 @@ TEST(CheckpointResume, CompletedRunRestoresEverythingWithoutExecuting) {
   EXPECT_EQ(again.pending_chunks(), 0);
   EXPECT_EQ(again.run(), 0);  // nothing left to execute
   expect_bitwise(first, again.result(id).results, "full restore");
+}
+
+// Tier values are persisted in the job record (and hashed into the
+// fingerprint), so logs written before a tier was retired must still name
+// the same tiers: unrolled stays 4.
+TEST(CheckpointResume, JobRecordCarriesThePersistedTierValue) {
+  auto p = BatchProblem<float>::random(68, 2, 2, 4, 3);
+  TmpFile ckpt("tier.tetc");
+  SchedulerOptions opt;
+  opt.checkpoint_path = ckpt.path;
+  {
+    Scheduler<float> s(Backend::kCpuSequential, opt);
+    (void)s.submit(p, Tier::kUnrolled);
+    s.run();
+  }
+  const auto replay = io::load_checkpoint<float>(ckpt.path);
+  ASSERT_EQ(replay.jobs.size(), 1u);
+  EXPECT_EQ(replay.jobs[0].tier, 4);
 }
 
 // ---------------------------------------------------------------------------

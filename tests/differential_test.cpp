@@ -24,9 +24,9 @@ using kernels::Tier;
 
 constexpr std::array<Backend, 3> kBackends = {
     Backend::kCpuSequential, Backend::kCpuParallel, Backend::kGpuSim};
-constexpr std::array<Tier, 6> kTiers = {Tier::kGeneral,  Tier::kPrecomputed,
-                                        Tier::kCse,      Tier::kBlocked,
-                                        Tier::kUnrolled, Tier::kBlockedPar};
+constexpr std::array<Tier, 5> kTiers = {Tier::kGeneral, Tier::kPrecomputed,
+                                        Tier::kBlocked, Tier::kUnrolled,
+                                        Tier::kBlockedPar};
 
 [[nodiscard]] bool tier_supported(Backend b, Tier tier) {
   if (b != Backend::kGpuSim) return true;
@@ -107,7 +107,8 @@ TEST(DifferentialOracle, MultiStartLanesAllWidthsMatchQrst) {
   opt.tolerance = 1e-10;
   opt.max_iterations = 1000;
   for (const int width : kernels::multi_widths()) {
-    const kernels::MultiKernels<double> k(a, Tier::kGeneral, nullptr, width);
+    const kernels::BoundKernels<double> k(a, Tier::kGeneral, nullptr, nullptr,
+                                          width);
     const auto runs = sshopm::solve_multi(
         k, std::span<const std::vector<double>>(starts.data(), starts.size()),
         opt);

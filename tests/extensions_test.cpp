@@ -1,14 +1,13 @@
-// Tests for the extension features beyond the paper's shipped system:
-// CSE (prefix-sharing) kernels from the Section V-D remark, the blocked
-// tier from the paper's future-work list, the adaptive shift, and the
-// multi-GPU batch backend from the Section V-B remark.
+// Tests for the extension features beyond the paper's shipped system: the
+// blocked tier from the paper's future-work list, the adaptive shift, the
+// tier autotuner, and the multi-GPU batch backend from the Section V-B
+// remark.
 
 #include <gtest/gtest.h>
 
 #include "te/batch/batch.hpp"
 #include "te/kernels/autotune.hpp"
 #include "te/kernels/blocked.hpp"
-#include "te/kernels/cse.hpp"
 #include "te/kernels/general.hpp"
 #include "te/sshopm/adaptive.hpp"
 #include "te/tensor/generators.hpp"
@@ -19,107 +18,6 @@ namespace te {
 namespace {
 
 using kernels::Tier;
-
-// ---------------------------------------------------------------------------
-// CSE kernels.
-// ---------------------------------------------------------------------------
-
-class CseShapeTest : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(CseShapeTest, Ttsv0MatchesGeneral) {
-  const auto& [m, n] = GetParam();
-  CounterRng rng(1);
-  auto a = random_symmetric_tensor<double>(rng,
-                                           static_cast<std::uint64_t>(m * 10 + n),
-                                           m, n);
-  auto x = random_sphere_vector<double>(rng, 99, n);
-  EXPECT_NEAR(kernels::ttsv0_cse(a, {x.data(), x.size()}),
-              kernels::ttsv0_general(a, {x.data(), x.size()}), 1e-10);
-}
-
-TEST_P(CseShapeTest, Ttsv1MatchesGeneral) {
-  const auto& [m, n] = GetParam();
-  CounterRng rng(2);
-  auto a = random_symmetric_tensor<double>(rng,
-                                           static_cast<std::uint64_t>(m * 10 + n),
-                                           m, n);
-  auto x = random_sphere_vector<double>(rng, 98, n);
-  std::vector<double> yc(static_cast<std::size_t>(n)),
-      yg(static_cast<std::size_t>(n));
-  kernels::ttsv1_cse(a, {x.data(), x.size()}, {yc.data(), yc.size()});
-  kernels::ttsv1_general(a, {x.data(), x.size()}, {yg.data(), yg.size()});
-  for (int i = 0; i < n; ++i) {
-    EXPECT_NEAR(yc[static_cast<std::size_t>(i)],
-                yg[static_cast<std::size_t>(i)], 1e-10)
-        << "entry " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, CseShapeTest,
-    ::testing::Values(std::pair{2, 3}, std::pair{3, 3}, std::pair{4, 3},
-                      std::pair{4, 5}, std::pair{5, 2}, std::pair{6, 4},
-                      std::pair{3, 8}, std::pair{8, 3}),
-    [](const auto& p) {
-      return "m" + std::to_string(p.param.first) + "n" +
-             std::to_string(p.param.second);
-    });
-
-TEST(Cse, DoesFewerProductMultipliesThanGeneral) {
-  // The whole point: prefix sharing cuts the x-product multiplies from
-  // (m-1) per class to ~n/(n-1) per class on average.
-  CounterRng rng(3);
-  const int m = 6, n = 4;
-  auto a = random_symmetric_tensor<double>(rng, 0, m, n);
-  auto x = random_sphere_vector<double>(rng, 1, n);
-  OpCounts cse_ops, gen_ops;
-  (void)kernels::ttsv0_cse(a, {x.data(), x.size()}, &cse_ops);
-  (void)kernels::ttsv0_general(a, {x.data(), x.size()}, &gen_ops);
-  // Product multiplies drop from (m-1) per class to one per enumeration-
-  // tree node; for (6, 4) that is 209 tree nodes vs 84 * 5 = 420 naive
-  // product multiplies (both tallies also carry 2 scaling multiplies per
-  // class). Expect a solid reduction, not a fixed 2x.
-  EXPECT_LT(cse_ops.fmul, gen_ops.fmul * 3 / 4);
-  // And exactly: tree nodes (209) + 2 * classes (168) = 377.
-  EXPECT_EQ(cse_ops.fmul, 377);
-}
-
-TEST(Cse, WorksWithZerosInX) {
-  // Prefix products with zero entries must not poison later classes (no
-  // division is used anywhere).
-  CounterRng rng(4);
-  auto a = random_symmetric_tensor<double>(rng, 0, 4, 3);
-  std::vector<double> x = {0.0, 0.7, -0.3};
-  std::vector<double> yc(3), yg(3);
-  EXPECT_NEAR(kernels::ttsv0_cse(a, {x.data(), 3}),
-              kernels::ttsv0_general(a, {x.data(), 3}), 1e-12);
-  kernels::ttsv1_cse(a, {x.data(), 3}, {yc.data(), 3});
-  kernels::ttsv1_general(a, {x.data(), 3}, {yg.data(), 3});
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_NEAR(yc[static_cast<std::size_t>(i)],
-                yg[static_cast<std::size_t>(i)], 1e-12);
-  }
-}
-
-TEST(Cse, AvailableAsDispatchTier) {
-  CounterRng rng(5);
-  auto a = random_symmetric_tensor<double>(rng, 0, 4, 3);
-  kernels::BoundKernels<double> kc(a, Tier::kCse);
-  kernels::BoundKernels<double> kg(a, Tier::kGeneral);
-  std::vector<double> x = {0.4, -0.5, 0.76};
-  EXPECT_NEAR(kc.ttsv0({x.data(), 3}), kg.ttsv0({x.data(), 3}), 1e-12);
-}
-
-TEST(Cse, BatchBackendSupportsTier) {
-  auto p = batch::BatchProblem<float>::random(77, 4, 8, 4, 3);
-  p.options.alpha = 1.0;
-  const auto c = batch::solve_cpu_sequential(p, Tier::kCse);
-  const auto g = batch::solve_cpu_sequential(p, Tier::kGeneral);
-  ASSERT_EQ(c.results.size(), g.results.size());
-  for (std::size_t i = 0; i < c.results.size(); ++i) {
-    EXPECT_NEAR(c.results[i].lambda, g.results[i].lambda, 1e-4);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Blocked kernels.
@@ -301,12 +199,11 @@ TEST(Autotune, MeasuresEveryAvailableTier) {
   const auto report = kernels::autotune_tier(4, 3, 200);
   EXPECT_GT(report.general_us, 0);
   EXPECT_GT(report.precomputed_us, 0);
-  EXPECT_GT(report.cse_us, 0);
   EXPECT_GT(report.blocked_us, 0);
   EXPECT_GT(report.unrolled_us, 0);  // (4, 3) is in the registry
   EXPECT_GT(report.best_us(), 0);
   // The chosen tier really is the minimum of the measured set.
-  for (double us : {report.general_us, report.precomputed_us, report.cse_us,
+  for (double us : {report.general_us, report.precomputed_us,
                     report.blocked_us, report.unrolled_us}) {
     EXPECT_LE(report.best_us(), us + 1e-9);
   }
@@ -325,7 +222,7 @@ TEST(Autotune, PicksUnrolledAtApplicationShape) {
   const auto report = kernels::autotune_tier(4, 3, 5000);
   EXPECT_EQ(report.best, kernels::Tier::kUnrolled)
       << "general " << report.general_us << " precomp "
-      << report.precomputed_us << " cse " << report.cse_us << " blocked "
+      << report.precomputed_us << " blocked "
       << report.blocked_us << " unrolled " << report.unrolled_us;
 }
 

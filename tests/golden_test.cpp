@@ -98,8 +98,8 @@ void check_kofidis_regalia(Backend backend, Tier tier, double lambda_tol,
 
 TEST(GoldenKofidisRegalia, AllBackendsAllTiersDouble) {
   for (Backend b : kBackends) {
-    for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kCse,
-                      Tier::kBlocked, Tier::kUnrolled}) {
+    for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked,
+                      Tier::kUnrolled, Tier::kBlockedPar}) {
       if (!tier_supported(b, tier)) continue;
       check_kofidis_regalia<double>(b, tier, 1e-6, 1e-5);
     }
@@ -108,8 +108,8 @@ TEST(GoldenKofidisRegalia, AllBackendsAllTiersDouble) {
 
 TEST(GoldenKofidisRegalia, AllBackendsAllTiersFloat) {
   for (Backend b : kBackends) {
-    for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kCse,
-                      Tier::kBlocked, Tier::kUnrolled}) {
+    for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked,
+                      Tier::kUnrolled, Tier::kBlockedPar}) {
       if (!tier_supported(b, tier)) continue;
       check_kofidis_regalia<float>(b, tier, 5e-3, 5e-3);
     }
@@ -174,8 +174,8 @@ void check_rank_one(Backend backend, Tier tier, double lambda_tol) {
 
 TEST(GoldenRankOne, AnalyticPairsAcrossBackendsAndTiers) {
   for (Backend b : kBackends) {
-    for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kCse,
-                      Tier::kBlocked, Tier::kUnrolled}) {
+    for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked,
+                      Tier::kUnrolled, Tier::kBlockedPar}) {
       if (!tier_supported(b, tier)) continue;
       check_rank_one<double>(b, tier, 1e-10);
       check_rank_one<float>(b, tier, 1e-4);

@@ -37,7 +37,6 @@
 #include "te/kernels/dispatch.hpp"
 #include "te/kernels/general.hpp"
 #include "te/kernels/jit_registry.hpp"
-#include "te/kernels/multi_dispatch.hpp"
 #include "te/kernels/precomputed.hpp"
 #include "te/tensor/symmetric_tensor.hpp"
 #include "te/util/rng.hpp"
@@ -137,7 +136,7 @@ void expect_parity() {
 
   // Widths {2, 4, 8}: each lane against an independent scalar general call.
   for (const int w : {2, 4, 8}) {
-    kernels::MultiKernels<T> mk(a, kernels::Tier::kJit, nullptr, w);
+    kernels::BoundKernels<T> mk(a, kernels::Tier::kJit, nullptr, nullptr, w);
     EXPECT_TRUE(mk.vectorized()) << "width " << w;
     kernels::VectorBatch<T> xb(kN, w);
     kernels::VectorBatch<T> yb(kN, w);

@@ -374,6 +374,18 @@ TEST(Dispatch, UnrolledRequiresRegisteredShape) {
   EXPECT_THROW((BoundKernels<double>(a, Tier::kUnrolled)), InvalidArgument);
 }
 
+TEST(Dispatch, TierNamesRoundTripThroughTheOneTierList) {
+  for (const Tier t : kernels::kAllTiers) {
+    EXPECT_EQ(kernels::tier_from_name(kernels::tier_name(t)), t);
+    EXPECT_EQ(kernels::kAllTiers[static_cast<std::size_t>(
+                  kernels::tier_index(t))],
+              t);
+  }
+  EXPECT_EQ(kernels::tier_from_name("blocked"), Tier::kBlocked);
+  EXPECT_FALSE(kernels::tier_from_name("cse").has_value());
+  EXPECT_FALSE(kernels::tier_from_name("").has_value());
+}
+
 TEST(KernelTables, StorageOverheadNearPaperEstimate) {
   // Paper Sec. III-B.5: precomputation increases storage by about a factor
   // of (m + 2) in element count (index arrays of m ints + coefficients).

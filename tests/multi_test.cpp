@@ -11,13 +11,13 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "te/batch/scheduler.hpp"
 #include "te/kernels/autotune.hpp"
 #include "te/kernels/dispatch.hpp"
 #include "te/kernels/multi.hpp"
-#include "te/kernels/multi_dispatch.hpp"
 #include "te/kernels/ttsv.hpp"
 #include "te/obs/export.hpp"
 #include "te/parallel/thread_pool.hpp"
@@ -29,7 +29,7 @@
 namespace te {
 namespace {
 
-using kernels::MultiKernels;
+using kernels::BoundKernels;
 using kernels::Tier;
 using kernels::VectorBatch;
 
@@ -120,9 +120,9 @@ TEST_P(MultiKernelTest, GeneralTierMatchesScalarPerLaneExactly) {
   const auto [m, n] = GetParam();
   CounterRng rng(200);
   const auto a = random_symmetric_tensor<double>(rng, 0, m, n);
-  kernels::BoundKernels<double> scalar(a, Tier::kGeneral);
+  BoundKernels<double> scalar(a, Tier::kGeneral);
   for (int width : kernels::multi_widths()) {
-    MultiKernels<double> multi(a, Tier::kGeneral, nullptr, width);
+    BoundKernels<double> multi(a, Tier::kGeneral, nullptr, nullptr, width);
     ASSERT_TRUE(multi.vectorized()) << "width " << width;
     auto x = random_batch<double>(n, width, 300 + static_cast<std::uint64_t>(
                                                       width));
@@ -151,9 +151,9 @@ TEST_P(MultiKernelTest, PrecomputedTierMatchesScalarPerLaneExactly) {
   CounterRng rng(201);
   const auto a = random_symmetric_tensor<float>(rng, 0, m, n);
   kernels::KernelTables<float> tab(m, n);
-  kernels::BoundKernels<float> scalar(a, Tier::kPrecomputed, &tab);
+  BoundKernels<float> scalar(a, Tier::kPrecomputed, &tab);
   for (int width : kernels::multi_widths()) {
-    MultiKernels<float> multi(a, Tier::kPrecomputed, &tab, width);
+    BoundKernels<float> multi(a, Tier::kPrecomputed, &tab, nullptr, width);
     ASSERT_TRUE(multi.vectorized()) << "width " << width;
     auto x = random_batch<float>(n, width, 400 + static_cast<std::uint64_t>(
                                                      width));
@@ -187,9 +187,9 @@ TEST_P(MultiKernelTest, UnrolledTierMatchesScalarWithinTolerance) {
   }
   CounterRng rng(202);
   const auto a = random_symmetric_tensor<double>(rng, 0, m, n);
-  kernels::BoundKernels<double> scalar(a, Tier::kUnrolled);
+  BoundKernels<double> scalar(a, Tier::kUnrolled);
   for (int width : kernels::multi_widths()) {
-    MultiKernels<double> multi(a, Tier::kUnrolled, nullptr, width);
+    BoundKernels<double> multi(a, Tier::kUnrolled, nullptr, nullptr, width);
     auto x = random_batch<double>(n, width, 500 + static_cast<std::uint64_t>(
                                                       width));
     std::vector<double> out(static_cast<std::size_t>(width));
@@ -216,19 +216,20 @@ TEST_P(MultiKernelTest, UnrolledTierMatchesScalarWithinTolerance) {
   }
 }
 
-// Tiers without a vectorized route (cse, blocked) gather each lane through
-// the scalar kernels, so every width is bitwise identical by construction.
+// Tiers without a vectorized route (blocked, blocked_par) gather each lane
+// through the scalar kernels, so every width is bitwise identical by
+// construction.
 TEST_P(MultiKernelTest, FallbackTiersAreBitwiseForEveryWidth) {
   const auto [m, n] = GetParam();
   CounterRng rng(203);
   const auto a = random_symmetric_tensor<double>(rng, 0, m, n);
   kernels::KernelTables<double> tab(m, n);
-  for (Tier tier : {Tier::kCse, Tier::kBlocked}) {
+  for (Tier tier : {Tier::kBlocked, Tier::kBlockedPar}) {
     const kernels::KernelTables<double>* tables =
         tier == Tier::kBlocked ? &tab : nullptr;
-    kernels::BoundKernels<double> scalar(a, tier, tables);
+    BoundKernels<double> scalar(a, tier, tables);
     for (int width : kernels::multi_widths()) {
-      MultiKernels<double> multi(a, tier, tables, width);
+      BoundKernels<double> multi(a, tier, tables, nullptr, width);
       EXPECT_FALSE(multi.vectorized());
       auto x = random_batch<double>(n, width,
                                     600 + static_cast<std::uint64_t>(width));
@@ -265,28 +266,28 @@ TEST(MultiKernels, WidthResolutionAndValidation) {
   CounterRng rng(204);
   const auto a = random_symmetric_tensor<double>(rng, 0, 3, 4);
   // Width 0 resolves to the tier's autopick; width 1 is the scalar route.
-  MultiKernels<double> autow(a, Tier::kGeneral, nullptr, 0);
+  BoundKernels<double> autow(a, Tier::kGeneral, nullptr, nullptr, 0);
   EXPECT_TRUE(kernels::is_multi_width(autow.width()));
   EXPECT_EQ(autow.width(),
             kernels::pick_simd_width<double>(3, 4, Tier::kGeneral));
-  MultiKernels<double> one(a, Tier::kGeneral, nullptr, 1);
+  BoundKernels<double> one(a, Tier::kGeneral, nullptr, nullptr, 1);
   EXPECT_EQ(one.width(), 1);
   EXPECT_FALSE(one.vectorized());
   // Non-registered widths are rejected.
-  EXPECT_THROW(MultiKernels<double>(a, Tier::kGeneral, nullptr, 3),
+  EXPECT_THROW(BoundKernels<double>(a, Tier::kGeneral, nullptr, nullptr, 3),
                InvalidArgument);
-  EXPECT_THROW(MultiKernels<double>(a, Tier::kGeneral, nullptr, 64),
+  EXPECT_THROW(BoundKernels<double>(a, Tier::kGeneral, nullptr, nullptr, 64),
                InvalidArgument);
   // Fallback tiers autopick width 1 (a wider batch would only add gather
   // overhead with no amortization).
-  EXPECT_EQ(kernels::pick_simd_width<double>(3, 4, Tier::kCse), 1);
+  EXPECT_EQ(kernels::pick_simd_width<double>(3, 4, Tier::kBlockedPar), 1);
   EXPECT_EQ(kernels::pick_simd_width<double>(3, 4, Tier::kBlocked), 1);
 }
 
 TEST(MultiKernels, BatchShapeMismatchThrows) {
   CounterRng rng(205);
   const auto a = random_symmetric_tensor<double>(rng, 0, 3, 4);
-  MultiKernels<double> k(a, Tier::kGeneral, nullptr, 4);
+  BoundKernels<double> k(a, Tier::kGeneral, nullptr, nullptr, 4);
   VectorBatch<double> wrong_width(4, 2);
   VectorBatch<double> wrong_dim(3, 4);
   std::vector<double> out(4);
@@ -303,12 +304,12 @@ TEST(MultiKernels, BatchShapeMismatchThrows) {
 TEST(MultiKernels, OpCountsScaleWithWidth) {
   CounterRng rng(206);
   const auto a = random_symmetric_tensor<double>(rng, 0, 4, 5);
-  kernels::BoundKernels<double> scalar(a, Tier::kGeneral);
+  BoundKernels<double> scalar(a, Tier::kGeneral);
   std::vector<double> sx(5, 0.5);
   OpCounts one;
   (void)scalar.ttsv0({sx.data(), sx.size()}, &one);
   const int width = 4;
-  MultiKernels<double> multi(a, Tier::kGeneral, nullptr, width);
+  BoundKernels<double> multi(a, Tier::kGeneral, nullptr, nullptr, width);
   auto x = random_batch<double>(5, width, 207);
   std::vector<double> out(static_cast<std::size_t>(width));
   OpCounts many;
@@ -383,16 +384,16 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
   const TierCase cases[] = {
       {Tier::kGeneral, nullptr},
       {Tier::kPrecomputed, &tab},
-      {Tier::kCse, nullptr},
       {Tier::kBlocked, &tab},
+      {Tier::kBlockedPar, nullptr},
   };
   for (const auto& c : cases) {
-    kernels::BoundKernels<double> sk(a, c.tier, c.tables);
+    BoundKernels<double> sk(a, c.tier, c.tables);
     std::vector<sshopm::Result<double>> ref;
     for (const auto& x0 : starts) {
       ref.push_back(sshopm::solve(sk, {x0.data(), x0.size()}, opt));
     }
-    MultiKernels<double> mk(a, c.tier, c.tables, width);
+    BoundKernels<double> mk(a, c.tier, c.tables, nullptr, width);
     const auto got = sshopm::solve_multi(
         mk, std::span<const std::vector<double>>(starts.data(),
                                                  starts.size()),
@@ -400,7 +401,8 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
     // Classification is exact for every tier -- and because the lane
     // iterate lives contiguously in Result::x and goes through solve()'s
     // own update/normalize code shape, the lane-exact kernel routes
-    // (general/precomputed vector routes, cse/blocked per-lane fallback)
+    // (general/precomputed vector routes, blocked/blocked_par per-lane
+    // fallback)
     // make the whole run bitwise identical to the scalar path.
     expect_slot_parity(got, ref, 0.0, kernels::tier_name(c.tier).data());
   }
@@ -426,14 +428,14 @@ TEST_P(SolveMultiTest, PoisonedLanesRetireIndependentlyWithScalarParity) {
                    std::numeric_limits<double>::quiet_NaN());
   starts[3].assign(static_cast<std::size_t>(n), 1e154);  // huge but normal
 
-  kernels::BoundKernels<double> sk(a, Tier::kGeneral);
+  BoundKernels<double> sk(a, Tier::kGeneral);
   std::vector<sshopm::Result<double>> ref;
   for (const auto& x0 : starts) {
     ref.push_back(sshopm::solve(sk, {x0.data(), x0.size()}, opt));
   }
   ASSERT_EQ(ref[1].failure, sshopm::FailureReason::kDegenerateIterate);
 
-  MultiKernels<double> mk(a, Tier::kGeneral, nullptr, width);
+  BoundKernels<double> mk(a, Tier::kGeneral, nullptr, nullptr, width);
   const auto got = sshopm::solve_multi(
       mk,
       std::span<const std::vector<double>>(starts.data(), starts.size()),
@@ -458,13 +460,13 @@ TEST(SolveMulti, UnrolledTierClassificationParity) {
   opt.alpha = 1.5;
   opt.max_iterations = 80;
   const auto starts = random_starts<float>(10, n, 215);
-  kernels::BoundKernels<float> sk(a, Tier::kUnrolled);
+  BoundKernels<float> sk(a, Tier::kUnrolled);
   std::vector<sshopm::Result<float>> ref;
   for (const auto& x0 : starts) {
     ref.push_back(sshopm::solve(sk, {x0.data(), x0.size()}, opt));
   }
   for (int width : {4, 8}) {
-    MultiKernels<float> mk(a, Tier::kUnrolled, nullptr, width);
+    BoundKernels<float> mk(a, Tier::kUnrolled, nullptr, nullptr, width);
     const auto got = sshopm::solve_multi(
         mk,
         std::span<const std::vector<float>>(starts.data(), starts.size()),
@@ -538,6 +540,71 @@ TEST(SchedulerMulti, RejectsUnregisteredWidth) {
   opt.simd_width = 5;
   EXPECT_THROW(batch::Scheduler<float>(batch::Backend::kCpuSequential, opt),
                InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// solve_starts: the one start sweep behind every CPU consumer.
+// ---------------------------------------------------------------------------
+
+TEST(SolveStarts, WidthOneIsPerStartSolveAndWiderIsSolveMulti) {
+  const int n = 3;
+  CounterRng rng(223);
+  const auto a = random_symmetric_tensor<double>(rng, 0, 4, n);
+  const auto starts = random_starts<double>(11, n, 224);
+  const std::span<const std::vector<double>> span(starts.data(),
+                                                  starts.size());
+  sshopm::Options opt;
+  opt.alpha = 1.0;
+  std::vector<sshopm::Result<double>> got(starts.size());
+
+  const BoundKernels<double> scalar(a, Tier::kGeneral);
+  sshopm::solve_starts(scalar, span, opt,
+                       std::span<sshopm::Result<double>>(got));
+  std::vector<sshopm::Result<double>> ref;
+  for (const auto& x0 : starts) {
+    ref.push_back(sshopm::solve(scalar, {x0.data(), x0.size()}, opt));
+  }
+  expect_slot_parity(got, ref, 0.0, "width 1");
+
+  const BoundKernels<double> wide(a, Tier::kGeneral, nullptr, nullptr, 4);
+  sshopm::solve_starts(wide, span, opt,
+                       std::span<sshopm::Result<double>>(got));
+  expect_slot_parity(got, sshopm::solve_multi(wide, span, opt), 0.0,
+                     "width 4");
+
+  std::vector<sshopm::Result<double>> short_out(2);
+  EXPECT_THROW(sshopm::solve_starts(
+                   scalar, span, opt,
+                   std::span<sshopm::Result<double>>(short_out)),
+               InvalidArgument);
+}
+
+// VectorBatch calls count once per call on the tier's own counter, on the
+// vectorized and the per-lane fallback routes alike.
+TEST(MultiKernels, BatchCallsCountOncePerCallOnTheTierCounter) {
+#if TE_OBS_ENABLED
+  CounterRng rng(225);
+  const auto a = random_symmetric_tensor<double>(rng, 0, 3, 4);
+  kernels::KernelTables<double> tab(3, 4);
+  for (Tier tier : {Tier::kGeneral, Tier::kBlocked}) {
+    const std::string base(kernels::tier_name(tier));
+    const auto& calls0 = obs::global().counter("kernels.ttsv0.calls." + base);
+    const auto& calls1 = obs::global().counter("kernels.ttsv1.calls." + base);
+    const BoundKernels<double> k(a, tier, &tab, nullptr, 8);
+    EXPECT_EQ(k.vectorized(), tier == Tier::kGeneral);
+    const auto x = random_batch<double>(4, 8, 226);
+    VectorBatch<double> y(4, 8);
+    std::vector<double> out(8);
+    const auto before0 = calls0.value();
+    const auto before1 = calls1.value();
+    k.ttsv0(x, {out.data(), out.size()});
+    k.ttsv1(x, y);
+    EXPECT_EQ(calls0.value(), before0 + 1) << base;
+    EXPECT_EQ(calls1.value(), before1 + 1) << base;
+  }
+#else
+  GTEST_SKIP() << "te::obs compiled out";
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -643,10 +710,10 @@ TEST(AutotuneMultiWidth, ReportsValidWidthAndMeasuresEveryCandidate) {
   }
   // Fallback tiers have no vectorized candidates: the scalar math plus
   // gather overhead can never beat width 1, so only width 1 is timed.
-  const auto cse = kernels::autotune_multi_width(3, 4, Tier::kCse, 2);
-  EXPECT_EQ(cse.best_width, 1);
-  ASSERT_EQ(cse.lane_us.size(), 1u);
-  EXPECT_EQ(cse.lane_us.front().first, 1);
+  const auto blocked = kernels::autotune_multi_width(3, 4, Tier::kBlocked, 2);
+  EXPECT_EQ(blocked.best_width, 1);
+  ASSERT_EQ(blocked.lane_us.size(), 1u);
+  EXPECT_EQ(blocked.lane_us.front().first, 1);
 }
 
 TEST(ObsExport, ReadExportGaugeFindsGaugesAndRejectsGarbage) {

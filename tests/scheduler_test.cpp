@@ -112,7 +112,8 @@ TEST(StreamPipeline, RejectsBadArguments) {
 
 TEST(TableCache, TableFreeTiersBypassTheCache) {
   TableCache<float> cache(4);
-  for (Tier tier : {Tier::kGeneral, Tier::kCse, Tier::kUnrolled}) {
+  for (Tier tier :
+       {Tier::kGeneral, Tier::kUnrolled, Tier::kBlockedPar, Tier::kJit}) {
     EXPECT_EQ(cache.get(4, 3, tier), nullptr);
   }
   EXPECT_EQ(cache.size(), 0u);
@@ -165,8 +166,8 @@ TEST(TableCache, RejectsZeroCapacity) {
 TEST(SchedulerCpu, BitwiseEqualToSequentialForEveryTier) {
   auto p = BatchProblem<float>::random(31, 10, 6, 4, 3);
   p.options.alpha = 1.0;
-  for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kCse,
-                    Tier::kBlocked, Tier::kUnrolled}) {
+  for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked,
+                    Tier::kUnrolled, Tier::kBlockedPar}) {
     const auto ref = solve_cpu_sequential(p, tier);
     for (int chunk : {1, 3, 10, 64}) {
       SchedulerOptions opt;
@@ -395,7 +396,7 @@ TEST(SchedulerValidation, GpuBackendRejectsCpuOnlyTiersAndWideDims) {
   Scheduler<float> sched(Backend::kGpuSim);
   auto p = BatchProblem<float>::random(50, 2, 2, 4, 3);
   EXPECT_THROW((void)sched.submit(p, Tier::kPrecomputed), InvalidArgument);
-  EXPECT_THROW((void)sched.submit(p, Tier::kCse), InvalidArgument);
+  EXPECT_THROW((void)sched.submit(p, Tier::kBlockedPar), InvalidArgument);
   auto wide = BatchProblem<float>::random(51, 2, 2, 3, gpusim::kMaxDim + 1);
   EXPECT_THROW((void)sched.submit(wide, Tier::kGeneral), InvalidArgument);
 }

@@ -501,6 +501,30 @@ TEST(ServeWire, ParsesFlatFields) {
   EXPECT_FALSE(wire_tier("warp9").has_value());
 }
 
+// Every protocol tier name comes from the one tier list; the retired "cse"
+// tier and "jit" (no acquire path in serve) are refused as unknown.
+TEST(ServeWire, RetiredAndJitTierNamesAreRefusedAsUnknown) {
+  for (const Tier t : kernels::kAllTiers) {
+    if (t == Tier::kJit) continue;
+    EXPECT_EQ(wire_tier(std::string(kernels::tier_name(t))), t);
+  }
+  EXPECT_FALSE(wire_tier("jit").has_value());
+  Server<float> server(small_options());
+  for (const char* tier : {"cse", "jit"}) {
+    const std::string line =
+        std::string("{\"op\":\"submit\",\"tenant\":\"w\",\"seed\":1,"
+                    "\"tensors\":1,\"starts\":1,\"order\":3,\"dim\":4,"
+                    "\"tier\":\"") +
+        tier + "\"}";
+    const auto resp = handle_line(server, line);
+    ASSERT_TRUE(wire_string(resp, "error").has_value()) << resp;
+    EXPECT_NE(wire_string(resp, "error")->find("unknown tier"),
+              std::string::npos)
+        << resp;
+  }
+  EXPECT_EQ(server.stats().submitted, 0);
+}
+
 TEST(ServeWire, SubmitWaitStatsCancelRoundTrip) {
   Server<float> server(small_options());
   const auto submit = handle_line(
