@@ -1,9 +1,7 @@
-// Extension benches (A5-A7): the features the paper leaves as remarks or
-// future work, measured.
+// Extension benches (A6-A7): the features the paper leaves as remarks or
+// future work, measured. (The blocked tier of Sec. V-D is a device tier;
+// bench_occupancy measures it next to unrolled in the A2 study.)
 //
-//   A5 blocked tier  -- "to scale to larger problems we need a blocked
-//      approach" (Sec. V-D): per-call kernel time for shapes too large to
-//      unroll, general vs precomputed vs blocked.
 //   A6 adaptive shift -- "choice of shift" open problem (Sec. II):
 //      iteration counts and wall time, conservative fixed shift vs
 //      adaptive local-curvature shift.
@@ -13,7 +11,6 @@
 // Flags: --csv.
 
 #include "bench_common.hpp"
-#include "te/kernels/blocked.hpp"
 #include "te/sshopm/adaptive.hpp"
 
 int main(int argc, char** argv) {
@@ -22,47 +19,6 @@ int main(int argc, char** argv) {
 
   CliArgs args(argc, argv);
   const bool csv = args.has("csv");
-
-  // ----- A5: blocked kernels for large shapes -----
-  bench::banner("Ablation A5 (Sec. V-D future work)",
-                "Blocked tier for shapes beyond the unrolled registry: "
-                "per-call ttsv1 time (microseconds, averaged)");
-  {
-    TextTable t;
-    t.set_header({"m,n", "classes", "general us", "precomp us", "blocked us",
-                  "blocked speedup"});
-    CounterRng rng(1);
-    for (const auto& [m, n] :
-         {std::pair{4, 10}, {4, 16}, {5, 8}, {6, 6}, {3, 24}}) {
-      auto a = random_symmetric_tensor<float>(
-          rng, static_cast<std::uint64_t>(m * 100 + n), m, n);
-      kernels::KernelTables<float> tab(m, n);
-      std::vector<float> x(static_cast<std::size_t>(n), 0.3f),
-          y(static_cast<std::size_t>(n));
-      const int reps = 2000;
-
-      auto time_us = [&](auto&& f) {
-        WallTimer w;
-        for (int r = 0; r < reps; ++r) f();
-        return w.seconds() * 1e6 / reps;
-      };
-      const double tg = time_us([&] {
-        kernels::ttsv1_general(a, {x.data(), x.size()}, {y.data(), y.size()});
-      });
-      const double tp = time_us([&] {
-        kernels::ttsv1_precomputed(a, tab, {x.data(), x.size()},
-                                   {y.data(), y.size()});
-      });
-      const double tb = time_us([&] {
-        kernels::ttsv1_blocked(a, tab, {x.data(), x.size()},
-                               {y.data(), y.size()});
-      });
-      t.add_row({std::to_string(m) + "," + std::to_string(n),
-                 std::to_string(a.num_unique()), fmt_fixed(tg, 2),
-                 fmt_fixed(tp, 2), fmt_fixed(tb, 2), fmt_fixed(tg / tb, 2)});
-    }
-    bench::emit(t, csv);
-  }
 
   // ----- A6: adaptive shift -----
   bench::banner("Ablation A6 (Sec. II open problem)",

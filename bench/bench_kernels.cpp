@@ -228,7 +228,6 @@ void BM_Ttsv0_Dispatch(benchmark::State& state) {
 BENCHMARK(BM_Ttsv0_Dispatch)
     ->Args({4, 3, static_cast<long>(kernels::Tier::kGeneral)})
     ->Args({4, 3, static_cast<long>(kernels::Tier::kPrecomputed)})
-    ->Args({4, 3, static_cast<long>(kernels::Tier::kBlocked)})
     ->Args({4, 3, static_cast<long>(kernels::Tier::kUnrolled)});
 
 void BM_SshopmSolve_Unrolled43(benchmark::State& state) {

@@ -101,7 +101,9 @@ int main(int argc, char** argv) {
                                       ? &pool
                                       : nullptr);
     std::vector<batch::JobId> ids;
-    for (const auto& p : problems) ids.push_back(sched.submit(p, Tier::kBlocked));
+    for (const auto& p : problems) {
+      ids.push_back(sched.submit(p, Tier::kPrecomputed));
+    }
     sched.run();
     double wall = 0;
     std::int64_t flops = 0;

@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
                std::to_string(degen), std::to_string(nonfin)});
   };
 
-  for (const Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked,
-                          Tier::kUnrolled}) {
+  for (const Tier tier :
+       {Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled}) {
     add_row("cpu-sequential", tier, batch::solve_cpu_sequential(p, tier));
   }
   for (const Tier tier : {Tier::kGeneral, Tier::kUnrolled}) {

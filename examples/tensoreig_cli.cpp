@@ -92,10 +92,12 @@ int main(int argc, char** argv) {
         << "usage: tensoreig_cli --input batch.{tesymb|tetc} [options]\n"
            "  --backend gpu|cpu|cpu-parallel   execution backend (gpu)\n"
            "  --tier T       kernel tier (unrolled): general, precomputed,\n"
-           "                 blocked, unrolled, blocked_par, jit or auto;\n"
-           "                 'jit' compiles a shape-specialized kernel via\n"
-           "                 $TE_JIT_CC and falls back to precomputed when\n"
-           "                 unavailable\n"
+           "                 blocked (gpu only), unrolled, blocked_par,\n"
+           "                 jit or auto; 'jit' compiles a shape-specialized\n"
+           "                 kernel via $TE_JIT_CC and falls back to\n"
+           "                 precomputed when unavailable; 'auto' times the\n"
+           "                 host tiers on cpu and picks unrolled, else\n"
+           "                 blocked, on gpu\n"
            "  --starts N     starting vectors per tensor (128)\n"
            "  --alpha A      SS-HOPM shift; 'auto' = (m-1)||A||_F (0)\n"
            "  --threads P    cpu-parallel worker count (4)\n"
@@ -129,9 +131,20 @@ int main(int argc, char** argv) {
   p.options.tolerance = 1e-6;
   p.options.max_iterations = 200;
 
+  const std::string backend_str = args.get_or("backend", std::string("gpu"));
+  const batch::Backend backend = parse_backend(backend_str);
+
   kernels::Tier tier;
   const std::string tier_str = args.get_or("tier", std::string("unrolled"));
-  if (tier_str == "auto") {
+  if (tier_str == "auto" && backend == batch::Backend::kGpuSim) {
+    // Autotune times host kernels; on the GPU pick the device tier instead:
+    // unrolled where the shape is registered, blocked beyond it.
+    tier = kernels::find_unrolled<float>(p.order, p.dim) != nullptr
+               ? kernels::Tier::kUnrolled
+               : kernels::Tier::kBlocked;
+    std::cerr << "auto picked device tier '" << kernels::tier_name(tier)
+              << "'\n";
+  } else if (tier_str == "auto") {
     const auto report = kernels::autotune_tier(p.order, p.dim);
     tier = report.best;
     std::cerr << "autotune picked tier '" << kernels::tier_name(tier)
@@ -148,8 +161,6 @@ int main(int argc, char** argv) {
   } else {
     tier = parse_tier(tier_str);
   }
-  const std::string backend_str = args.get_or("backend", std::string("gpu"));
-  const batch::Backend backend = parse_backend(backend_str);
 
   batch::SchedulerOptions sopt;
   sopt.chunk_tensors = static_cast<int>(args.get_or("chunk", 32L));

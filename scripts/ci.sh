@@ -257,13 +257,14 @@ rm -f build/ci_sched.tetc
 
 # Pass 6: static verification (te::analysis). te_analyze exits nonzero
 # unless every registered shape x tier x lane width proves clean, and the
-# metrics artifact must carry the analysis.* gauges (plans_proven >= 1 and
-# a bank-conflict way >= 1 show the sweep actually ran and traced).
+# metrics artifact must carry the analysis.* gauges (plans_proven >= 437,
+# today's full plan count, so a change cannot drop plans silently; a
+# bank-conflict way >= 1 shows the sweep actually traced).
 echo "=== build: static-verification leg (te_analyze --all) ==="
 cmake --build build -j "${JOBS}" --target te_analyze obs_json_check
 ./build/tools/te_analyze --all --quiet --json build/ANALYSIS.json
 ./build/tools/obs_json_check build/ANALYSIS.json \
-  --require-gauge analysis.plans_proven 1 \
+  --require-gauge analysis.plans_proven 437 \
   --require-gauge analysis.shapes_analyzed 1 \
   --require-gauge analysis.bank_conflict.max_way 1
 

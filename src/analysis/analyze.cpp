@@ -15,12 +15,6 @@ namespace te::analysis {
 
 namespace {
 
-// Device-side tiers: the ones sshopm_device_thread dispatches on.
-constexpr kernels::Tier kDeviceTiers[] = {
-    kernels::Tier::kGeneral, kernels::Tier::kBlocked,
-    kernels::Tier::kUnrolled,
-};
-
 bool tier_available(int order, int dim, kernels::Tier tier) {
   if (tier == kernels::Tier::kUnrolled) {
     return kernels::find_unrolled<double>(order, dim) != nullptr;
@@ -58,7 +52,7 @@ ShapeAnalysis analyze_shape(int order, int dim, const AnalyzeOptions& opt) {
     widths.assign(w.begin(), w.end());
   }
 
-  for (const kernels::Tier tier : kernels::kAllTiers) {
+  for (const kernels::Tier tier : kernels::kHostTiers) {
     if (!tier_available(order, dim, tier)) continue;
 
     AccessPlan plan = extract_plan(bind_tier(order, dim, tier));
@@ -74,7 +68,7 @@ ShapeAnalysis analyze_shape(int order, int dim, const AnalyzeOptions& opt) {
   }
 
   if (opt.gpu) {
-    for (const kernels::Tier tier : kDeviceTiers) {
+    for (const kernels::Tier tier : kernels::kDeviceTiers) {
       if (!tier_available(order, dim, tier)) continue;
       s.reports.push_back(
           check_device_kernel(order, dim, tier, opt.device_opt));

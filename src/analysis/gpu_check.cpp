@@ -215,9 +215,7 @@ WarpStats warp_transaction_stats(const std::vector<TraceEvent>& events,
 
 CheckReport check_device_kernel(int order, int dim, kernels::Tier tier,
                                 const DeviceCheckOptions& opt) {
-  TE_REQUIRE(tier == kernels::Tier::kGeneral ||
-                 tier == kernels::Tier::kBlocked ||
-                 tier == kernels::Tier::kUnrolled,
+  TE_REQUIRE(kernels::runs_on_device(tier),
              "device kernels implement general, blocked and unrolled");
   TE_REQUIRE(opt.num_tensors >= 1 && opt.num_starts >= 1 &&
                  opt.max_iterations >= 1,

@@ -4,12 +4,13 @@
 //
 // analyze_shape() runs, for one (order, dim):
 //
-//   * the five scalar tiers, extracted by probing and proved by check_plan;
+//   * the host tiers (kernels::kHostTiers), extracted by probing and
+//     proved by check_plan;
 //   * every registered multi-lane width per tier (per-lane extraction via
 //     rotation probing, cross-lane equality via check_plans);
-//   * the three device-side tiers, traced through gpusim and proved by
-//     check_device_kernel (race-freedom, publish ordering, global write
-//     disjointness) with bank-conflict / coalescing diagnostics.
+//   * the device tiers (kernels::kDeviceTiers), traced through gpusim and
+//     proved by check_device_kernel (race-freedom, publish ordering, global
+//     write disjointness) with bank-conflict / coalescing diagnostics.
 //
 // analyze_all() sweeps the unrolled registry's shape list -- the repo's
 // closed set of supported shapes -- which is what `te_analyze --all` and

@@ -1,7 +1,7 @@
 #pragma once
 // te::analysis -- static access-plan model for the ttsv kernel tiers.
 //
-// Every shipped ttsv kernel (general, precomputed, blocked, unrolled,
+// Every shipped host ttsv kernel (general, precomputed, unrolled, jit,
 // and the SoA multi-lane twins) has control flow fixed entirely by
 // (order, dim, tier, lane width): no branch, loop bound or index ever
 // depends on the tensor values or the vector. One recorded execution of
@@ -123,7 +123,7 @@ struct CheckReport {
     return true;
   }
 
-  /// One line: "proven ttsv plan order=4 dim=3 tier=blocked width=1" or the
+  /// One line: "proven ttsv plan order=4 dim=3 tier=precomputed width=1" or the
   /// finding summary.
   [[nodiscard]] std::string summary() const;
 };

@@ -150,11 +150,15 @@ void solve_tensor(const BatchProblem<T>& p, int t, kernels::Tier tier,
 }
 }  // namespace detail
 
-/// Sequential CPU backend (paper "CPU - 1 core").
+/// Sequential CPU backend (paper "CPU - 1 core"). Host tiers only
+/// (kernels::kHostTiers); the device-only kBlocked is refused up front.
 template <Real T>
 [[nodiscard]] BatchResult<T> solve_cpu_sequential(const BatchProblem<T>& p,
                                                   kernels::Tier tier) {
   TE_REQUIRE(p.num_tensors() > 0 && p.num_starts() > 0, "empty batch");
+  TE_REQUIRE(kernels::runs_on_host(tier),
+             "tier '" << kernels::tier_name(tier)
+                      << "' runs on the GPU backend only");
   BatchResult<T> out;
   out.num_tensors = p.num_tensors();
   out.num_starts = p.num_starts();
@@ -181,6 +185,9 @@ template <Real T>
                                                 kernels::Tier tier,
                                                 ThreadPool& pool) {
   TE_REQUIRE(p.num_tensors() > 0 && p.num_starts() > 0, "empty batch");
+  TE_REQUIRE(kernels::runs_on_host(tier),
+             "tier '" << kernels::tier_name(tier)
+                      << "' runs on the GPU backend only");
   BatchResult<T> out;
   out.num_tensors = p.num_tensors();
   out.num_starts = p.num_starts();
@@ -231,9 +238,7 @@ template <Real T>
     std::span<sshopm::Result<T>> out, gpusim::ChunkCost* timing = nullptr) {
   TE_REQUIRE(!tensors.empty() && !starts.empty(), "empty chunk");
   TE_REQUIRE(dim <= gpusim::kMaxDim, "dimension exceeds device kernel cap");
-  TE_REQUIRE(tier == kernels::Tier::kGeneral ||
-                 tier == kernels::Tier::kBlocked ||
-                 tier == kernels::Tier::kUnrolled,
+  TE_REQUIRE(kernels::runs_on_device(tier),
              "GPU backend implements the general, blocked and unrolled "
              "tiers");
   const int nt = static_cast<int>(tensors.size());

@@ -15,9 +15,9 @@
 //     are the natural chunk axis -- every (tensor, start) pair is
 //     independent, so any chunking reproduces the one-shot results
 //     bitwise);
-//   * KernelTables are fetched from a thread-safe (order, dim, tier)-keyed
-//     LRU TableCache shared by all chunks of all jobs (hit/miss/eviction
-//     counters exposed);
+//   * KernelTables are fetched from a thread-safe (order, dim)-keyed LRU
+//     TableCache shared by all chunks of all jobs, whichever table tier
+//     they run (hit/miss/eviction counters exposed);
 //   * the simulated-GPU backend runs chunks through solve_gpusim_span and
 //     feeds their per-phase costs into a double-buffered StreamPipeline, so
 //     modeled host<->device transfer overlaps modeled compute -- both the
@@ -70,7 +70,7 @@ struct SchedulerOptions {
   /// Upper bound on tensors per sub-batch. Small chunks pipeline better
   /// (more transfer/compute overlap) but pay more kernel-launch overhead.
   int chunk_tensors = 32;
-  /// Capacity (entries) of the shared (order, dim, tier) precompute cache.
+  /// Capacity (entries) of the shared (order, dim) precompute cache.
   std::size_t cache_capacity = 8;
   /// Byte budget of the precompute cache -- the binding bound at large n,
   /// where one KernelTables entry can dwarf the whole paper-scale set.
@@ -94,8 +94,8 @@ struct SchedulerOptions {
   /// (wall_seconds, gpu summary, pipeline) describe only work this process
   /// actually executed.
   std::string checkpoint_path;
-  /// When non-empty: TableCache spill directory -- precomputed/blocked-tier
-  /// tables are warm-started from disk and written back on cold builds.
+  /// When non-empty: TableCache spill directory -- KernelTables are
+  /// warm-started from disk and written back on cold builds.
   std::string table_spill_dir;
   /// Lane width for the CPU backends' per-tensor start sweep: 1 = the
   /// per-vector scalar path (bitwise-stable default, and what the
@@ -480,12 +480,12 @@ class Scheduler {
       TE_REQUIRE(static_cast<int>(s.size()) == p.dim,
                  "start vector length " << s.size() << " != dim " << p.dim);
     }
-    if (backend_ == Backend::kGpuSim) {
-      TE_REQUIRE(tier == kernels::Tier::kGeneral ||
-                     tier == kernels::Tier::kBlocked ||
-                     tier == kernels::Tier::kUnrolled,
-                 "GPU backend implements the general, blocked and unrolled "
-                 "tiers");
+    const bool gpu = backend_ == Backend::kGpuSim;
+    TE_REQUIRE(
+        gpu ? kernels::runs_on_device(tier) : kernels::runs_on_host(tier),
+        "the " << backend_name(backend_) << " backend does not run tier '"
+               << kernels::tier_name(tier) << "'");
+    if (gpu) {
       TE_REQUIRE(p.dim <= gpusim::kMaxDim,
                  "dimension exceeds device kernel cap");
     }

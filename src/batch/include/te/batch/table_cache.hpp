@@ -4,13 +4,15 @@
 // KernelTables (the Section III-B.5 index/coefficient tables) depend only
 // on the tensor *shape*, yet the one-shot batch backends rebuild them on
 // every call. A streaming scheduler sees many jobs -- often of the same few
-// shapes -- so the tables belong in a cache keyed by (order, dim, tier) and
-// shared by every chunk of every job. Entries are handed out as
-// shared_ptr<const ...> so an evicted entry stays alive for any chunk still
-// computing with it, and the cache itself is mutex-guarded so concurrent
-// schedulers (or a future multi-threaded dispatcher) can share one
-// instance. Hit/miss/eviction counters make the amortization measurable
-// (bench_scheduler prints them; the tests assert hits on multi-job runs).
+// shapes -- so the tables belong in a cache keyed by (order, dim) and
+// shared by every chunk of every job, whichever table tier it runs (host
+// precomputed and device blocked read the same tables). Entries are handed
+// out as shared_ptr<const ...> so an evicted entry stays alive for any
+// chunk still computing with it, and the cache itself is mutex-guarded so
+// concurrent schedulers (or a future multi-threaded dispatcher) can share
+// one instance. Hit/miss/eviction counters make the amortization
+// measurable (bench_scheduler prints them; the tests assert hits on
+// multi-job runs).
 
 #include <algorithm>
 #include <condition_variable>
@@ -20,6 +22,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "te/io/container.hpp"
@@ -54,7 +57,7 @@ struct TableCacheStats {
 /// silently holding gigabytes.
 inline constexpr std::size_t kDefaultTableCacheBytes = 256u << 20;
 
-/// Thread-safe LRU cache of KernelTables keyed by (order, dim, tier).
+/// Thread-safe LRU cache of KernelTables keyed by shape (order, dim).
 ///
 /// Cost accounting is in BYTES (KernelTables::table_bytes), not entries:
 /// table size varies by orders of magnitude across shapes, so an
@@ -95,9 +98,10 @@ class TableCache {
     return spill_path_locked(order, dim);
   }
 
-  /// Tables for one shape/tier. Tiers that never read tables (every tier
-  /// but precomputed and blocked, kernels::uses_tables) return nullptr
-  /// without touching the cache or its counters.
+  /// Tables for one shape, for a job of `tier`. Tiers that never read
+  /// tables (every tier but precomputed and blocked, kernels::uses_tables)
+  /// return nullptr without touching the cache or its counters; the table
+  /// tiers share one entry per shape.
   /// The returned pointer remains valid after eviction (shared ownership).
   ///
   /// Safe for cross-shard sharing: the combinatorial build (and the spill
@@ -115,20 +119,20 @@ class TableCache {
     std::unique_lock lock(mutex_);
     for (;;) {
       for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->order == order && it->dim == dim && it->tier == tier) {
+        if (it->order == order && it->dim == dim) {
           ++stats_.hits;
           entries_.splice(entries_.begin(), entries_, it);  // mark recent
           return entries_.front().tables;
         }
       }
-      if (!is_building(order, dim, tier)) break;
+      if (!is_building(order, dim)) break;
       // Another shard is building exactly this key: wait for its insert
       // instead of building a duplicate. If the builder fails, its key is
       // withdrawn and the first waiter to wake becomes the new builder.
       cv_.wait(lock);
     }
     ++stats_.misses;
-    building_.push_back({order, dim, tier});
+    building_.push_back({order, dim});
     const std::string spill = spill_path_locked(order, dim);
     lock.unlock();
 
@@ -156,16 +160,16 @@ class TableCache {
       }
     } catch (...) {
       lock.lock();
-      erase_building(order, dim, tier);
+      erase_building(order, dim);
       cv_.notify_all();
       throw;
     }
 
     lock.lock();
-    erase_building(order, dim, tier);
+    erase_building(order, dim);
     if (from_disk) ++stats_.disk_hits;
     const std::size_t bytes = tables->table_bytes();
-    entries_.push_front({order, dim, tier, bytes, std::move(tables)});
+    entries_.push_front({order, dim, bytes, std::move(tables)});
     stats_.bytes_resident += static_cast<std::int64_t>(bytes);
     // Evict LRU-first until both budgets hold, always keeping the entry
     // just inserted.
@@ -212,33 +216,18 @@ class TableCache {
   struct Entry {
     int order;
     int dim;
-    kernels::Tier tier;
     std::size_t bytes;
     std::shared_ptr<const kernels::KernelTables<T>> tables;
   };
 
-  /// Key of a build currently running outside the lock.
-  struct BuildKey {
-    int order;
-    int dim;
-    kernels::Tier tier;
-  };
-
-  [[nodiscard]] bool is_building(int order, int dim,
-                                 kernels::Tier tier) const {
-    return std::any_of(building_.begin(), building_.end(),
-                       [&](const BuildKey& k) {
-                         return k.order == order && k.dim == dim &&
-                                k.tier == tier;
-                       });
+  [[nodiscard]] bool is_building(int order, int dim) const {
+    return std::find(building_.begin(), building_.end(),
+                     std::pair{order, dim}) != building_.end();
   }
 
-  void erase_building(int order, int dim, kernels::Tier tier) {
-    const auto it = std::find_if(building_.begin(), building_.end(),
-                                 [&](const BuildKey& k) {
-                                   return k.order == order && k.dim == dim &&
-                                          k.tier == tier;
-                                 });
+  void erase_building(int order, int dim) {
+    const auto it = std::find(building_.begin(), building_.end(),
+                              std::pair{order, dim});
     if (it != building_.end()) building_.erase(it);
   }
 
@@ -255,7 +244,8 @@ class TableCache {
   std::size_t capacity_;
   std::size_t max_bytes_;
   std::list<Entry> entries_;  ///< front = most recently used
-  std::vector<BuildKey> building_;  ///< keys being built outside the lock
+  /// Shapes being built outside the lock.
+  std::vector<std::pair<int, int>> building_;
   TableCacheStats stats_;
   std::string spill_dir_;
 };

@@ -14,14 +14,13 @@ double AutotuneReport::best_us() const {
       return general_us;
     case Tier::kPrecomputed:
       return precomputed_us;
-    case Tier::kBlocked:
-      return blocked_us;
     case Tier::kUnrolled:
       return unrolled_us;
     case Tier::kJit:
       return jit_us;
-    case Tier::kBlockedPar:
-      break;  // not an autotune candidate (thread-count dependent)
+    case Tier::kBlocked:     // device-only
+    case Tier::kBlockedPar:  // thread-count dependent
+      break;                 // not autotune candidates
   }
   return -1;
 }
@@ -61,7 +60,6 @@ AutotuneReport autotune_tier(int order, int dim, int min_reps) {
 
   report.general_us = measure(Tier::kGeneral);
   report.precomputed_us = measure(Tier::kPrecomputed);
-  report.blocked_us = measure(Tier::kBlocked);
   report.unrolled_us = measure(Tier::kUnrolled);
   report.jit_us = measure(Tier::kJit);
 
@@ -77,7 +75,6 @@ AutotuneReport autotune_tier(int order, int dim, int min_reps) {
     }
   };
   consider(Tier::kPrecomputed, report.precomputed_us);
-  consider(Tier::kBlocked, report.blocked_us);
   consider(Tier::kUnrolled, report.unrolled_us);
   consider(Tier::kJit, report.jit_us);
   return report;

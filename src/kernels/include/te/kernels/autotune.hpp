@@ -2,11 +2,13 @@
 // Kernel-tier autotuning.
 //
 // Which tier wins depends on the shape: unrolled dominates small shapes
-// (when an instantiation exists), blocked/precomputed take over when the
-// unrolled body outgrows the instruction budget, and the general tier is
-// the always-available fallback. autotune_tier() measures the actual
-// per-call cost of every *available* tier on the host and returns the
-// fastest -- the `--tier auto` behaviour of the CLI driver.
+// (when an instantiation exists), JIT covers the shapes the registry never
+// saw (when a compiler is available), precomputed takes over beyond both,
+// and the general tier is the always-available fallback. autotune_tier()
+// measures the actual per-call cost of every *available* host tier and
+// returns the fastest -- what `tensoreig_cli --tier auto` runs on the CPU
+// backends. It never returns blocked (device-only) or blocked_par
+// (its cost depends on the thread count).
 
 #include "te/kernels/dispatch.hpp"
 
@@ -19,7 +21,6 @@ struct AutotuneReport {
   Tier best = Tier::kGeneral;
   double general_us = -1;
   double precomputed_us = -1;
-  double blocked_us = -1;
   double unrolled_us = -1;
   double jit_us = -1;
 
@@ -50,8 +51,8 @@ struct MultiWidthReport {
 /// registered vector widths with a vectorized route, and pick the
 /// cheapest per lane. The refusal predicate is BoundKernels::vectorized()
 /// -- genuine per-lane fallback -- so JIT-admitted widths are timed like
-/// any registry width; tiers with no vectorized route at a width (blocked,
-/// blocked_par, unregistered unrolled or unadmitted JIT widths) report
+/// any registry width; tiers with no vectorized route at a width
+/// (blocked_par, unregistered unrolled or unadmitted JIT widths) report
 /// width 1 without timing the fallback. The chosen width is recorded in the te::obs gauge
 /// `kernels.multi.autotune_width.<tier>` so dispatch regressions show up
 /// in exported metric trajectories.

@@ -14,11 +14,14 @@
 // inner loops the compiler unrolls (compile-time trip counts). Index and
 // coefficient data come from the shared precomputed tables, so the loop
 // body is branch-free floating point, at any (m, n).
+//
+// Blocked is a device-only tier: these raw cores run inside the
+// simulated-GPU kernel on its shared-memory copies. On the host the JIT
+// tier generates the fully unrolled code for any shape instead.
 
 #include <span>
 
 #include "te/kernels/precomputed.hpp"
-#include "te/tensor/symmetric_tensor.hpp"
 #include "te/util/op_counter.hpp"
 
 namespace te::kernels {
@@ -26,8 +29,8 @@ namespace te::kernels {
 /// Largest dimension whose x vector fits the blocked tier's register copy.
 inline constexpr int kBlockedMaxDim = 32;
 
-/// A x^m, panel-blocked: raw core over packed values (used directly by the
-/// simulated-GPU kernels on shared-memory arrays).
+/// A x^m, panel-blocked: raw core over packed values (the simulated-GPU
+/// kernels call it on shared-memory arrays).
 template <Real T, int kPanel = 4>
 [[nodiscard]] T ttsv0_blocked_raw(const T* values, const KernelTables<T>& tab,
                                   std::span<const T> x,
@@ -73,17 +76,6 @@ template <Real T, int kPanel = 4>
     ops->iop += u;
   }
   return static_cast<T>(y);
-}
-
-/// A x^m, panel-blocked, on a SymmetricTensor.
-template <Real T, int kPanel = 4>
-[[nodiscard]] T ttsv0_blocked(const SymmetricTensor<T>& a,
-                              const KernelTables<T>& tab,
-                              std::span<const T> x,
-                              OpCounts* ops = nullptr) {
-  TE_REQUIRE(a.order() == tab.order() && a.dim() == tab.dim(),
-             "tensor shape does not match tables");
-  return ttsv0_blocked_raw<T, kPanel>(a.values().data(), tab, x, ops);
 }
 
 /// y = A x^{m-1}, panel-blocked over the Eq. 6 contribution list (raw
@@ -140,16 +132,6 @@ void ttsv1_blocked_raw(const T* values, const KernelTables<T>& tab,
     ops->fadd += s_total;
     ops->iop += 2 * s_total;
   }
-}
-
-/// y = A x^{m-1}, panel-blocked, on a SymmetricTensor.
-template <Real T, int kPanel = 4>
-void ttsv1_blocked(const SymmetricTensor<T>& a, const KernelTables<T>& tab,
-                   std::span<const T> x, std::span<T> y,
-                   OpCounts* ops = nullptr) {
-  TE_REQUIRE(a.order() == tab.order() && a.dim() == tab.dim(),
-             "tensor shape does not match tables");
-  ttsv1_blocked_raw<T, kPanel>(a.values().data(), tab, x, y, ops);
 }
 
 }  // namespace te::kernels

@@ -8,6 +8,7 @@
 // backends pick a tier and a width at runtime while the kernels themselves
 // stay fully typed.
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <optional>
@@ -15,7 +16,6 @@
 #include <string>
 #include <string_view>
 
-#include "te/kernels/blocked.hpp"
 #include "te/kernels/blocked_par.hpp"
 #include "te/kernels/general.hpp"
 #include "te/kernels/jit_registry.hpp"
@@ -60,6 +60,25 @@ inline constexpr std::array<Tier, 6> kAllTiers = {
 /// Number of tiers (metrics arrays and tier sweeps size off this).
 inline constexpr int kNumTiers = static_cast<int>(kAllTiers.size());
 
+/// The tier-placement rule, in one place. Host tiers are the ones
+/// BoundKernels binds and the CPU backends run; device tiers are the ones
+/// the simulated-GPU kernel (gpusim::sshopm_device_thread) implements.
+/// kBlocked is device-only; past the unrolled registry the host runs jit
+/// or precomputed instead.
+inline constexpr std::array<Tier, 5> kHostTiers = {
+    Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled, Tier::kBlockedPar,
+    Tier::kJit};
+inline constexpr std::array<Tier, 3> kDeviceTiers = {
+    Tier::kGeneral, Tier::kBlocked, Tier::kUnrolled};
+
+[[nodiscard]] constexpr bool runs_on_host(Tier t) {
+  return std::ranges::find(kHostTiers, t) != kHostTiers.end();
+}
+
+[[nodiscard]] constexpr bool runs_on_device(Tier t) {
+  return std::ranges::find(kDeviceTiers, t) != kDeviceTiers.end();
+}
+
 [[nodiscard]] constexpr std::string_view tier_name(Tier t) {
   switch (t) {
     case Tier::kGeneral:
@@ -103,20 +122,20 @@ inline constexpr int kNumTiers = static_cast<int>(kAllTiers.size());
 #if TE_OBS_ENABLED
 namespace detail {
 /// Per-tier dispatch counters, name-resolved once: the per-call cost in the
-/// iteration hot loop is one relaxed atomic increment.
+/// iteration hot loop is one relaxed atomic increment. Only host tiers get
+/// a counter (the slots of device-only tiers stay null: nothing binds them).
 struct DispatchMetrics {
-  obs::Counter* ttsv0_calls[kNumTiers];
-  obs::Counter* ttsv1_calls[kNumTiers];
+  obs::Counter* ttsv0_calls[kNumTiers] = {};
+  obs::Counter* ttsv1_calls[kNumTiers] = {};
 
   static DispatchMetrics& get() {
     static DispatchMetrics m = [] {
       DispatchMetrics d;
-      for (int i = 0; i < kNumTiers; ++i) {
-        const std::string base(
-            tier_name(kAllTiers[static_cast<std::size_t>(i)]));
-        d.ttsv0_calls[i] =
+      for (const Tier t : kHostTiers) {
+        const std::string base(tier_name(t));
+        d.ttsv0_calls[tier_index(t)] =
             &obs::global().counter("kernels.ttsv0.calls." + base);
-        d.ttsv1_calls[i] =
+        d.ttsv1_calls[tier_index(t)] =
             &obs::global().counter("kernels.ttsv1.calls." + base);
       }
       return d;
@@ -229,15 +248,16 @@ inline constexpr int kMaxBatchDim = 64;
 /// be a registered power of two (multi_widths()). Widths other than 1 need
 /// dim <= kMaxBatchDim.
 ///
-/// The bound tensor, the tables (precomputed/blocked) and the executor
-/// (blocked_par) must outlive the facade. kUnrolled requires the shape to
-/// be present in the registry; callers that want graceful fallback should
-/// check find_unrolled first. kJit likewise requires an admitted runtime
-/// kernel (te::jit acquires, proves and registers them; jit::acquire_tier
-/// is the graceful-fallback entry point that degrades to kPrecomputed
-/// instead of throwing here). kBlockedPar repacks the tensor into the
-/// blocked layout at bind time and runs on the supplied ParallelExecutor
-/// (sequential when none given).
+/// Binds host tiers only (kHostTiers); the device-only kBlocked is refused
+/// with InvalidArgument. The bound tensor, the tables (precomputed) and
+/// the executor (blocked_par) must outlive the facade. kUnrolled requires
+/// the shape to be present in the registry; callers that want graceful
+/// fallback should check find_unrolled first. kJit likewise requires an
+/// admitted runtime kernel (te::jit acquires, proves and registers them;
+/// jit::acquire_tier is the graceful-fallback entry point that degrades to
+/// kPrecomputed instead of throwing here). kBlockedPar repacks the tensor
+/// into the blocked layout at bind time and runs on the supplied
+/// ParallelExecutor (sequential when none given).
 ///
 /// Thread safety: every call is const. For all tiers but kBlockedPar the
 /// facade is immutable after construction and may be shared across
@@ -252,10 +272,12 @@ class BoundKernels {
                const KernelTables<T>* tables = nullptr,
                const ParallelExecutor* par = nullptr, int width = 1)
       : a_(&a), tier_(tier), tables_(tables), par_(par) {
+    TE_REQUIRE(runs_on_host(tier),
+               "tier '" << tier_name(tier) << "' runs on the GPU backend only");
     if (uses_tables(tier)) {
       TE_REQUIRE(tables != nullptr &&
                      tables->order() == a.order() && tables->dim() == a.dim(),
-                 "precomputed/blocked tiers need matching KernelTables");
+                 "precomputed tier needs matching KernelTables");
     } else if (tier == Tier::kUnrolled) {
       unrolled_ = find_unrolled<T>(a.order(), a.dim());
       TE_REQUIRE(unrolled_ != nullptr,
@@ -418,8 +440,8 @@ class BoundKernels {
         return ttsv0_general(*a_, x, ops);
       case Tier::kPrecomputed:
         return ttsv0_precomputed(*a_, *tables_, x, ops);
-      case Tier::kBlocked:
-        return ttsv0_blocked(*a_, *tables_, x, ops);
+      case Tier::kBlocked:  // device-only: refused at bind
+        break;
       case Tier::kUnrolled: {
         if (ops) *ops += unrolled_->ops0;
         return unrolled_->ttsv0(a_->values().data(), x.data());
@@ -445,9 +467,8 @@ class BoundKernels {
       case Tier::kPrecomputed:
         ttsv1_precomputed(*a_, *tables_, x, y, ops);
         return;
-      case Tier::kBlocked:
-        ttsv1_blocked(*a_, *tables_, x, y, ops);
-        return;
+      case Tier::kBlocked:  // device-only: refused at bind
+        break;
       case Tier::kUnrolled:
         if (ops) *ops += unrolled_->ops1;
         unrolled_->ttsv1(a_->values().data(), x.data(), y.data());

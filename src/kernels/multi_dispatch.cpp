@@ -91,11 +91,9 @@ template <Real T>
 int pick_simd_width(int order, int dim, Tier tier) {
   (void)order;
   (void)dim;
-  // No bit-compatible vectorized route for these tiers; lane-blocking would
+  // No bit-compatible vectorized route for blocked_par; lane-blocking would
   // only add gather/scatter overhead, so stay on the per-vector path.
-  if (tier == Tier::kBlocked || tier == Tier::kBlockedPar) {
-    return 1;
-  }
+  if (tier == Tier::kBlockedPar) return 1;
   int w = simd::preferred_width<T>();
   if (w > simd::kMaxWidth) w = simd::kMaxWidth;
   while (w > 1 && !is_multi_width(w)) w /= 2;

@@ -34,6 +34,9 @@ namespace te::serve {
 
 /// Flat-object field extraction (exposed for tests and the CLI's response
 /// handling). Returns nullopt when the key is absent or the wrong shape.
+/// wire_string decodes the RFC 8259 escapes (\uXXXX below 0x80 only) and
+/// returns nullopt for any escape it does not decode, so distinct JSON
+/// strings never decode to the same std::string.
 [[nodiscard]] std::optional<std::string> wire_string(const std::string& json,
                                                      const std::string& key);
 [[nodiscard]] std::optional<double> wire_number(const std::string& json,

@@ -1,12 +1,14 @@
 #include "te/serve/wire.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 namespace te::serve {
 
@@ -172,20 +174,36 @@ std::string handle_stats(const Server<float>& server) {
 
 std::optional<std::string> wire_string(const std::string& json,
                                        const std::string& key) {
+  // The RFC 8259 escapes, with \uXXXX decoded only below 0x80 (that covers
+  // json_escape's \u00XX). Any other escape is refused rather than guessed
+  // at, so two distinct JSON strings never decode to the same bytes.
+  static constexpr std::string_view kEscaped = "\"\\/bfnrt";
+  static constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
   std::size_t p = value_pos(json, key);
   if (p == std::string::npos || p >= json.size() || json[p] != '"') {
     return std::nullopt;
   }
   std::string out;
   for (++p; p < json.size(); ++p) {
-    if (json[p] == '\\' && p + 1 < json.size()) {
-      const char c = json[++p];
-      out += c == 'n' ? '\n' : (c == 't' ? '\t' : c);
-    } else if (json[p] == '"') {
-      return out;
-    } else {
+    if (json[p] == '"') return out;
+    if (json[p] != '\\') {
       out += json[p];
+      continue;
     }
+    if (++p == json.size()) break;
+    if (const auto i = kEscaped.find(json[p]); i != std::string_view::npos) {
+      out += kDecoded[i];
+      continue;
+    }
+    unsigned code = 0;
+    const char* hex = json.data() + p + 1;
+    if (json[p] != 'u' || p + 4 >= json.size() ||
+        std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4 ||
+        code >= 0x80) {
+      return std::nullopt;
+    }
+    out += static_cast<char>(code);
+    p += 4;
   }
   return std::nullopt;  // unterminated string
 }

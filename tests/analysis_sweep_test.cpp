@@ -1,6 +1,6 @@
 // Full-registry verification sweep (ctest label: analysis).
 //
-// Proves every registered (order, dim) shape across every scalar tier,
+// Proves every registered (order, dim) shape across every host tier,
 // every registered multi-lane width per tier, and the three traced device
 // tiers -- the same domain `te_analyze --all` gates CI on, exercised here
 // through the library API so failures localize to a single report line.
@@ -25,9 +25,9 @@ TEST(AnalysisSweep, EveryRegisteredShapeTierAndWidthProves) {
       EXPECT_TRUE(r.proven()) << r.summary();
     }
   }
-  // 5 scalar tiers (jit has no admitted kernels here) x (1 + 4 widths) +
+  // 4 host tiers (jit has no admitted kernels here) x (1 + 4 widths) +
   // 3 device tiers per shape.
-  EXPECT_EQ(reports, static_cast<std::int64_t>(all.size()) * 28);
+  EXPECT_EQ(reports, static_cast<std::int64_t>(all.size()) * 23);
 
 #if TE_OBS_ENABLED
   // analyze_all publishes the CI gauges obs_json_check gates on.

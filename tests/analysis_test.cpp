@@ -88,8 +88,9 @@ TEST(ReferencePlan, TermCountsMatchClassCombinatorics) {
 
 TEST(CheckPlan, AllScalarTiersProveCleanOnApplicationShape) {
   const kernels::Tier tiers[] = {
-      kernels::Tier::kGeneral,  kernels::Tier::kPrecomputed,
-      kernels::Tier::kBlocked,  kernels::Tier::kUnrolled,
+      kernels::Tier::kGeneral,
+      kernels::Tier::kPrecomputed,
+      kernels::Tier::kUnrolled,
       kernels::Tier::kBlockedPar,
   };
   for (const kernels::Tier tier : tiers) {
@@ -376,9 +377,7 @@ TEST(WarpStats, SegmentStridedGlobalWritesScorePoorly) {
 // ---------------------------------------------------------------------------
 
 TEST(DeviceCheck, DeviceTiersProveCleanOnSmallShape) {
-  for (const kernels::Tier tier :
-       {kernels::Tier::kGeneral, kernels::Tier::kBlocked,
-        kernels::Tier::kUnrolled}) {
+  for (const kernels::Tier tier : kernels::kDeviceTiers) {
     const CheckReport rep = check_device_kernel(3, 2, tier);
     EXPECT_TRUE(rep.proven()) << rep.summary();
     EXPECT_EQ(rep.subject, "device");
@@ -393,8 +392,9 @@ TEST(Analyze, ShapeSweepCoversAllTiersAndWidths) {
   opt.widths = {2};
   const ShapeAnalysis s = analyze_shape(2, 2, opt);
   EXPECT_TRUE(s.proven());
-  // 5 scalar tiers x (scalar + one width) + 3 device tiers.
-  EXPECT_EQ(s.reports.size(), 13u);
+  // 4 host tiers (no admitted jit kernel) x (scalar + one width) + 3
+  // device tiers.
+  EXPECT_EQ(s.reports.size(), 11u);
 }
 
 TEST(Analyze, RegisteredShapesAreSortedUniqueAndIncludeApplicationSize) {

@@ -474,7 +474,7 @@ TEST(TableCacheBytes, MostRecentEntrySurvivesOverBudgetInsert) {
 TEST(TableCacheBytes, BytesResidentTracksContents) {
   batch::TableCache<float> cache(4);
   EXPECT_EQ(cache.bytes_resident(), 0);
-  const auto t = cache.get(3, 4, Tier::kBlocked);
+  const auto t = cache.get(3, 4, Tier::kPrecomputed);
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(cache.bytes_resident(),
             static_cast<std::int64_t>(t->table_bytes()));

@@ -96,7 +96,7 @@ void run_kill_resume_cycle(Backend backend, Tier tier) {
 }
 
 TEST(CheckpointResume, BitwiseIdenticalOnCpuSequential) {
-  run_kill_resume_cycle<float>(Backend::kCpuSequential, Tier::kBlocked);
+  run_kill_resume_cycle<float>(Backend::kCpuSequential, Tier::kPrecomputed);
 }
 
 TEST(CheckpointResume, BitwiseIdenticalOnCpuParallel) {
@@ -116,17 +116,17 @@ TEST(CheckpointResume, MultipleJobsResumeIndependently) {
   opt.checkpoint_path = ckpt.path;
   {
     Scheduler<float> dying(Backend::kCpuSequential, opt);
-    (void)dying.submit(p1, Tier::kBlocked);
+    (void)dying.submit(p1, Tier::kPrecomputed);
     (void)dying.submit(p2, Tier::kGeneral);
     EXPECT_EQ(dying.run(3), 3);  // all of job 1, half of job 2
   }
   Scheduler<float> resumed(Backend::kCpuSequential, opt);
-  const JobId j1 = resumed.submit(p1, Tier::kBlocked);
+  const JobId j1 = resumed.submit(p1, Tier::kPrecomputed);
   const JobId j2 = resumed.submit(p2, Tier::kGeneral);
   EXPECT_EQ(resumed.restored_chunks(j1), 2);
   EXPECT_EQ(resumed.restored_chunks(j2), 1);
   resumed.run();
-  expect_bitwise(solve_cpu_sequential(p1, Tier::kBlocked).results,
+  expect_bitwise(solve_cpu_sequential(p1, Tier::kPrecomputed).results,
                  resumed.result(j1).results, "job 1");
   expect_bitwise(solve_cpu_sequential(p2, Tier::kGeneral).results,
                  resumed.result(j2).results, "job 2");
@@ -140,7 +140,7 @@ TEST(CheckpointResume, FingerprintMismatchIsRefused) {
   opt.checkpoint_path = ckpt.path;
   {
     Scheduler<float> s(Backend::kCpuSequential, opt);
-    (void)s.submit(p, Tier::kBlocked);
+    (void)s.submit(p, Tier::kPrecomputed);
     (void)s.run(1);
   }
   // Same shape, one perturbed tensor value: the log must not be replayed
@@ -148,16 +148,16 @@ TEST(CheckpointResume, FingerprintMismatchIsRefused) {
   auto tweaked = p;
   tweaked.tensors[0].value(0) += 1e-6f;
   Scheduler<float> s(Backend::kCpuSequential, opt);
-  EXPECT_THROW((void)s.submit(tweaked, Tier::kBlocked), InvalidArgument);
+  EXPECT_THROW((void)s.submit(tweaked, Tier::kPrecomputed), InvalidArgument);
   // Same problem under a different tier is a different computation too.
   Scheduler<float> s2(Backend::kCpuSequential, opt);
   EXPECT_THROW((void)s2.submit(p, Tier::kGeneral), InvalidArgument);
   // The original problem still resumes fine.
   Scheduler<float> ok(Backend::kCpuSequential, opt);
-  const JobId id = ok.submit(p, Tier::kBlocked);
+  const JobId id = ok.submit(p, Tier::kPrecomputed);
   EXPECT_EQ(ok.restored_chunks(id), 1);
   ok.run();
-  expect_bitwise(solve_cpu_sequential(p, Tier::kBlocked).results,
+  expect_bitwise(solve_cpu_sequential(p, Tier::kPrecomputed).results,
                  ok.result(id).results, "pinned resume");
 }
 
@@ -169,12 +169,12 @@ TEST(CheckpointResume, ChangedChunkingIsRefused) {
   opt.checkpoint_path = ckpt.path;
   {
     Scheduler<float> s(Backend::kCpuSequential, opt);
-    (void)s.submit(p, Tier::kBlocked);
+    (void)s.submit(p, Tier::kPrecomputed);
     (void)s.run(1);
   }
   opt.chunk_tensors = 1;  // restored chunk boundaries would not line up
   Scheduler<float> s(Backend::kCpuSequential, opt);
-  EXPECT_THROW((void)s.submit(p, Tier::kBlocked), InvalidArgument);
+  EXPECT_THROW((void)s.submit(p, Tier::kPrecomputed), InvalidArgument);
 }
 
 TEST(CheckpointResume, TornTailIsTruncatedAndResumeOfResumeWorks) {
@@ -185,7 +185,7 @@ TEST(CheckpointResume, TornTailIsTruncatedAndResumeOfResumeWorks) {
   opt.checkpoint_path = ckpt.path;
   {
     Scheduler<float> s(Backend::kCpuSequential, opt);
-    (void)s.submit(p, Tier::kBlocked);
+    (void)s.submit(p, Tier::kPrecomputed);
     (void)s.run(2);
   }
   // Simulate a crash mid-append: chop bytes off the log's tail so the last
@@ -193,10 +193,10 @@ TEST(CheckpointResume, TornTailIsTruncatedAndResumeOfResumeWorks) {
   const auto size = std::filesystem::file_size(ckpt.path);
   std::filesystem::resize_file(ckpt.path, size - 13);
   Scheduler<float> resumed(Backend::kCpuSequential, opt);
-  const JobId id = resumed.submit(p, Tier::kBlocked);
+  const JobId id = resumed.submit(p, Tier::kPrecomputed);
   EXPECT_EQ(resumed.restored_chunks(id), 1);  // torn second chunk dropped
   resumed.run();
-  expect_bitwise(solve_cpu_sequential(p, Tier::kBlocked).results,
+  expect_bitwise(solve_cpu_sequential(p, Tier::kPrecomputed).results,
                  resumed.result(id).results, "torn resume");
   // The resumed run appended over a truncated tail: the log is strictly
   // valid again (this is what a resume-of-a-resume replays).
@@ -215,12 +215,12 @@ TEST(CheckpointResume, CompletedRunRestoresEverythingWithoutExecuting) {
   std::vector<sshopm::Result<double>> first;
   {
     Scheduler<double> s(Backend::kCpuSequential, opt);
-    const JobId id = s.submit(p, Tier::kBlocked);
+    const JobId id = s.submit(p, Tier::kPrecomputed);
     s.run();
     first = s.result(id).results;
   }
   Scheduler<double> again(Backend::kCpuSequential, opt);
-  const JobId id = again.submit(p, Tier::kBlocked);
+  const JobId id = again.submit(p, Tier::kPrecomputed);
   EXPECT_EQ(again.restored_chunks(id), 2);
   EXPECT_EQ(again.pending_chunks(), 0);
   EXPECT_EQ(again.run(), 0);  // nothing left to execute
@@ -228,21 +228,30 @@ TEST(CheckpointResume, CompletedRunRestoresEverythingWithoutExecuting) {
 }
 
 // Tier values are persisted in the job record (and hashed into the
-// fingerprint), so logs written before a tier was retired must still name
-// the same tiers: unrolled stays 4.
+// fingerprint), so logs written before a tier was retired or moved to the
+// device must still name the same tiers: unrolled stays 4, and the
+// device-only blocked tier stays 3.
 TEST(CheckpointResume, JobRecordCarriesThePersistedTierValue) {
   auto p = BatchProblem<float>::random(68, 2, 2, 4, 3);
-  TmpFile ckpt("tier.tetc");
-  SchedulerOptions opt;
-  opt.checkpoint_path = ckpt.path;
-  {
-    Scheduler<float> s(Backend::kCpuSequential, opt);
-    (void)s.submit(p, Tier::kUnrolled);
-    s.run();
+  const struct {
+    Backend backend;
+    Tier tier;
+    int persisted;
+  } cases[] = {{Backend::kCpuSequential, Tier::kUnrolled, 4},
+               {Backend::kGpuSim, Tier::kBlocked, 3}};
+  for (const auto& c : cases) {
+    TmpFile ckpt("tier.tetc");
+    SchedulerOptions opt;
+    opt.checkpoint_path = ckpt.path;
+    {
+      Scheduler<float> s(c.backend, opt);
+      (void)s.submit(p, c.tier);
+      s.run();
+    }
+    const auto replay = io::load_checkpoint<float>(ckpt.path);
+    ASSERT_EQ(replay.jobs.size(), 1u);
+    EXPECT_EQ(replay.jobs[0].tier, c.persisted);
   }
-  const auto replay = io::load_checkpoint<float>(ckpt.path);
-  ASSERT_EQ(replay.jobs.size(), 1u);
-  EXPECT_EQ(replay.jobs[0].tier, 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +267,7 @@ TEST(TableSpill, SecondSchedulerWarmStartsFromDisk) {
   std::vector<sshopm::Result<float>> cold;
   {
     Scheduler<float> s(Backend::kCpuSequential, opt);
-    const JobId id = s.submit(p, Tier::kBlocked);
+    const JobId id = s.submit(p, Tier::kPrecomputed);
     s.run();
     cold = s.result(id).results;
     EXPECT_EQ(s.cache_stats().disk_hits, 0);  // nothing spilled yet
@@ -268,7 +277,7 @@ TEST(TableSpill, SecondSchedulerWarmStartsFromDisk) {
       std::filesystem::path(spill.path) / "tables_m4_n3_float32.tetc"));
 
   Scheduler<float> warm(Backend::kCpuSequential, opt);
-  const JobId id = warm.submit(p, Tier::kBlocked);
+  const JobId id = warm.submit(p, Tier::kPrecomputed);
   warm.run();
   EXPECT_EQ(warm.cache_stats().disk_hits, 1);
   EXPECT_EQ(warm.cache_stats().misses, 1);  // miss in RAM, hit on disk
@@ -289,10 +298,10 @@ TEST(TableSpill, CorruptSpillFileFallsBackToBuilding) {
   SchedulerOptions opt;
   opt.table_spill_dir = spill.path;
   Scheduler<float> s(Backend::kCpuSequential, opt);
-  const JobId id = s.submit(p, Tier::kBlocked);
+  const JobId id = s.submit(p, Tier::kPrecomputed);
   s.run();  // must not throw: corrupt spill = cold build
   EXPECT_EQ(s.cache_stats().disk_hits, 0);
-  expect_bitwise(solve_cpu_sequential(p, Tier::kBlocked).results,
+  expect_bitwise(solve_cpu_sequential(p, Tier::kPrecomputed).results,
                  s.result(id).results, "fallback build");
 }
 
@@ -301,9 +310,9 @@ TEST(TableSpill, UnwritableSpillDirIsSilentlyIgnored) {
   SchedulerOptions opt;
   opt.table_spill_dir = tmp_path("does_not_exist_dir/nested");
   Scheduler<float> s(Backend::kCpuSequential, opt);
-  const JobId id = s.submit(p, Tier::kBlocked);
+  const JobId id = s.submit(p, Tier::kPrecomputed);
   s.run();  // spill failures never fail a solve
-  expect_bitwise(solve_cpu_sequential(p, Tier::kBlocked).results,
+  expect_bitwise(solve_cpu_sequential(p, Tier::kPrecomputed).results,
                  s.result(id).results, "unwritable spill");
 }
 

@@ -33,8 +33,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 constexpr kernels::Tier kCpuTiers[] = {
     kernels::Tier::kGeneral, kernels::Tier::kPrecomputed,
-    kernels::Tier::kBlocked, kernels::Tier::kUnrolled,
-    kernels::Tier::kBlockedPar};
+    kernels::Tier::kUnrolled, kernels::Tier::kBlockedPar};
 
 SymmetricTensor<double> good_tensor() {
   return random_symmetric_tensor<double>(CounterRng(11), 5, 4, 3);

@@ -29,9 +29,8 @@ constexpr std::array<Tier, 5> kTiers = {Tier::kGeneral, Tier::kPrecomputed,
                                         Tier::kBlockedPar};
 
 [[nodiscard]] bool tier_supported(Backend b, Tier tier) {
-  if (b != Backend::kGpuSim) return true;
-  return tier == Tier::kGeneral || tier == Tier::kBlocked ||
-         tier == Tier::kUnrolled;
+  return b == Backend::kGpuSim ? kernels::runs_on_device(tier)
+                               : kernels::runs_on_host(tier);
 }
 
 /// Scheduler-routed batch solve (the entry point all backends share).

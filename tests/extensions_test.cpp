@@ -1,7 +1,7 @@
 // Tests for the extension features beyond the paper's shipped system: the
-// blocked tier from the paper's future-work list, the adaptive shift, the
-// tier autotuner, and the multi-GPU batch backend from the Section V-B
-// remark.
+// (device) blocked tier from the paper's future-work list, the adaptive
+// shift, the tier autotuner, and the multi-GPU batch backend from the
+// Section V-B remark.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,8 @@ namespace {
 using kernels::Tier;
 
 // ---------------------------------------------------------------------------
-// Blocked kernels.
+// Blocked kernels (a device tier: the raw cores run inside the simulated
+// GPU kernel; the host facade refuses the tier).
 // ---------------------------------------------------------------------------
 
 class BlockedShapeTest : public ::testing::TestWithParam<std::pair<int, int>> {
@@ -34,12 +35,13 @@ TEST_P(BlockedShapeTest, MatchesGeneral) {
                                            m, n);
   kernels::KernelTables<double> tab(m, n);
   auto x = random_sphere_vector<double>(rng, 42, n);
-  EXPECT_NEAR(kernels::ttsv0_blocked(a, tab, {x.data(), x.size()}),
-              kernels::ttsv0_general(a, {x.data(), x.size()}), 1e-10);
+  EXPECT_NEAR(
+      kernels::ttsv0_blocked_raw(a.values().data(), tab, {x.data(), x.size()}),
+      kernels::ttsv0_general(a, {x.data(), x.size()}), 1e-10);
   std::vector<double> yb(static_cast<std::size_t>(n)),
       yg(static_cast<std::size_t>(n));
-  kernels::ttsv1_blocked(a, tab, {x.data(), x.size()},
-                         {yb.data(), yb.size()});
+  kernels::ttsv1_blocked_raw(a.values().data(), tab, {x.data(), x.size()},
+                             {yb.data(), yb.size()});
   kernels::ttsv1_general(a, {x.data(), x.size()}, {yg.data(), yg.size()});
   for (int i = 0; i < n; ++i) {
     EXPECT_NEAR(yb[static_cast<std::size_t>(i)],
@@ -56,28 +58,44 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.param.second);
     });
 
+template <int kPanel>
+void expect_panel_matches_general(const SymmetricTensor<double>& a,
+                                  const kernels::KernelTables<double>& tab,
+                                  const std::vector<double>& x) {
+  const std::span<const double> xs(x.data(), x.size());
+  EXPECT_NEAR((kernels::ttsv0_blocked_raw<double, kPanel>(a.values().data(),
+                                                          tab, xs)),
+              kernels::ttsv0_general(a, xs), 1e-10)
+      << "panel " << kPanel;
+  std::vector<double> yb(x.size()), yg(x.size());
+  kernels::ttsv1_blocked_raw<double, kPanel>(a.values().data(), tab, xs,
+                                             {yb.data(), yb.size()});
+  kernels::ttsv1_general(a, xs, {yg.data(), yg.size()});
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_NEAR(yb[i], yg[i], 1e-10) << "panel " << kPanel << " i " << i;
+  }
+}
+
 TEST(Blocked, PanelWidthsAgree) {
-  // Remainder handling: class counts not divisible by the panel width.
+  // Remainder handling: class (70) and contribution counts not divisible
+  // by the panel width, on both kernels.
   CounterRng rng(7);
-  auto a = random_symmetric_tensor<double>(rng, 0, 4, 5);  // 70 classes
+  auto a = random_symmetric_tensor<double>(rng, 0, 4, 5);
   kernels::KernelTables<double> tab(4, 5);
   auto x = random_sphere_vector<double>(rng, 1, 5);
-  const double ref = kernels::ttsv0_general(a, {x.data(), x.size()});
-  EXPECT_NEAR((kernels::ttsv0_blocked<double, 1>(a, tab, {x.data(), 5})), ref,
-              1e-10);
-  EXPECT_NEAR((kernels::ttsv0_blocked<double, 3>(a, tab, {x.data(), 5})), ref,
-              1e-10);
-  EXPECT_NEAR((kernels::ttsv0_blocked<double, 8>(a, tab, {x.data(), 5})), ref,
-              1e-10);
-  EXPECT_NEAR((kernels::ttsv0_blocked<double, 16>(a, tab, {x.data(), 5})),
-              ref, 1e-10);
+  expect_panel_matches_general<1>(a, tab, x);
+  expect_panel_matches_general<3>(a, tab, x);
+  expect_panel_matches_general<8>(a, tab, x);
+  expect_panel_matches_general<16>(a, tab, x);
 }
 
 TEST(Blocked, GpuBackendMatchesCpu) {
+  // The device blocked kernel against the host tier reading the same
+  // tables.
   auto p = batch::BatchProblem<float>::random(55, 8, 32, 4, 5);
   p.options.alpha = sshopm::suggest_shift(p.tensors.front());
   p.options.tolerance = 1e-5;
-  const auto cpu = batch::solve_cpu_sequential(p, Tier::kBlocked);
+  const auto cpu = batch::solve_cpu_sequential(p, Tier::kPrecomputed);
   const auto gpu = batch::solve_gpusim(p, Tier::kBlocked);
   ASSERT_EQ(cpu.results.size(), gpu.results.size());
   for (std::size_t i = 0; i < cpu.results.size(); ++i) {
@@ -104,17 +122,18 @@ TEST(Blocked, GpuTierBeatsUnrolledPastCollapse) {
   EXPECT_LT(u2.modeled_seconds, b2.modeled_seconds);
 }
 
-TEST(Blocked, BoundKernelsTierRequiresTables) {
+TEST(Blocked, BoundKernelsRefusesDeviceOnlyTier) {
   CounterRng rng(58);
   auto a = random_symmetric_tensor<double>(rng, 0, 4, 5);
+  kernels::KernelTables<double> tab(4, 5);
   EXPECT_THROW((kernels::BoundKernels<double>(a, Tier::kBlocked)),
                InvalidArgument);
-  kernels::KernelTables<double> tab(4, 5);
-  kernels::BoundKernels<double> k(a, Tier::kBlocked, &tab);
-  kernels::BoundKernels<double> g(a, Tier::kGeneral);
-  auto x = random_sphere_vector<double>(rng, 1, 5);
-  EXPECT_NEAR(k.ttsv0({x.data(), x.size()}), g.ttsv0({x.data(), x.size()}),
-              1e-12);
+  EXPECT_THROW((kernels::BoundKernels<double>(a, Tier::kBlocked, &tab)),
+               InvalidArgument);
+  // The host table tier still needs its tables.
+  EXPECT_THROW((kernels::BoundKernels<double>(a, Tier::kPrecomputed)),
+               InvalidArgument);
+  EXPECT_NO_THROW((kernels::BoundKernels<double>(a, Tier::kPrecomputed, &tab)));
 }
 
 // ---------------------------------------------------------------------------
@@ -199,12 +218,12 @@ TEST(Autotune, MeasuresEveryAvailableTier) {
   const auto report = kernels::autotune_tier(4, 3, 200);
   EXPECT_GT(report.general_us, 0);
   EXPECT_GT(report.precomputed_us, 0);
-  EXPECT_GT(report.blocked_us, 0);
   EXPECT_GT(report.unrolled_us, 0);  // (4, 3) is in the registry
   EXPECT_GT(report.best_us(), 0);
+  EXPECT_TRUE(kernels::runs_on_host(report.best));
   // The chosen tier really is the minimum of the measured set.
-  for (double us : {report.general_us, report.precomputed_us,
-                    report.blocked_us, report.unrolled_us}) {
+  for (double us :
+       {report.general_us, report.precomputed_us, report.unrolled_us}) {
     EXPECT_LE(report.best_us(), us + 1e-9);
   }
 }
@@ -222,8 +241,7 @@ TEST(Autotune, PicksUnrolledAtApplicationShape) {
   const auto report = kernels::autotune_tier(4, 3, 5000);
   EXPECT_EQ(report.best, kernels::Tier::kUnrolled)
       << "general " << report.general_us << " precomp "
-      << report.precomputed_us << " blocked "
-      << report.blocked_us << " unrolled " << report.unrolled_us;
+      << report.precomputed_us << " unrolled " << report.unrolled_us;
 }
 
 // ---------------------------------------------------------------------------

@@ -26,9 +26,8 @@ constexpr std::array<Backend, 3> kBackends = {
     Backend::kCpuSequential, Backend::kCpuParallel, Backend::kGpuSim};
 
 [[nodiscard]] bool tier_supported(Backend b, Tier tier) {
-  if (b != Backend::kGpuSim) return true;
-  return tier == Tier::kGeneral || tier == Tier::kBlocked ||
-         tier == Tier::kUnrolled;
+  return b == Backend::kGpuSim ? kernels::runs_on_device(tier)
+                               : kernels::runs_on_host(tier);
 }
 
 /// Solve via the scheduler (all backends share this entry point, which the

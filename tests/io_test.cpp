@@ -349,7 +349,8 @@ TEST(IoBatchResult, RoundTripsBitwiseOnBothReadPaths) {
   auto p = batch::BatchProblem<double>::random(21, 4, 3, 4, 3);
   p.options.alpha = 1.0;
   p.options.record_trace = true;
-  const auto result = batch::solve_cpu_sequential(p, kernels::Tier::kBlocked);
+  const auto result =
+      batch::solve_cpu_sequential(p, kernels::Tier::kPrecomputed);
 
   TmpFile f("result.tetc");
   save_batch_result(f.path, result);

@@ -386,6 +386,17 @@ TEST(Dispatch, TierNamesRoundTripThroughTheOneTierList) {
   EXPECT_FALSE(kernels::tier_from_name("").has_value());
 }
 
+TEST(Dispatch, EveryTierHasAPlacementAndBlockedIsDeviceOnly) {
+  for (const Tier t : kernels::kAllTiers) {
+    EXPECT_TRUE(kernels::runs_on_host(t) || kernels::runs_on_device(t))
+        << kernels::tier_name(t);
+  }
+  EXPECT_FALSE(kernels::runs_on_host(Tier::kBlocked));
+  EXPECT_TRUE(kernels::runs_on_device(Tier::kBlocked));
+  EXPECT_TRUE(kernels::runs_on_host(Tier::kPrecomputed));
+  EXPECT_FALSE(kernels::runs_on_device(Tier::kPrecomputed));
+}
+
 TEST(KernelTables, StorageOverheadNearPaperEstimate) {
   // Paper Sec. III-B.5: precomputation increases storage by about a factor
   // of (m + 2) in element count (index arrays of m ints + coefficients).

@@ -216,20 +216,16 @@ TEST_P(MultiKernelTest, UnrolledTierMatchesScalarWithinTolerance) {
   }
 }
 
-// Tiers without a vectorized route (blocked, blocked_par) gather each lane
-// through the scalar kernels, so every width is bitwise identical by
-// construction.
+// Tiers without a vectorized route (blocked_par) gather each lane through
+// the scalar kernels, so every width is bitwise identical by construction.
 TEST_P(MultiKernelTest, FallbackTiersAreBitwiseForEveryWidth) {
   const auto [m, n] = GetParam();
   CounterRng rng(203);
   const auto a = random_symmetric_tensor<double>(rng, 0, m, n);
-  kernels::KernelTables<double> tab(m, n);
-  for (Tier tier : {Tier::kBlocked, Tier::kBlockedPar}) {
-    const kernels::KernelTables<double>* tables =
-        tier == Tier::kBlocked ? &tab : nullptr;
-    BoundKernels<double> scalar(a, tier, tables);
+  for (Tier tier : {Tier::kBlockedPar}) {
+    BoundKernels<double> scalar(a, tier);
     for (int width : kernels::multi_widths()) {
-      BoundKernels<double> multi(a, tier, tables, nullptr, width);
+      BoundKernels<double> multi(a, tier, nullptr, nullptr, width);
       EXPECT_FALSE(multi.vectorized());
       auto x = random_batch<double>(n, width,
                                     600 + static_cast<std::uint64_t>(width));
@@ -281,7 +277,6 @@ TEST(MultiKernels, WidthResolutionAndValidation) {
   // Fallback tiers autopick width 1 (a wider batch would only add gather
   // overhead with no amortization).
   EXPECT_EQ(kernels::pick_simd_width<double>(3, 4, Tier::kBlockedPar), 1);
-  EXPECT_EQ(kernels::pick_simd_width<double>(3, 4, Tier::kBlocked), 1);
 }
 
 TEST(MultiKernels, BatchShapeMismatchThrows) {
@@ -384,7 +379,6 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
   const TierCase cases[] = {
       {Tier::kGeneral, nullptr},
       {Tier::kPrecomputed, &tab},
-      {Tier::kBlocked, &tab},
       {Tier::kBlockedPar, nullptr},
   };
   for (const auto& c : cases) {
@@ -585,12 +579,11 @@ TEST(MultiKernels, BatchCallsCountOncePerCallOnTheTierCounter) {
 #if TE_OBS_ENABLED
   CounterRng rng(225);
   const auto a = random_symmetric_tensor<double>(rng, 0, 3, 4);
-  kernels::KernelTables<double> tab(3, 4);
-  for (Tier tier : {Tier::kGeneral, Tier::kBlocked}) {
+  for (Tier tier : {Tier::kGeneral, Tier::kBlockedPar}) {
     const std::string base(kernels::tier_name(tier));
     const auto& calls0 = obs::global().counter("kernels.ttsv0.calls." + base);
     const auto& calls1 = obs::global().counter("kernels.ttsv1.calls." + base);
-    const BoundKernels<double> k(a, tier, &tab, nullptr, 8);
+    const BoundKernels<double> k(a, tier, nullptr, nullptr, 8);
     EXPECT_EQ(k.vectorized(), tier == Tier::kGeneral);
     const auto x = random_batch<double>(4, 8, 226);
     VectorBatch<double> y(4, 8);
@@ -710,10 +703,11 @@ TEST(AutotuneMultiWidth, ReportsValidWidthAndMeasuresEveryCandidate) {
   }
   // Fallback tiers have no vectorized candidates: the scalar math plus
   // gather overhead can never beat width 1, so only width 1 is timed.
-  const auto blocked = kernels::autotune_multi_width(3, 4, Tier::kBlocked, 2);
-  EXPECT_EQ(blocked.best_width, 1);
-  ASSERT_EQ(blocked.lane_us.size(), 1u);
-  EXPECT_EQ(blocked.lane_us.front().first, 1);
+  const auto fallback =
+      kernels::autotune_multi_width(3, 4, Tier::kBlockedPar, 2);
+  EXPECT_EQ(fallback.best_width, 1);
+  ASSERT_EQ(fallback.lane_us.size(), 1u);
+  EXPECT_EQ(fallback.lane_us.front().first, 1);
 }
 
 TEST(ObsExport, ReadExportGaugeFindsGaugesAndRejectsGarbage) {

@@ -209,14 +209,16 @@ TEST_P(SeedSweep, SchedulerIsBitwiseEqualToOneShotBackends) {
 
   batch::SchedulerOptions opt;
   opt.chunk_tensors = chunk;
-  const auto tier = kernels::Tier::kBlocked;  // tables on every path
+  // The table tiers, so every path reads KernelTables.
+  const auto cpu_tier = kernels::Tier::kPrecomputed;
+  const auto gpu_tier = kernels::Tier::kBlocked;
 
   // CPU backends against the sequential one-shot reference.
-  const auto cpu_ref = batch::solve_cpu_sequential(p, tier);
+  const auto cpu_ref = batch::solve_cpu_sequential(p, cpu_tier);
   for (const auto backend :
        {batch::Backend::kCpuSequential, batch::Backend::kCpuParallel}) {
     batch::Scheduler<double> sched(backend, opt);
-    const auto id = sched.submit(p, tier);
+    const auto id = sched.submit(p, cpu_tier);
     sched.run();
     const auto& got = sched.result(id).results;
     ASSERT_EQ(cpu_ref.results.size(), got.size());
@@ -230,9 +232,9 @@ TEST_P(SeedSweep, SchedulerIsBitwiseEqualToOneShotBackends) {
   }
 
   // GPU-sim backend against its own one-shot launch.
-  const auto gpu_ref = batch::solve_gpusim(p, tier);
+  const auto gpu_ref = batch::solve_gpusim(p, gpu_tier);
   batch::Scheduler<double> sched(batch::Backend::kGpuSim, opt);
-  const auto id = sched.submit(p, tier);
+  const auto id = sched.submit(p, gpu_tier);
   sched.run();
   const auto& got = sched.result(id).results;
   ASSERT_EQ(gpu_ref.results.size(), got.size());

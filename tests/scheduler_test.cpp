@@ -108,7 +108,7 @@ TEST(StreamPipeline, RejectsBadArguments) {
 }
 
 // ---------------------------------------------------------------------------
-// TableCache: shared (order, dim, tier)-keyed precompute.
+// TableCache: shared (order, dim)-keyed precompute.
 
 TEST(TableCache, TableFreeTiersBypassTheCache) {
   TableCache<float> cache(4);
@@ -123,34 +123,34 @@ TEST(TableCache, TableFreeTiersBypassTheCache) {
 
 TEST(TableCache, MissThenHitSharesOneBuild) {
   TableCache<double> cache(4);
-  const auto a = cache.get(4, 3, Tier::kBlocked);
+  // Host precomputed and device blocked read the same tables: one build
+  // per shape, whichever table tier asks first.
+  const auto a = cache.get(4, 3, Tier::kPrecomputed);
   const auto b = cache.get(4, 3, Tier::kBlocked);
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a.get(), b.get());  // same underlying tables
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_DOUBLE_EQ(cache.stats().hit_rate(), 0.5);
-  // Distinct shape or tier is a distinct entry.
+  // A distinct shape is a distinct entry.
   const auto c = cache.get(3, 3, Tier::kBlocked);
-  const auto d = cache.get(4, 3, Tier::kPrecomputed);
   EXPECT_NE(a.get(), c.get());
-  EXPECT_NE(a.get(), d.get());
-  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(TableCache, EvictsLeastRecentlyUsed) {
   TableCache<float> cache(2);
-  const auto a = cache.get(3, 2, Tier::kBlocked);
-  (void)cache.get(3, 3, Tier::kBlocked);
-  (void)cache.get(3, 2, Tier::kBlocked);  // refresh (3,2): (3,3) is LRU now
-  (void)cache.get(3, 4, Tier::kBlocked);  // evicts (3,3)
+  const auto a = cache.get(3, 2, Tier::kPrecomputed);
+  (void)cache.get(3, 3, Tier::kPrecomputed);
+  (void)cache.get(3, 2, Tier::kPrecomputed);  // refresh (3,2): (3,3) is LRU
+  (void)cache.get(3, 4, Tier::kPrecomputed);  // evicts (3,3)
   EXPECT_EQ(cache.stats().evictions, 1);
   EXPECT_EQ(cache.size(), 2u);
   // (3,2) survived the eviction...
-  (void)cache.get(3, 2, Tier::kBlocked);
+  (void)cache.get(3, 2, Tier::kPrecomputed);
   EXPECT_EQ(cache.stats().hits, 2);
   // ...and an evicted entry's shared_ptr stays usable.
-  (void)cache.get(3, 5, Tier::kBlocked);  // evicts (3,4) or (3,2)
+  (void)cache.get(3, 5, Tier::kPrecomputed);  // evicts (3,4) or (3,2)
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->order(), 3);
   EXPECT_EQ(a->dim(), 2);
@@ -166,8 +166,8 @@ TEST(TableCache, RejectsZeroCapacity) {
 TEST(SchedulerCpu, BitwiseEqualToSequentialForEveryTier) {
   auto p = BatchProblem<float>::random(31, 10, 6, 4, 3);
   p.options.alpha = 1.0;
-  for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked,
-                    Tier::kUnrolled, Tier::kBlockedPar}) {
+  for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled,
+                    Tier::kBlockedPar}) {
     const auto ref = solve_cpu_sequential(p, tier);
     for (int chunk : {1, 3, 10, 64}) {
       SchedulerOptions opt;
@@ -191,7 +191,7 @@ TEST(SchedulerCpu, ParallelBackendBitwiseEqualAndPoolIsReused) {
   Scheduler<double> sched(Backend::kCpuParallel, opt);
   std::vector<JobId> jobs;
   std::vector<Tier> tiers = {Tier::kGeneral, Tier::kPrecomputed,
-                             Tier::kBlocked};
+                             Tier::kUnrolled};
   for (Tier tier : tiers) jobs.push_back(sched.submit(p, tier));
   EXPECT_EQ(sched.pending_chunks(), 15);  // 3 jobs x ceil(9 / 2)
   EXPECT_EQ(sched.run(), 15);
@@ -266,9 +266,9 @@ TEST(SchedulerCache, SameShapeJobsHitSharedTables) {
   auto a = BatchProblem<double>::random(36, 6, 4, 4, 3);
   auto b = BatchProblem<double>::random(37, 6, 4, 4, 3);  // same shape
   auto c = BatchProblem<double>::random(38, 4, 4, 3, 5);  // different shape
-  const auto ra = sched.submit(a, Tier::kBlocked);
-  const auto rb = sched.submit(b, Tier::kBlocked);
-  const auto rc = sched.submit(c, Tier::kBlocked);
+  const auto ra = sched.submit(a, Tier::kPrecomputed);
+  const auto rb = sched.submit(b, Tier::kPrecomputed);
+  const auto rc = sched.submit(c, Tier::kPrecomputed);
   sched.run();
   const auto stats = sched.cache_stats();
   // 6 chunks touch tables: (4,3) misses once then hits; (3,5) misses once.
@@ -276,11 +276,11 @@ TEST(SchedulerCache, SameShapeJobsHitSharedTables) {
   EXPECT_GT(stats.hits, 0);
   EXPECT_GT(stats.hit_rate(), 0.0);
   // Sharing must not perturb results.
-  expect_bitwise(solve_cpu_sequential(a, Tier::kBlocked).results,
+  expect_bitwise(solve_cpu_sequential(a, Tier::kPrecomputed).results,
                  sched.result(ra).results, "job a");
-  expect_bitwise(solve_cpu_sequential(b, Tier::kBlocked).results,
+  expect_bitwise(solve_cpu_sequential(b, Tier::kPrecomputed).results,
                  sched.result(rb).results, "job b");
-  expect_bitwise(solve_cpu_sequential(c, Tier::kBlocked).results,
+  expect_bitwise(solve_cpu_sequential(c, Tier::kPrecomputed).results,
                  sched.result(rc).results, "job c");
 }
 
@@ -289,9 +289,9 @@ TEST(SchedulerCache, EvictionsAreCountedUnderTinyCapacity) {
   opt.cache_capacity = 1;
   Scheduler<float> sched(Backend::kCpuSequential, opt);
   const auto a = sched.submit(BatchProblem<float>::random(39, 2, 2, 4, 3),
-                              Tier::kBlocked);
+                              Tier::kPrecomputed);
   const auto b = sched.submit(BatchProblem<float>::random(40, 2, 2, 3, 4),
-                              Tier::kBlocked);
+                              Tier::kPrecomputed);
   sched.run();
   (void)a;
   (void)b;
@@ -399,6 +399,26 @@ TEST(SchedulerValidation, GpuBackendRejectsCpuOnlyTiersAndWideDims) {
   EXPECT_THROW((void)sched.submit(p, Tier::kBlockedPar), InvalidArgument);
   auto wide = BatchProblem<float>::random(51, 2, 2, 3, gpusim::kMaxDim + 1);
   EXPECT_THROW((void)sched.submit(wide, Tier::kGeneral), InvalidArgument);
+}
+
+TEST(SchedulerValidation, CpuBackendsRejectDeviceOnlyTiers) {
+  // kBlocked runs on the GPU backend only. CPU schedulers refuse it at
+  // submit, before any chunk runs -- also past the blocked register cap
+  // (dim 40), where a queued chunk used to throw from run() instead.
+  auto p = BatchProblem<float>::random(54, 2, 2, 4, 3);
+  auto wide = BatchProblem<float>::random(55, 1, 1, 3, 40);
+  for (const Backend b : {Backend::kCpuSequential, Backend::kCpuParallel}) {
+    Scheduler<float> sched(b);
+    EXPECT_THROW((void)sched.submit(p, Tier::kBlocked), InvalidArgument);
+    EXPECT_THROW((void)sched.submit(wide, Tier::kBlocked), InvalidArgument);
+    EXPECT_EQ(sched.pending_chunks(), 0);
+    EXPECT_EQ(sched.run(), 0);
+  }
+  // The one-shot CPU backends refuse it the same way.
+  EXPECT_THROW((void)solve_cpu_sequential(p, Tier::kBlocked), InvalidArgument);
+  ThreadPool pool(2);
+  EXPECT_THROW((void)solve_cpu_parallel(p, Tier::kBlocked, pool),
+               InvalidArgument);
 }
 
 TEST(SchedulerValidation, ResultAccessIsGuarded) {

@@ -525,6 +525,77 @@ TEST(ServeWire, RetiredAndJitTierNamesAreRefusedAsUnknown) {
   EXPECT_EQ(server.stats().submitted, 0);
 }
 
+// Regression: a CPU-backend server used to accept a blocked-tier job
+// (past the blocked register cap, too), and its pump thread then died in
+// run(), aborting the process. The device-only tier is now refused at
+// submit and the server keeps serving.
+TEST(ServeWire, DeviceOnlyTierIsRefusedAndTheServerKeepsRunning) {
+  Server<float> server(small_options());
+  server.start();
+  const auto refused = handle_line(
+      server,
+      "{\"op\":\"submit\",\"tenant\":\"a\",\"seed\":1,\"tensors\":1,"
+      "\"starts\":1,\"order\":3,\"dim\":40,\"tier\":\"blocked\"}");
+  EXPECT_EQ(refused.rfind("{\"ok\":false,", 0), 0u) << refused;
+  EXPECT_EQ(server.stats().submitted, 0);
+  const auto submit = handle_line(
+      server,
+      "{\"op\":\"submit\",\"tenant\":\"a\",\"seed\":7,\"tensors\":4,"
+      "\"starts\":2,\"order\":3,\"dim\":4,\"tier\":\"precomputed\"}");
+  const auto ticket = wire_number(submit, "ticket");
+  ASSERT_TRUE(ticket.has_value()) << submit;
+  const auto wait = handle_line(
+      server, "{\"op\":\"wait\",\"ticket\":" +
+                  std::to_string(static_cast<int>(*ticket)) + "}");
+  EXPECT_EQ(wire_string(wait, "state").value(), "done") << wait;
+  server.stop();
+}
+
+TEST(ServeWire, StringEscapesDecodeExactlyOrNotAtAll) {
+  const auto field = [](const std::string& value) {
+    return wire_string("{\"t\":\"" + value + "\"}", "t");
+  };
+  EXPECT_EQ(field(R"(a\rb)").value(), "a\rb");
+  EXPECT_EQ(field(R"(\b\f\n\t\/\"\\)").value(), "\b\f\n\t/\"\\");
+  EXPECT_EQ(field(R"(\u0041\u001f\u007F)").value(), "A\x1f\x7f");
+  // Distinct JSON strings stay distinct (they used to collapse: "\r" read
+  // as "r", "\u0041" as "u0041").
+  EXPECT_NE(field(R"(a\rb)"), field("arb"));
+  EXPECT_NE(field(R"(\u0041)"), field("u0041"));
+  // Escapes RFC 8259 does not define, short or non-hex \u escapes, and
+  // \u escapes past ASCII (which would need UTF-8 encoding) are refused
+  // rather than guessed at.
+  for (const char* bad : {R"(a\qb)", R"(\x41)", R"(\u00)", R"(\u12G4)",
+                          R"(\u-041)", R"(\u00e9)", R"(\ud83d\ude00)"}) {
+    EXPECT_FALSE(field(bad).has_value()) << bad;
+  }
+}
+
+TEST(ServeWire, ControlCharacterTenantsRoundTripAndStayDistinct) {
+  Server<float> server(small_options());
+  const auto submit = [&](const std::string& tenant_json) {
+    return handle_line(
+        server, "{\"op\":\"submit\",\"tenant\":\"" + tenant_json +
+                    "\",\"seed\":1,\"tensors\":1,\"starts\":1,\"order\":3,"
+                    "\"dim\":3}");
+  };
+  // The poll reply escapes control characters as \u00XX; decoding it gives
+  // back the exact tenant bytes.
+  const std::string tenant = "t\x01\r\x1f\"\\";
+  const auto first = submit(R"(t\u0001\r\u001F\"\\)");
+  const auto ticket = wire_number(first, "ticket");
+  ASSERT_TRUE(ticket.has_value()) << first;
+  const auto poll = handle_line(
+      server, "{\"op\":\"poll\",\"ticket\":" +
+                  std::to_string(static_cast<int>(*ticket)) + "}");
+  EXPECT_NE(poll.find(R"(\u0001)"), std::string::npos) << poll;
+  EXPECT_EQ(wire_string(poll, "tenant").value(), tenant) << poll;
+  // "a\rb" and "arb" are two admission/DRR buckets, not one.
+  ASSERT_TRUE(wire_number(submit(R"(a\rb)"), "ticket").has_value());
+  ASSERT_TRUE(wire_number(submit("arb"), "ticket").has_value());
+  EXPECT_EQ(server.stats().active_tenants, 3);
+}
+
 TEST(ServeWire, SubmitWaitStatsCancelRoundTrip) {
   Server<float> server(small_options());
   const auto submit = handle_line(

@@ -144,16 +144,16 @@ TEST(SchedulerStress, ConcurrentSchedulersShareOnePoolBitwise) {
 
   auto p1 = BatchProblem<float>::random(61, 8, 4, 4, 3);
   auto p2 = BatchProblem<float>::random(62, 6, 4, 3, 4);
-  const auto ref1 = solve_cpu_sequential(p1, Tier::kBlocked);
-  const auto ref2 = solve_cpu_sequential(p2, Tier::kBlocked);
+  const auto ref1 = solve_cpu_sequential(p1, Tier::kPrecomputed);
+  const auto ref2 = solve_cpu_sequential(p2, Tier::kPrecomputed);
 
   ThreadPool pool(6);
   SchedulerOptions opt;
   opt.chunk_tensors = 2;
   Scheduler<float> s1(Backend::kCpuParallel, opt, &pool);
   Scheduler<float> s2(Backend::kCpuParallel, opt, &pool);
-  const auto j1 = s1.submit(p1, Tier::kBlocked);
-  const auto j2 = s2.submit(p2, Tier::kBlocked);
+  const auto j1 = s1.submit(p1, Tier::kPrecomputed);
+  const auto j2 = s2.submit(p2, Tier::kPrecomputed);
 
   std::thread t1([&] { s1.run(); });
   std::thread t2([&] { s2.run(); });
@@ -180,12 +180,14 @@ TEST(TableCacheStress, ConcurrentGettersSeeOneBuildPerKey) {
   std::atomic<bool> mismatch{false};
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
+    // Both table tiers ask: the cache keys by shape, so they share builds.
+    const auto tier =
+        t % 2 == 0 ? kernels::Tier::kPrecomputed : kernels::Tier::kBlocked;
+    threads.emplace_back([&, tier] {
       for (int r = 0; r < kRounds; ++r) {
         const int order = 3 + (r % 2);
         const int dim = 3 + (r % 3);
-        const auto tables =
-            cache.get(order, dim, kernels::Tier::kBlocked);
+        const auto tables = cache.get(order, dim, tier);
         if (tables == nullptr || tables->order() != order ||
             tables->dim() != dim) {
           mismatch.store(true);
@@ -196,7 +198,7 @@ TEST(TableCacheStress, ConcurrentGettersSeeOneBuildPerKey) {
   for (auto& t : threads) t.join();
   EXPECT_FALSE(mismatch.load());
   const auto stats = cache.stats();
-  // 6 distinct keys; every other access is a hit.
+  // 6 distinct shapes; every other access is a hit.
   EXPECT_EQ(stats.misses, 6);
   EXPECT_EQ(stats.hits, kThreads * kRounds - 6);
   EXPECT_EQ(stats.evictions, 0);
