@@ -339,10 +339,9 @@ template <Real T>
     r.lambda = out_values[slot];
     r.x.assign(out_vectors.begin() + static_cast<std::ptrdiff_t>(slot * n),
                out_vectors.begin() + static_cast<std::ptrdiff_t>((slot + 1) * n));
-    r.converged = out_status[slot] ==
-                  static_cast<std::int32_t>(sshopm::FailureReason::kNone);
-    r.iterations = std::abs(out_iters[slot]);
+    r.iterations = out_iters[slot];
     r.failure = static_cast<sshopm::FailureReason>(out_status[slot]);
+    r.converged = r.failure == sshopm::FailureReason::kNone;
   }
   if (timing) {
     timing->h2d_seconds = h2d_seconds;
@@ -419,6 +418,9 @@ extract_eigenpairs(const BatchProblem<T>& p, const BatchResult<T>& r,
 /// split into contiguous chunks, one per device; devices run independently
 /// (no inter-device communication is needed -- every (tensor, start) pair
 /// is independent), so the modeled batch time is the slowest device's time.
+/// The other launch figures (ops, compute, memory and simulator seconds)
+/// and transfer_seconds are totals over the devices; with one device the
+/// result equals solve_gpusim's.
 template <Real T>
 [[nodiscard]] BatchResult<T> solve_gpusim_multi(
     const BatchProblem<T>& p, kernels::Tier tier, int num_devices,
@@ -430,48 +432,40 @@ template <Real T>
   BatchResult<T> out;
   out.num_tensors = p.num_tensors();
   out.num_starts = p.num_starts();
-  out.results.reserve(static_cast<std::size_t>(p.num_tensors()) *
-                      p.num_starts());
+  out.results.resize(static_cast<std::size_t>(p.num_tensors()) *
+                     p.num_starts());
 
   WallTimer timer;
   const int chunk = (p.num_tensors() + num_devices - 1) / num_devices;
+  const auto nv = static_cast<std::size_t>(p.num_starts());
   double slowest = 0;
   for (int d = 0; d < num_devices; ++d) {
     const int begin = d * chunk;
     const int end = std::min(begin + chunk, p.num_tensors());
     if (begin >= end) break;
+    const auto first = static_cast<std::size_t>(begin);
+    const auto count = static_cast<std::size_t>(end - begin);
 
-    BatchProblem<T> part;
-    part.order = p.order;
-    part.dim = p.dim;
-    part.tensors.assign(p.tensors.begin() + begin, p.tensors.begin() + end);
-    part.starts = p.starts;  // shared scheme, replicated per device
-    part.options = p.options;
-
-    auto r = solve_gpusim(part, tier, dev, gpu_opt);
-    slowest = std::max(slowest, r.modeled_seconds);
-    out.useful_flops += r.useful_flops;
-    out.gpu.total_ops += r.gpu.total_ops;
-    out.gpu.warp_issue_slots += r.gpu.warp_issue_slots;
-    if (d == 0) out.gpu.occupancy = r.gpu.occupancy;
-    // Merge sanitizer findings across devices into one report.
-    out.gpu.sanitizer.enabled |= r.gpu.sanitizer.enabled;
-    if (out.gpu.sanitizer.kernel.empty()) {
-      out.gpu.sanitizer.kernel = r.gpu.sanitizer.kernel;
-    }
-    out.gpu.sanitizer.accesses += r.gpu.sanitizer.accesses;
-    out.gpu.sanitizer.suppressed += r.gpu.sanitizer.suppressed;
-    out.gpu.sanitizer.findings.insert(out.gpu.sanitizer.findings.end(),
-                                      r.gpu.sanitizer.findings.begin(),
-                                      r.gpu.sanitizer.findings.end());
-    out.results.insert(out.results.end(),
-                       std::make_move_iterator(r.results.begin()),
-                       std::make_move_iterator(r.results.end()));
+    gpusim::ChunkCost timing;
+    const auto launch = solve_gpusim_span<T>(
+        p.order, p.dim,
+        std::span<const SymmetricTensor<T>>(p.tensors).subspan(first, count),
+        std::span<const std::vector<T>>(p.starts), p.options, tier, dev,
+        gpu_opt, nullptr,
+        std::span<sshopm::Result<T>>(out.results)
+            .subspan(first * nv, count * nv),
+        &timing);
+    TE_REQUIRE(launch.launchable,
+               "kernel does not fit on the device (occupancy limiter: "
+                   << launch.occupancy.limiter << ")");
+    out.gpu.merge(launch, d == 0);
+    slowest = std::max(slowest, launch.modeled_seconds);
+    out.transfer_seconds += timing.h2d_seconds + timing.d2h_seconds;
   }
-  out.gpu.launchable = true;
   out.gpu.modeled_seconds = slowest;
   out.modeled_seconds = slowest;
   out.wall_seconds = timer.seconds();
+  out.useful_flops = count_useful_flops(out.results, p.order, p.dim);
   return out;
 }
 

@@ -572,7 +572,7 @@ class Scheduler {
         TE_REQUIRE(launch.launchable,
                    "chunk does not fit on the device (occupancy limiter: "
                        << launch.occupancy.limiter << ")");
-        merge_gpu(job.result.gpu, launch, !job.gpu_merged);
+        job.result.gpu.merge(launch, !job.gpu_merged);
         job.gpu_merged = true;
         job.pipeline.record(cost);
         pipeline_.record(cost);
@@ -672,27 +672,6 @@ class Scheduler {
       TE_OBS_ONLY(
           detail::SchedulerMetrics::get().ckpt_chunks_restored.inc());
     }
-  }
-
-  static void merge_gpu(gpusim::LaunchResult& into,
-                        const gpusim::LaunchResult& chunk, bool first) {
-    if (first) into.occupancy = chunk.occupancy;
-    into.launchable = true;
-    into.total_ops += chunk.total_ops;
-    into.warp_issue_slots += chunk.warp_issue_slots;
-    into.modeled_seconds += chunk.modeled_seconds;
-    into.compute_seconds += chunk.compute_seconds;
-    into.memory_seconds += chunk.memory_seconds;
-    into.sim_wall_seconds += chunk.sim_wall_seconds;
-    into.sanitizer.enabled |= chunk.sanitizer.enabled;
-    if (into.sanitizer.kernel.empty()) {
-      into.sanitizer.kernel = chunk.sanitizer.kernel;
-    }
-    into.sanitizer.accesses += chunk.sanitizer.accesses;
-    into.sanitizer.suppressed += chunk.sanitizer.suppressed;
-    into.sanitizer.findings.insert(into.sanitizer.findings.end(),
-                                   chunk.sanitizer.findings.begin(),
-                                   chunk.sanitizer.findings.end());
   }
 
   void finalize(Job& job) {

@@ -200,6 +200,29 @@ struct LaunchResult {
   /// Shared-memory sanitizer findings (empty unless LaunchConfig::sanitize).
   SanitizerReport sanitizer;
 
+  /// Fold launch `next` into this aggregate of launches run one after
+  /// another: op counts, issue slots and every time add up, sanitizer
+  /// findings concatenate, and `first` (the aggregate's first launch)
+  /// seeds the occupancy. A caller whose launches ran side by side (one
+  /// per device) overwrites modeled_seconds with the slowest one.
+  void merge(const LaunchResult& next, bool first) {
+    if (first) occupancy = next.occupancy;
+    launchable = true;
+    total_ops += next.total_ops;
+    warp_issue_slots += next.warp_issue_slots;
+    modeled_seconds += next.modeled_seconds;
+    compute_seconds += next.compute_seconds;
+    memory_seconds += next.memory_seconds;
+    sim_wall_seconds += next.sim_wall_seconds;
+    sanitizer.enabled |= next.sanitizer.enabled;
+    if (sanitizer.kernel.empty()) sanitizer.kernel = next.sanitizer.kernel;
+    sanitizer.accesses += next.sanitizer.accesses;
+    sanitizer.suppressed += next.sanitizer.suppressed;
+    sanitizer.findings.insert(sanitizer.findings.end(),
+                              next.sanitizer.findings.begin(),
+                              next.sanitizer.findings.end());
+  }
+
   /// GFLOPS against a caller-supplied useful-flop count (the benches use
   /// the symmetric-kernel flop model, matching the paper's convention).
   [[nodiscard]] double achieved_gflops(double useful_flops) const {

@@ -29,7 +29,6 @@
 #include "te/kernels/flop_model.hpp"
 #include "te/kernels/general.hpp"
 #include "te/sshopm/sshopm.hpp"
-#include "te/util/linalg.hpp"
 
 namespace te::gpusim {
 
@@ -49,7 +48,8 @@ struct DeviceBatchView {
   const T* starts = nullptr;    ///< [num_starts x dim], shared by all blocks
   T* out_vectors = nullptr;     ///< [num_tensors x num_starts x dim]
   T* out_values = nullptr;      ///< [num_tensors x num_starts]
-  std::int32_t* out_iters = nullptr;  ///< [num_tensors x num_starts]
+  /// Iterations performed, whatever the outcome. [num_tensors x num_starts]
+  std::int32_t* out_iters = nullptr;
   /// Per-run outcome as a sshopm::FailureReason integer (0 = converged);
   /// optional so older callers keep working. [num_tensors x num_starts]
   std::int32_t* out_status = nullptr;
@@ -135,145 +135,82 @@ ThreadTask sshopm_device_thread(ThreadCtx& ctx, DeviceBatchView<T> view,
                "device kernels implement general, blocked and unrolled");
   }
 
-  T x[kMaxDim];
+  // The run's state is the thread's "registers": one sshopm::Result driven
+  // by the shared detail::Run state machine, so a device lane stops and
+  // classifies exactly like the CPU backends. Starting vectors are
+  // pre-normalized by the host API; Run::start normalizes anyway so the
+  // kernel is self-contained (cost is in per_setup). A degenerate lane
+  // must not unwind the whole launch (it would take every other lane's
+  // results with it), so outcomes travel through out_status.
+  T x0[kMaxDim];
   T y[kMaxDim];
   for (int i = 0; i < n; ++i) {
     const T* src = view.starts + static_cast<std::size_t>(v) * n + i;
     ctx.note_global(src, sizeof(T), AccessKind::kRead);
-    x[i] = *src;
+    x0[i] = *src;
   }
-
-  // Device-side failure reporting: a degenerate start in one lane must not
-  // unwind the whole launch (it would take every other lane's results with
-  // it), so outcomes travel through out_status as FailureReason integers.
-  int it = 0;
-  bool converged = false;
-  std::int32_t status =
-      static_cast<std::int32_t>(sshopm::FailureReason::kMaxIterations);
-  const auto write_results = [&](T lam) {
-    OpCounts store;
-    const std::size_t slot = static_cast<std::size_t>(b) * view.num_starts + v;
-    for (int i = 0; i < n; ++i) {
-      ctx.note_global(view.out_vectors + slot * n + i, sizeof(T),
-                      AccessKind::kWrite);
-      view.out_vectors[slot * n + i] = x[i];
-    }
-    ctx.note_global(view.out_values + slot, sizeof(T), AccessKind::kWrite);
-    view.out_values[slot] = lam;
-    store.gmem += n + 1;
-    if (view.out_iters) {
-      ctx.note_global(view.out_iters + slot, sizeof(std::int32_t),
-                      AccessKind::kWrite);
-      view.out_iters[slot] = converged ? it : -it;
-      store.gmem += 1;
-    }
-    if (view.out_status) {
-      ctx.note_global(view.out_status + slot, sizeof(std::int32_t),
-                      AccessKind::kWrite);
-      view.out_status[slot] =
-          converged
-              ? static_cast<std::int32_t>(sshopm::FailureReason::kNone)
-              : status;
-      store.gmem += 1;
-    }
-    ctx.tally(store);
-  };
-
-  // Starting vectors are pre-normalized by the host API; normalize anyway
-  // so the kernel is self-contained (cost is in per_setup). The arithmetic
-  // mirrors te::try_normalize exactly, keeping device lanes bitwise equal
-  // to the CPU backends -- including which runs count as degenerate.
-  {
-    T norm2 = T(0);
-    for (int i = 0; i < n; ++i) norm2 += x[i] * x[i];
-    const T nrm = std::sqrt(norm2);
-    if (!(nrm > T(0)) || !std::isfinite(static_cast<double>(nrm))) {
-      status = static_cast<std::int32_t>(
-          sshopm::FailureReason::kDegenerateIterate);
-      write_results(T(0));
-      ctx.tally(cost.per_setup);
-      co_return;
-    }
-    const T inv = T(1) / nrm;
-    for (int i = 0; i < n; ++i) x[i] *= inv;
-  }
+  sshopm::Result<T> r;
+  sshopm::detail::Run<T> run(r, opt.tolerance, false);
+  bool live = run.start({x0, static_cast<std::size_t>(n)});
+  // r.x now holds the iterate and is never resized again.
+  const std::span<const T> xs(r.x.data(), r.x.size());
+  const std::span<T> ys(y, static_cast<std::size_t>(n));
 
   // The library ttsv kernels take `const T*`; read_all() records one
   // whole-extent read per call, the same granularity compute-sanitizer has
   // at opaque call boundaries.
   const auto eval0 = [&]() -> T {
     const T* sv = sa.read_all();
-    if (unrolled) return unrolled->ttsv0(sv, x);
-    if (tables) {
-      return kernels::ttsv0_blocked_raw(
-          sv, *tables, std::span<const T>(x, static_cast<std::size_t>(n)));
-    }
-    return kernels::ttsv0_general_raw(view.order, n, sv,
-                                      std::span<const T>(x, static_cast<std::size_t>(n)));
+    if (unrolled) return unrolled->ttsv0(sv, xs.data());
+    if (tables) return kernels::ttsv0_blocked_raw(sv, *tables, xs);
+    return kernels::ttsv0_general_raw(view.order, n, sv, xs);
   };
   const auto eval1 = [&]() {
     const T* sv = sa.read_all();
     if (unrolled) {
-      unrolled->ttsv1(sv, x, y);
+      unrolled->ttsv1(sv, xs.data(), y);
     } else if (tables) {
-      kernels::ttsv1_blocked_raw(
-          sv, *tables, std::span<const T>(x, static_cast<std::size_t>(n)),
-          std::span<T>(y, static_cast<std::size_t>(n)));
+      kernels::ttsv1_blocked_raw(sv, *tables, xs, ys);
     } else {
-      kernels::ttsv1_general_raw(view.order, n, sv,
-                                 std::span<const T>(x, static_cast<std::size_t>(n)),
-                                 std::span<T>(y, static_cast<std::size_t>(n)));
+      kernels::ttsv1_general_raw(view.order, n, sv, xs, ys);
     }
   };
 
   const T alpha = static_cast<T>(opt.alpha);
   const T sign = opt.alpha >= 0 ? T(1) : T(-1);
-  T lambda = eval0();
+  live = live && run.accept_first(eval0());
   ctx.tally(cost.per_setup);
-  if (!std::isfinite(static_cast<double>(lambda))) {
-    // Poisoned tensor data: the convergence test below is always false for
-    // NaN, so without this the lane would burn the full iteration budget.
-    status =
-        static_cast<std::int32_t>(sshopm::FailureReason::kNonFiniteLambda);
-    write_results(lambda);
-    co_return;
-  }
-
-  for (; it < opt.max_iterations; ++it) {
+  for (int it = 0; live && it < opt.max_iterations; ++it) {
     eval1();
-    for (int i = 0; i < n; ++i) x[i] = sign * (y[i] + alpha * x[i]);
-    T norm2 = T(0);
-    for (int i = 0; i < n; ++i) norm2 += x[i] * x[i];
-    const T nrm = std::sqrt(norm2);
-    if (!(nrm > T(0)) || !std::isfinite(static_cast<double>(nrm))) {
-      status = static_cast<std::int32_t>(
-          sshopm::FailureReason::kDegenerateIterate);
-      ctx.tally(cost.per_iteration);
-      ++it;
-      break;
-    }
-    const T inv = T(1) / nrm;
-    for (int i = 0; i < n; ++i) x[i] *= inv;
-    const T next = eval0();
+    live = run.update(ys, alpha, sign) && run.accept(eval0());
     ctx.tally(cost.per_iteration);
-    if (!std::isfinite(static_cast<double>(next))) {
-      lambda = next;
-      status = static_cast<std::int32_t>(
-          sshopm::FailureReason::kNonFiniteLambda);
-      ++it;
-      break;
-    }
-    if (std::abs(static_cast<double>(next - lambda)) <= opt.tolerance) {
-      lambda = next;
-      converged = true;
-      ++it;
-      break;
-    }
-    lambda = next;
   }
+  run.finish();
 
   // --- Write results to global memory. ---
-  write_results(lambda);
+  OpCounts store;
+  const std::size_t slot = static_cast<std::size_t>(b) * view.num_starts + v;
+  for (int i = 0; i < n; ++i) {
+    ctx.note_global(view.out_vectors + slot * n + i, sizeof(T),
+                    AccessKind::kWrite);
+    view.out_vectors[slot * n + i] = r.x[static_cast<std::size_t>(i)];
+  }
+  ctx.note_global(view.out_values + slot, sizeof(T), AccessKind::kWrite);
+  view.out_values[slot] = r.lambda;
+  store.gmem += n + 1;
+  if (view.out_iters) {
+    ctx.note_global(view.out_iters + slot, sizeof(std::int32_t),
+                    AccessKind::kWrite);
+    view.out_iters[slot] = r.iterations;
+    store.gmem += 1;
+  }
+  if (view.out_status) {
+    ctx.note_global(view.out_status + slot, sizeof(std::int32_t),
+                    AccessKind::kWrite);
+    view.out_status[slot] = static_cast<std::int32_t>(r.failure);
+    store.gmem += 1;
+  }
+  ctx.tally(store);
   co_return;
 }
 

@@ -619,6 +619,26 @@ std::optional<double> read_export_histogram_quantile(
   return q->number;
 }
 
+std::optional<std::vector<std::pair<std::string, double>>>
+read_export_counters(const std::string& json, const std::string& prefix) {
+  JsonValue doc;
+  std::string error;
+  JsonParser parser(json);
+  if (!parser.parse(doc, error)) return std::nullopt;
+  if (doc.kind != JsonValue::Kind::kObject) return std::nullopt;
+  const JsonValue* counters = doc.find("counters");
+  if (counters == nullptr || counters->kind != JsonValue::Kind::kObject) {
+    return std::nullopt;
+  }
+  std::vector<std::pair<std::string, double>> out;
+  for (const auto& [name, v] : counters->object) {
+    if (name.starts_with(prefix) && v.kind == JsonValue::Kind::kNumber) {
+      out.emplace_back(name, v.number);
+    }
+  }
+  return out;
+}
+
 std::optional<double> read_export_gauge(const std::string& json,
                                         const std::string& name) {
   JsonValue doc;

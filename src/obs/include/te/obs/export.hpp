@@ -65,6 +65,14 @@ struct ValidationResult {
 [[nodiscard]] std::optional<double> read_export_gauge(
     const std::string& json, const std::string& name);
 
+/// Every counter whose name starts with `prefix`, as (name, value) pairs
+/// in document order. Returns nullopt when the document does not parse or
+/// has no counters object. CI uses this (via obs_json_check
+/// --same-counters) to hold a fresh bench artifact's deterministic counts
+/// equal to the committed baseline's.
+[[nodiscard]] std::optional<std::vector<std::pair<std::string, double>>>
+read_export_counters(const std::string& json, const std::string& prefix);
+
 /// Read one histogram quantile (percentile must be 50, 95 or 99 -- the
 /// exported fields) out of a te-obs-v1 document by metric name. Returns
 /// nullopt when the document does not parse, the histogram is absent, or

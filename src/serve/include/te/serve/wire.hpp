@@ -36,7 +36,9 @@ namespace te::serve {
 /// handling). Returns nullopt when the key is absent or the wrong shape.
 /// wire_string decodes the RFC 8259 escapes (\uXXXX below 0x80 only) and
 /// returns nullopt for any escape it does not decode, so distinct JSON
-/// strings never decode to the same std::string.
+/// strings never decode to the same std::string. wire_number accepts only
+/// the RFC 8259 number grammar, ending at whitespace, ',' or '}', and
+/// refuses a value out of double's range.
 [[nodiscard]] std::optional<std::string> wire_string(const std::string& json,
                                                      const std::string& key);
 [[nodiscard]] std::optional<double> wire_number(const std::string& json,

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -79,7 +78,8 @@ std::string error_line(const std::string& message) {
 int required_int(const std::string& json, const std::string& key, int lo,
                  int hi) {
   const auto v = wire_number(json, key);
-  TE_REQUIRE(v.has_value(), "missing numeric field '" << key << "'");
+  TE_REQUIRE(v.has_value(),
+             "missing or non-JSON numeric field '" << key << "'");
   TE_REQUIRE(std::isfinite(*v) && *v == std::floor(*v),
              "field '" << key << "' is not a finite integer");
   TE_REQUIRE(*v >= static_cast<double>(lo) && *v <= static_cast<double>(hi),
@@ -210,12 +210,39 @@ std::optional<std::string> wire_string(const std::string& json,
 
 std::optional<double> wire_number(const std::string& json,
                                   const std::string& key) {
+  // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?, and
+  // then the value must end. strtod would also take hex, "+4", ".5", "inf"
+  // or a numeric prefix like "4abc", and reads the locale's decimal point.
   const std::size_t p = value_pos(json, key);
   if (p == std::string::npos) return std::nullopt;
-  const char* begin = json.c_str() + p;
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) return std::nullopt;
+  const auto digit = [&](std::size_t i) {
+    return i < json.size() && json[i] >= '0' && json[i] <= '9';
+  };
+  const auto digits = [&](std::size_t i) {
+    while (digit(i)) ++i;
+    return i;
+  };
+  std::size_t q = p;
+  if (q < json.size() && json[q] == '-') ++q;
+  if (!digit(q)) return std::nullopt;
+  q = json[q] == '0' ? q + 1 : digits(q);
+  if (q < json.size() && json[q] == '.') {
+    if (!digit(++q)) return std::nullopt;
+    q = digits(q);
+  }
+  if (q < json.size() && (json[q] == 'e' || json[q] == 'E')) {
+    ++q;
+    if (q < json.size() && (json[q] == '+' || json[q] == '-')) ++q;
+    if (!digit(q)) return std::nullopt;
+    q = digits(q);
+  }
+  const bool ends = q < json.size() &&
+                   (json[q] == ',' || json[q] == '}' ||
+                    std::isspace(static_cast<unsigned char>(json[q])));
+  if (!ends) return std::nullopt;
+  double v = 0;
+  const auto [end, ec] = std::from_chars(json.data() + p, json.data() + q, v);
+  if (ec != std::errc() || end != json.data() + q) return std::nullopt;
   return v;
 }
 

@@ -33,22 +33,17 @@ struct AdaptiveOptions {
   bool find_minima = false;  ///< mirrored scheme (concave + negative shift)
 };
 
-/// Outcome, extending the fixed-shift Result with shift statistics.
+/// Outcome: the fixed-shift Result (same failure contract; no trace is
+/// kept) plus the shift statistics.
 template <Real T>
-struct AdaptiveResult {
-  T lambda = T(0);
-  std::vector<T> x;
-  int iterations = 0;
-  bool converged = false;
-  /// kNone iff converged; degenerate inputs are reported, not thrown
-  /// (same contract as the fixed-shift solve()).
-  FailureReason failure = FailureReason::kNone;
+struct AdaptiveResult : Result<T> {
   double final_alpha = 0;  ///< shift used on the last iteration
   double max_alpha = 0;    ///< largest shift used anywhere
 };
 
-/// Adaptive-shift SS-HOPM from one start. The tensor must have order >= 2
-/// (ttsv2 is needed for the curvature estimate).
+/// Adaptive-shift SS-HOPM from one start: the detail::Run state machine
+/// with alpha and its sign chosen afresh every iteration. The tensor must
+/// have order >= 2 (ttsv2 is needed for the curvature estimate).
 template <Real T>
 [[nodiscard]] AdaptiveResult<T> solve_adaptive(const SymmetricTensor<T>& a,
                                                std::span<const T> x0,
@@ -63,25 +58,15 @@ template <Real T>
   kernels::BoundKernels<T> k(a, kernels::Tier::kGeneral);
 
   AdaptiveResult<T> r;
-  r.x.assign(x0.begin(), x0.end());
-  std::span<T> x(r.x.data(), r.x.size());
-  if (try_normalize(x) == T(0)) {
-    r.failure = FailureReason::kDegenerateIterate;
-    return r;
-  }
-
-  T lambda = k.ttsv0(std::span<const T>(x.data(), x.size()), ops);
-  if (!std::isfinite(static_cast<double>(lambda))) {
-    r.lambda = lambda;
-    r.failure = FailureReason::kNonFiniteLambda;
-    return r;
-  }
+  detail::Run<T> run(r, opt.tolerance, false);
+  if (!run.start(x0)) return r;
+  const std::span<const T> x(r.x.data(), r.x.size());
+  if (!run.accept_first(k.ttsv0(x, ops))) return r;
   std::vector<T> y(static_cast<std::size_t>(n));
 
   for (int it = 0; it < opt.max_iterations; ++it) {
     // Local curvature: H = (m - 1) A x^{m-2}.
-    Matrix<T> h = kernels::ttsv2_general(
-        a, std::span<const T>(x.data(), x.size()), ops);
+    Matrix<T> h = kernels::ttsv2_general(a, x, ops);
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) h(i, j) *= static_cast<T>(m - 1);
     }
@@ -96,35 +81,14 @@ template <Real T>
     r.final_alpha = alpha;
     r.max_alpha = std::max(r.max_alpha, std::abs(alpha));
 
-    const T sign = alpha >= 0 ? T(1) : T(-1);
-    k.ttsv1(std::span<const T>(x.data(), x.size()),
-            std::span<T>(y.data(), y.size()), ops);
-    for (int i = 0; i < n; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
-      x[ui] = sign * (y[ui] + static_cast<T>(alpha) * x[ui]);
+    k.ttsv1(x, std::span<T>(y.data(), y.size()), ops);
+    if (!run.update(std::span<const T>(y.data(), y.size()),
+                    static_cast<T>(alpha), alpha >= 0 ? T(1) : T(-1)) ||
+        !run.accept(k.ttsv0(x, ops))) {
+      return r;
     }
-    r.iterations = it + 1;
-    if (try_normalize(x) == T(0)) {
-      r.failure = FailureReason::kDegenerateIterate;
-      break;
-    }
-    const T next = k.ttsv0(std::span<const T>(x.data(), x.size()), ops);
-    if (!std::isfinite(static_cast<double>(next))) {
-      lambda = next;
-      r.failure = FailureReason::kNonFiniteLambda;
-      break;
-    }
-    if (std::abs(static_cast<double>(next - lambda)) <= opt.tolerance) {
-      lambda = next;
-      r.converged = true;
-      break;
-    }
-    lambda = next;
   }
-  r.lambda = lambda;
-  if (!r.converged && r.failure == FailureReason::kNone) {
-    r.failure = FailureReason::kMaxIterations;
-  }
+  run.finish();
   return r;
 }
 

@@ -14,12 +14,11 @@
 // operation is lane-wise, a frozen lane's (possibly NaN) row can never
 // contaminate a live lane.
 //
-// Semantics contract (the differential tests assert this): each lane runs
-// exactly the solve() state machine from sshopm.hpp -- same normalization
-// order, same trace points, same FailureReason classification, same
-// iteration counts. The lane iterate lives contiguously in Result::x and
-// every solver-level step (shift update, try_normalize) runs on that
-// contiguous span with the same code shape solve() compiles, so the only
+// Semantics contract (the differential tests assert this): each lane is
+// one detail::Run, the state machine solve() drives, so normalization,
+// trace points, FailureReason classification and iteration counts are
+// solve()'s by construction. The lane iterate lives contiguously in
+// Result::x and every solver-level step runs on that span, so the only
 // value drift the scalar path can see comes from the kernels' vector
 // routes themselves (FMA contraction inside the vectorized class walk,
 // DESIGN.md section 11); the per-lane fallback routes are bitwise.
@@ -81,15 +80,12 @@ template <Real T>
   const T alpha = static_cast<T>(opt.alpha);
   const T sign = opt.alpha >= 0 ? T(1) : T(-1);
 
-  // The SoA batches are kernel I/O only. Each lane's iterate lives
-  // contiguously in its Result::x (exactly like solve()), and y's lane is
-  // gathered into ybuf before the shift update, so the solver-level loops
-  // below compile with the same shape -- and the same FP contraction
-  // decisions -- as solve()'s.
+  // The SoA batches are kernel I/O only: each lane's iterate lives in its
+  // Result::x (exactly like solve()), and y's lane is gathered into ybuf
+  // before the update.
   kernels::VectorBatch<T> x(n, width);
   kernels::VectorBatch<T> y(n, width);
   std::vector<T> ybuf(static_cast<std::size_t>(n));
-  std::vector<T> lambda(static_cast<std::size_t>(width));
   std::vector<T> out0(static_cast<std::size_t>(width));
   std::int64_t live_lane_iters = 0;
   std::int64_t wasted_lane_iters = 0;
@@ -100,128 +96,79 @@ template <Real T>
     const int lanes = static_cast<int>(
         std::min(static_cast<std::size_t>(width), starts.size() - base));
     ++blocks;
-
-    // active[w]: lane still iterating. Lanes beyond `lanes` (the partial
-    // final block) start retired with zero rows; they are never read back.
-    bool active[simd::kMaxWidth] = {};
-    x.fill(T(0));
-    for (int w = 0; w < lanes; ++w) {
-      const auto& x0 = starts[base + static_cast<std::size_t>(w)];
-      Result<T>& r = results[base + static_cast<std::size_t>(w)];
-      r.x.assign(x0.begin(), x0.end());
-      std::span<T> xw(r.x.data(), r.x.size());
-      if (try_normalize(xw) == T(0)) {
-        // r.x keeps the untouched start, matching solve()'s contract.
-        r.failure = FailureReason::kDegenerateIterate;
-        TE_OBS_ONLY(detail::record_solve(r, opt));
-        continue;
-      }
-      x.load_lane(w, {r.x.data(), r.x.size()});
-      active[w] = true;
-    }
-
-    const auto any_active = [&] {
+    const auto result = [&](int w) -> Result<T>& {
+      return results[base + static_cast<std::size_t>(w)];
+    };
+    const auto run = [&](int w) {
+      return detail::Run<T>(result(w), opt.tolerance, opt.record_trace);
+    };
+    // A lane retires (and is recorded) the moment its run stops; it keeps
+    // riding along in the kernel calls, but its row is never updated again.
+    const auto retire = [&]([[maybe_unused]] int w) {
+      TE_OBS_ONLY(detail::record_solve(result(w), opt));
+    };
+    const auto any_live = [&] {
       for (int w = 0; w < lanes; ++w) {
-        if (active[w]) return true;
+        if (run(w).live()) return true;
       }
       return false;
     };
 
-    if (any_active()) {
+    // Lanes beyond `lanes` (the partial final block) keep zero rows and are
+    // never read back.
+    x.fill(T(0));
+    for (int w = 0; w < lanes; ++w) {
+      const auto& x0 = starts[base + static_cast<std::size_t>(w)];
+      if (!run(w).start({x0.data(), x0.size()})) {
+        retire(w);
+        continue;
+      }
+      x.load_lane(w, {result(w).x.data(), result(w).x.size()});
+    }
+
+    if (any_live()) {
       k.ttsv0(x, {out0.data(), out0.size()}, ops);
       for (int w = 0; w < lanes; ++w) {
-        if (!active[w]) continue;
-        Result<T>& r = results[base + static_cast<std::size_t>(w)];
-        lambda[static_cast<std::size_t>(w)] = out0[static_cast<std::size_t>(w)];
-        if (opt.record_trace) {
-          r.lambda_trace.push_back(lambda[static_cast<std::size_t>(w)]);
-        }
-        if (!std::isfinite(
-                static_cast<double>(lambda[static_cast<std::size_t>(w)]))) {
-          // r.x already holds the normalized start, as in solve().
-          r.lambda = lambda[static_cast<std::size_t>(w)];
-          r.failure = FailureReason::kNonFiniteLambda;
-          active[w] = false;
-          TE_OBS_ONLY(detail::record_solve(r, opt));
+        if (run(w).live() &&
+            !run(w).accept_first(out0[static_cast<std::size_t>(w)])) {
+          retire(w);
         }
       }
     }
 
-    for (int it = 0; it < opt.max_iterations && any_active(); ++it) {
+    for (int it = 0; it < opt.max_iterations && any_live(); ++it) {
       for (int w = 0; w < lanes; ++w) {
-        if (active[w]) {
-          ++live_lane_iters;
-        } else {
-          ++wasted_lane_iters;
-        }
+        ++(run(w).live() ? live_lane_iters : wasted_lane_iters);
       }
       if (lanes < width) wasted_lane_iters += width - lanes;
 
-      // xhat = +-(A x^{m-1} + alpha x) per live lane, then normalize --
-      // the contiguous loop below is solve()'s, verbatim, on r.x.
       k.ttsv1(x, y, ops);
       for (int w = 0; w < lanes; ++w) {
-        if (!active[w]) continue;
-        Result<T>& r = results[base + static_cast<std::size_t>(w)];
+        if (!run(w).live()) continue;
         y.store_lane(w, {ybuf.data(), ybuf.size()});
-        std::span<T> xw(r.x.data(), r.x.size());
-        for (int i = 0; i < n; ++i) {
-          const auto ui = static_cast<std::size_t>(i);
-          xw[ui] = sign * (ybuf[ui] + alpha * xw[ui]);
+        if (run(w).update({ybuf.data(), ybuf.size()}, alpha, sign, ops)) {
+          x.load_lane(w, {result(w).x.data(), result(w).x.size()});
+        } else {
+          retire(w);
         }
-        r.iterations = it + 1;
-        if (try_normalize(xw) == T(0)) {
-          // r.x holds the pre-normalization iterate, as in solve().
-          r.failure = FailureReason::kDegenerateIterate;
-          r.lambda = lambda[static_cast<std::size_t>(w)];
-          active[w] = false;
-          TE_OBS_ONLY(detail::record_solve(r, opt));
-          continue;
-        }
-        x.load_lane(w, {r.x.data(), r.x.size()});
       }
-      if (!any_active()) break;
+      if (!any_live()) break;
 
       k.ttsv0(x, {out0.data(), out0.size()}, ops);
       for (int w = 0; w < lanes; ++w) {
-        if (!active[w]) continue;
-        Result<T>& r = results[base + static_cast<std::size_t>(w)];
-        const T next = out0[static_cast<std::size_t>(w)];
-        if (opt.record_trace) r.lambda_trace.push_back(next);
-        if (ops) {
-          ops->fmul += 3 * n;  // shift fma + norm dot + scaling
-          ops->fadd += 2 * n;
-          ops->sfu += 1;
+        if (run(w).live() &&
+            !run(w).accept(out0[static_cast<std::size_t>(w)])) {
+          retire(w);
         }
-        if (!std::isfinite(static_cast<double>(next))) {
-          lambda[static_cast<std::size_t>(w)] = next;
-          r.lambda = next;
-          r.failure = FailureReason::kNonFiniteLambda;
-          active[w] = false;
-          TE_OBS_ONLY(detail::record_solve(r, opt));
-          continue;
-        }
-        if (std::abs(static_cast<double>(
-                next - lambda[static_cast<std::size_t>(w)])) <=
-            opt.tolerance) {
-          lambda[static_cast<std::size_t>(w)] = next;
-          r.lambda = next;
-          r.converged = true;
-          active[w] = false;
-          TE_OBS_ONLY(detail::record_solve(r, opt));
-          continue;
-        }
-        lambda[static_cast<std::size_t>(w)] = next;
       }
     }
 
     // Budget exhausted: the survivors report kMaxIterations.
     for (int w = 0; w < lanes; ++w) {
-      if (!active[w]) continue;
-      Result<T>& r = results[base + static_cast<std::size_t>(w)];
-      r.lambda = lambda[static_cast<std::size_t>(w)];
-      r.failure = FailureReason::kMaxIterations;
-      TE_OBS_ONLY(detail::record_solve(r, opt));
+      if (run(w).live()) {
+        run(w).finish();
+        retire(w);
+      }
     }
   }
 

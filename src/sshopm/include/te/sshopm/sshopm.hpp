@@ -11,9 +11,11 @@
 // alpha < 0 forces concavity and local minima. The fixed points satisfy
 // A x^{m-1} = lambda x, i.e. they are Z-eigenpairs (Definition 3).
 //
-// The solver is tier-agnostic: it calls through a BoundKernels facade, so
-// the same iteration drives the general, precomputed and unrolled kernels
-// (and, re-implemented per-thread, the GPU simulator kernels).
+// The iteration itself is one state machine, detail::Run: solve() below,
+// the lanes of solve_multi(), solve_adaptive() and the simulated-GPU thread
+// only call kernels and feed it, so every loop stops and classifies a
+// run by the same rules. solve() is tier-agnostic: it calls through a
+// BoundKernels facade, so the same loop drives every host tier.
 
 #include <cmath>
 #include <span>
@@ -77,6 +79,103 @@ struct Result {
   /// curvature bound -- a property the tests check directly.
   std::vector<T> lambda_trace;
 };
+
+namespace detail {
+/// One SS-HOPM run (paper Fig. 1) as a state machine over its Result: the
+/// callers run the kernels and feed the values in, and these steps alone
+/// decide when the run stops and what lambda, x, iterations, failure and
+/// trace it reports. A run is live while it has neither converged nor
+/// failed; each step returns whether it still is. r.lambda always holds the
+/// last accepted Rayleigh quotient and r.x the iterate (on
+/// kDegenerateIterate: the one that could not be normalized).
+///
+/// All run state lives in the Result (Run adds only the two settings), so
+/// a caller may rebuild a Run per step, as solve_multi does per lane. The
+/// steps are inline and allocate nothing past start() but the trace.
+template <Real T>
+class Run {
+ public:
+  Run(Result<T>& r, double tolerance, bool record_trace)
+      : r_(r), tolerance_(tolerance), record_trace_(record_trace) {}
+
+  [[nodiscard]] bool live() const {
+    return !r_.converged && r_.failure == FailureReason::kNone;
+  }
+
+  /// Start from x0: r.x becomes x0 normalized. A zero or non-finite start
+  /// is degenerate and keeps r.x = x0.
+  bool start(std::span<const T> x0) {
+    r_.x.assign(x0.begin(), x0.end());
+    return try_normalize(std::span<T>(r_.x.data(), r_.x.size())) != T(0) ||
+           fail(FailureReason::kDegenerateIterate);
+  }
+
+  /// Accept lambda_0 = A x_0^m.
+  bool accept_first(T lambda0) {
+    if (record_trace_) r_.lambda_trace.push_back(lambda0);
+    r_.lambda = lambda0;
+    // |next - lambda| <= tol is always false for NaN; without this check a
+    // poisoned run would silently burn the whole iteration budget.
+    return std::isfinite(static_cast<double>(lambda0)) ||
+           fail(FailureReason::kNonFiniteLambda);
+  }
+
+  /// One iteration's update, x <- +-(y + alpha x) normalized, given
+  /// y = A x^{m-1}. A vanished (A x^{m-1} = -alpha x exactly, or the tensor
+  /// zeroed the iterate) or overflowed xhat is degenerate. `ops`, when
+  /// given, tallies this vector bookkeeping.
+  bool update(std::span<const T> y, T alpha, T sign,
+              OpCounts* ops = nullptr) {
+    std::span<T> x(r_.x.data(), r_.x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = sign * (y[i] + alpha * x[i]);
+    }
+    ++r_.iterations;
+    if (try_normalize(x) == T(0)) {
+      return fail(FailureReason::kDegenerateIterate);
+    }
+    if (ops) {
+      const auto n = static_cast<std::int64_t>(x.size());
+      ops->fmul += 3 * n;  // shift fma + norm dot + scaling
+      ops->fadd += 2 * n;
+      ops->sfu += 1;
+    }
+    return true;
+  }
+
+  /// Accept lambda_{k+1} = A x_{k+1}^m: the run stops on a non-finite
+  /// value or when |lambda_{k+1} - lambda_k| <= tolerance.
+  bool accept(T next) {
+    if (record_trace_) r_.lambda_trace.push_back(next);
+    const T prev = r_.lambda;
+    r_.lambda = next;
+    if (!std::isfinite(static_cast<double>(next))) {
+      return fail(FailureReason::kNonFiniteLambda);
+    }
+    if (std::abs(static_cast<double>(next - prev)) <= tolerance_) {
+      r_.converged = true;
+      return false;
+    }
+    return true;
+  }
+
+  /// The iteration budget ran out: a run still live reports
+  /// kMaxIterations.
+  void finish() {
+    if (live()) fail(FailureReason::kMaxIterations);
+  }
+
+ private:
+  bool fail(FailureReason why) {
+    r_.failure = why;
+    return false;
+  }
+
+  Result<T>& r_;
+  double tolerance_;
+  bool record_trace_;
+};
+}  // namespace detail
 
 /// Residual ||A x^{m-1} - lambda x||_2 of a claimed eigenpair: the
 /// self-validating acceptance check used throughout the tests.
@@ -176,66 +275,24 @@ template <Real T>
   TE_REQUIRE(opt.max_iterations >= 1, "max_iterations must be positive");
 
   Result<T> r;
-  r.x.assign(x0.begin(), x0.end());
-  std::span<T> x(r.x.data(), r.x.size());
-  if (try_normalize(x) == T(0)) {
-    r.failure = FailureReason::kDegenerateIterate;
-    TE_OBS_ONLY(detail::record_solve(r, opt));
-    return r;
+  detail::Run<T> run(r, opt.tolerance, opt.record_trace);
+  if (run.start(x0)) {
+    const std::span<const T> x(r.x.data(), r.x.size());
+    if (run.accept_first(k.ttsv0(x, ops))) {
+      const T alpha = static_cast<T>(opt.alpha);
+      const T sign = opt.alpha >= 0 ? T(1) : T(-1);
+      std::vector<T> y(static_cast<std::size_t>(n));
+      for (int it = 0; it < opt.max_iterations; ++it) {
+        k.ttsv1(x, std::span<T>(y.data(), y.size()), ops);
+        if (!run.update(std::span<const T>(y.data(), y.size()), alpha, sign,
+                        ops) ||
+            !run.accept(k.ttsv0(x, ops))) {
+          break;
+        }
+      }
+    }
   }
-
-  const T alpha = static_cast<T>(opt.alpha);
-  const T sign = opt.alpha >= 0 ? T(1) : T(-1);
-  T lambda = k.ttsv0(std::span<const T>(x.data(), x.size()), ops);
-  if (opt.record_trace) r.lambda_trace.push_back(lambda);
-  if (!std::isfinite(static_cast<double>(lambda))) {
-    r.lambda = lambda;
-    r.failure = FailureReason::kNonFiniteLambda;
-    TE_OBS_ONLY(detail::record_solve(r, opt));
-    return r;
-  }
-
-  std::vector<T> y(static_cast<std::size_t>(n));
-  for (int it = 0; it < opt.max_iterations; ++it) {
-    // xhat = +-(A x^{m-1} + alpha x), then normalize.
-    k.ttsv1(std::span<const T>(x.data(), x.size()),
-            std::span<T>(y.data(), y.size()), ops);
-    for (int i = 0; i < n; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
-      x[ui] = sign * (y[ui] + alpha * x[ui]);
-    }
-    r.iterations = it + 1;
-    if (try_normalize(x) == T(0)) {
-      // xhat vanished (e.g. A x^{m-1} = -alpha x exactly, or the tensor
-      // zeroed the iterate) or overflowed: report, don't throw.
-      r.failure = FailureReason::kDegenerateIterate;
-      break;
-    }
-    const T next = k.ttsv0(std::span<const T>(x.data(), x.size()), ops);
-    if (opt.record_trace) r.lambda_trace.push_back(next);
-    if (ops) {
-      ops->fmul += 3 * n;  // shift fma + norm dot + scaling
-      ops->fadd += 2 * n;
-      ops->sfu += 1;
-    }
-    if (!std::isfinite(static_cast<double>(next))) {
-      // |next - lambda| <= tol is always false for NaN; without this check
-      // a poisoned run would silently burn the whole iteration budget.
-      lambda = next;
-      r.failure = FailureReason::kNonFiniteLambda;
-      break;
-    }
-    if (std::abs(static_cast<double>(next - lambda)) <= opt.tolerance) {
-      lambda = next;
-      r.converged = true;
-      break;
-    }
-    lambda = next;
-  }
-  r.lambda = lambda;
-  if (!r.converged && r.failure == FailureReason::kNone) {
-    r.failure = FailureReason::kMaxIterations;
-  }
+  run.finish();
   TE_OBS_ONLY(detail::record_solve(r, opt));
   return r;
 }

@@ -95,17 +95,38 @@ TEST(BatchCpu, TiersAgreeOnEigenpairs) {
   expect_results_close(g, u, 1e-8);
 }
 
-TEST(BatchGpu, MatchesCpuSameTier) {
-  auto p = BatchProblem<float>::random(5, 10, 32, 4, 3);
-  p.options.alpha = 0.5;
+// The device thread drives the same SS-HOPM state machine as solve() over
+// the same kernel arithmetic, so every slot matches the sequential CPU
+// backend bitwise: lambda, x, iteration count and outcome.
+template <Real T>
+void expect_gpu_matches_cpu_bitwise(int order, int dim, double alpha) {
+  auto p = BatchProblem<T>::random(5, 12, 32, order, dim);
+  p.options.alpha = alpha;
   for (Tier tier : {Tier::kGeneral, Tier::kUnrolled}) {
     const auto cpu = solve_cpu_sequential(p, tier);
     const auto gpu = solve_gpusim(p, tier);
     ASSERT_EQ(cpu.results.size(), gpu.results.size());
     for (std::size_t i = 0; i < cpu.results.size(); ++i) {
-      EXPECT_NEAR(cpu.results[i].lambda, gpu.results[i].lambda, 2e-4)
-          << "tier " << kernels::tier_name(tier) << " slot " << i;
-      EXPECT_EQ(cpu.results[i].converged, gpu.results[i].converged);
+      const auto& c = cpu.results[i];
+      const auto& g = gpu.results[i];
+      SCOPED_TRACE(testing::Message()
+                   << "tier " << kernels::tier_name(tier) << " shape ("
+                   << order << "," << dim << ") alpha " << alpha << " slot "
+                   << i);
+      EXPECT_EQ(c.lambda, g.lambda);
+      EXPECT_EQ(c.x, g.x);
+      EXPECT_EQ(c.iterations, g.iterations);
+      EXPECT_EQ(c.failure, g.failure);
+      EXPECT_EQ(c.converged, g.converged);
+    }
+  }
+}
+
+TEST(BatchGpu, MatchesCpuSameTier) {
+  for (const auto& [order, dim] : {std::pair{4, 3}, {3, 5}, {6, 3}}) {
+    for (double alpha : {0.0, 0.5, -0.5}) {
+      expect_gpu_matches_cpu_bitwise<float>(order, dim, alpha);
+      expect_gpu_matches_cpu_bitwise<double>(order, dim, alpha);
     }
   }
 }
@@ -249,6 +270,53 @@ TEST(BatchGpu, MultiDevicePropagatesSanitizerReport) {
   EXPECT_TRUE(r.gpu.sanitizer.enabled);
   EXPECT_TRUE(r.gpu.sanitizer.clean()) << r.gpu.sanitizer.to_string();
   EXPECT_GT(r.gpu.sanitizer.accesses, 0);
+}
+
+// One device is the one-shot backend: same results, same launch figures
+// (sim_wall_seconds is host time and differs run to run), same transfer.
+TEST(BatchGpu, SingleDeviceMultiEqualsOneShot) {
+  auto p = BatchProblem<float>::random(23, 10, 24, 4, 3);
+  p.options.alpha = 0.5;
+  for (Tier tier : {Tier::kGeneral, Tier::kBlocked, Tier::kUnrolled}) {
+    SCOPED_TRACE(kernels::tier_name(tier));
+    const auto one = solve_gpusim(p, tier);
+    const auto multi = solve_gpusim_multi(p, tier, 1);
+    ASSERT_EQ(one.results.size(), multi.results.size());
+    for (std::size_t i = 0; i < one.results.size(); ++i) {
+      EXPECT_EQ(one.results[i].lambda, multi.results[i].lambda) << i;
+      EXPECT_EQ(one.results[i].x, multi.results[i].x) << i;
+      EXPECT_EQ(one.results[i].iterations, multi.results[i].iterations) << i;
+      EXPECT_EQ(one.results[i].failure, multi.results[i].failure) << i;
+    }
+    EXPECT_EQ(one.modeled_seconds, multi.modeled_seconds);
+    EXPECT_EQ(one.transfer_seconds, multi.transfer_seconds);
+    EXPECT_EQ(one.useful_flops, multi.useful_flops);
+    EXPECT_EQ(one.gpu.launchable, multi.gpu.launchable);
+    EXPECT_EQ(one.gpu.modeled_seconds, multi.gpu.modeled_seconds);
+    EXPECT_EQ(one.gpu.compute_seconds, multi.gpu.compute_seconds);
+    EXPECT_EQ(one.gpu.memory_seconds, multi.gpu.memory_seconds);
+    EXPECT_EQ(one.gpu.warp_issue_slots, multi.gpu.warp_issue_slots);
+    EXPECT_TRUE(one.gpu.total_ops == multi.gpu.total_ops);
+    EXPECT_EQ(one.gpu.occupancy.blocks_per_sm,
+              multi.gpu.occupancy.blocks_per_sm);
+    EXPECT_GT(multi.transfer_seconds, 0);
+    EXPECT_GT(multi.gpu.compute_seconds, 0);
+    EXPECT_GT(multi.gpu.sim_wall_seconds, 0);
+  }
+}
+
+// Several devices: the launch figures are totals over the devices, the
+// modeled time the slowest device's.
+TEST(BatchGpu, MultiDeviceTotalsLaunchFigures) {
+  auto p = BatchProblem<float>::random(24, 9, 16, 4, 3);
+  const auto one = solve_gpusim(p, Tier::kUnrolled);
+  const auto three = solve_gpusim_multi(p, Tier::kUnrolled, 3);
+  EXPECT_GT(three.gpu.compute_seconds, 0);
+  EXPECT_GT(three.gpu.memory_seconds, 0);
+  EXPECT_GT(three.gpu.sim_wall_seconds, 0);
+  EXPECT_GT(three.transfer_seconds, 0);
+  EXPECT_TRUE(three.gpu.total_ops == one.gpu.total_ops);
+  EXPECT_EQ(three.gpu.modeled_seconds, three.modeled_seconds);
 }
 
 TEST(BatchGpu, SecondDeviceGivesSimilarRelativeSpeedup) {

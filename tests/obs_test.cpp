@@ -507,6 +507,28 @@ TEST(ObsExport, HistogramQuantilesRoundTripThroughJson) {
       obs::read_export_histogram_quantile(json, "lat", 42).has_value());
 }
 
+TEST(ObsExport, CountersReadBackByPrefix) {
+  obs::Registry reg;
+  reg.counter("solve.runs").add(912);
+  reg.counter("solve.converged").add(692);
+  reg.counter("kernels.calls").add(3);
+  const std::string json = obs::to_json(reg.snapshot(), {});
+  const auto solve = obs::read_export_counters(json, "solve.");
+  ASSERT_TRUE(solve.has_value());
+#if TE_OBS_ENABLED
+  ASSERT_EQ(solve->size(), 2u);
+  for (const auto& [name, v] : *solve) {
+    EXPECT_EQ(v, name == "solve.runs" ? 912.0 : 692.0) << name;
+  }
+  EXPECT_EQ(obs::read_export_counters(json, "")->size(), 3u);
+#else
+  EXPECT_TRUE(solve->empty());
+#endif
+  EXPECT_TRUE(obs::read_export_counters(json, "nope.")->empty());
+  EXPECT_FALSE(obs::read_export_counters("not json", "").has_value());
+  EXPECT_FALSE(obs::read_export_counters("{}", "").has_value());
+}
+
 TEST(ObsExport, PreQuantileDocumentsStillValidate) {
   // Documents written before the quantile fields existed must keep
   // validating (the fields are optional) and report nullopt quantiles.

@@ -690,5 +690,26 @@ TEST(ServeWire, RejectsNonFiniteOversizedAndOutOfRangeNumbers) {
   EXPECT_EQ(server.stats().submitted, 0);
 }
 
+// Only RFC 8259 numbers are numbers: hex, a leading '+' or '.', a trailing
+// '.', leading zeros, a numeric prefix and bare words are refused, however
+// reasonable the value strtod would have read from them.
+TEST(ServeWire, NumbersOutsideTheJsonGrammarAreRefused) {
+  Server<float> server(small_options());
+  for (const char* seed : {"0x10", "0x1p4", "+4", "4abc", ".5e1", "1.", "01",
+                           "-", "1e", "1e+", "inf", "1e999"}) {
+    const std::string line =
+        std::string("{\"op\":\"submit\",\"tenant\":\"w\",\"seed\":") + seed +
+        ",\"tensors\":1,\"starts\":1,\"order\":3,\"dim\":4}";
+    const auto resp = handle_line(server, line);
+    EXPECT_EQ(resp.rfind("{\"ok\":false,", 0), 0u) << seed << " -> " << resp;
+  }
+  EXPECT_EQ(server.stats().submitted, 0);
+  EXPECT_EQ(wire_number("{\"a\":-0.5e+1}", "a"), -5.0);
+  EXPECT_EQ(wire_number("{\"a\": 4 ,\"b\":0}", "a"), 4.0);
+  EXPECT_EQ(wire_number("{\"a\":1E2\t}", "a"), 100.0);
+  EXPECT_EQ(wire_number("{\"a\":0}", "a"), 0.0);
+  EXPECT_FALSE(wire_number("{\"a\":7", "a").has_value());
+}
+
 }  // namespace
 }  // namespace te::serve
