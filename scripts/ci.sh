@@ -20,7 +20,8 @@
 #      proving the disabled registry records nothing.
 #   5. persistence gate (te::io): round-trip the legacy fixture format
 #      through a TETC container byte-identically, strict-validate every
-#      produced file with tetc_check, prove the disk warm-start path
+#      produced file with tetc_check (including a multi-chunk streamed
+#      batch-result section from tensoreig_cli), prove the disk warm-start path
 #      (bench_kernels must load every shape's KernelTables from a packed
 #      container -- the te::obs counter assertion in --require-warm-start
 #      fails the run if anything is rebuilt), and exercise the scheduler's
@@ -225,7 +226,8 @@ echo "=== build-noobs: bench_obs_overhead (zero-overhead assertion) ==="
 # tree from pass 1.
 echo "=== build: persistence leg (TETC pack / check / warm start) ==="
 cmake --build build -j "${JOBS}" \
-  --target make_dataset tetc_pack tetc_check bench_kernels streaming_scheduler
+  --target make_dataset tetc_pack tetc_check bench_kernels streaming_scheduler \
+  tensoreig_cli
 
 # Legacy fixture -> container -> legacy must be byte-identical, and both the
 # packed batch and a container-native dataset (ground truth embedded) must
@@ -247,8 +249,12 @@ for shape in "3 3" "4 3" "4 5" "6 3" "6 4"; do
   ./build/tools/tetc_pack tables --order "${m}" --dim "${n}" \
     --output build/ci_tables.tetc --append
 done
+# A batch-result section spanning several of the Writer's 64 KiB streaming
+# chunks (32 voxels x 128 starts, about 180 KB of records).
+./build/examples/tensoreig_cli --input build/ci_voxels.tetc --starts 128 \
+  --backend cpu --tier unrolled --save-results build/ci_results.tetc
 ./build/tools/tetc_check build/ci_batch.tetc build/ci_voxels.tetc \
-  build/ci_tables.tetc --quiet
+  build/ci_tables.tetc build/ci_results.tetc --quiet
 ./build/bench/bench_kernels --tables build/ci_tables.tetc \
   --require-warm-start --benchmark_min_time=0.01
 

@@ -29,17 +29,20 @@ void add_batch_result_section(Writer& w, const batch::BatchResult<T>& r) {
                                               << " results for "
                                               << r.num_tensors << " x "
                                               << r.num_starts);
-  PayloadBuilder b;
-  b.put_u32(dtype_code<T>());
-  b.put_i32(r.num_tensors);
-  b.put_i32(r.num_starts);
-  b.put_u64(r.results.size());
-  b.put_f64(r.wall_seconds);
-  b.put_f64(r.modeled_seconds);
-  b.put_f64(r.transfer_seconds);
-  b.put_i64(r.useful_flops);
-  for (const auto& res : r.results) put_result_record(b, res);
-  w.add_section(SectionType::kBatchResult, kBatchResultVersion, b.bytes());
+  // Streamed: a volume-scale result set never exists as one payload
+  // buffer in memory.
+  w.add_streamed_section(
+      SectionType::kBatchResult, kBatchResultVersion, [&r](PayloadBuilder& b) {
+        b.put_u32(dtype_code<T>());
+        b.put_i32(r.num_tensors);
+        b.put_i32(r.num_starts);
+        b.put_u64(r.results.size());
+        b.put_f64(r.wall_seconds);
+        b.put_f64(r.modeled_seconds);
+        b.put_f64(r.transfer_seconds);
+        b.put_i64(r.useful_flops);
+        for (const auto& res : r.results) put_result_record(b, res);
+      });
 }
 
 namespace detail {

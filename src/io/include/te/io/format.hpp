@@ -38,10 +38,13 @@
 // skipped; known types with a newer *version* are rejected by their codec
 // with a precise error.
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -162,8 +165,23 @@ template <Real T>
 /// Little-endian append-only byte buffer for building section payloads.
 /// Scalars are staged through std::memcpy, so padding bytes never leak
 /// indeterminate memory into the file (CRCs stay deterministic).
+///
+/// Two modes. The default builder keeps the whole payload (bytes()). A
+/// streaming builder keeps at most `chunk` bytes: each time the buffer
+/// fills it is handed to `drain` and cleared, and finish() drains the tail,
+/// so a payload of any size passes through bounded memory in order. size()
+/// counts every byte put in either mode, so align() pads identically.
 class PayloadBuilder {
  public:
+  using Drain = std::function<void(std::span<const std::byte>)>;
+
+  PayloadBuilder() = default;
+  PayloadBuilder(std::size_t chunk, Drain drain)
+      : chunk_(chunk), drain_(std::move(drain)) {
+    TE_REQUIRE(chunk_ > 0 && drain_, "a streaming builder needs a chunk "
+                                     "size and a drain");
+  }
+
   void put_u32(std::uint32_t v) { put_raw(&v, sizeof(v)); }
   void put_i32(std::int32_t v) { put_raw(&v, sizeof(v)); }
   void put_u64(std::uint64_t v) { put_raw(&v, sizeof(v)); }
@@ -174,24 +192,66 @@ class PayloadBuilder {
     put_raw(&v, sizeof(v));
   }
   void put_bytes(std::span<const std::byte> b) {
-    bytes_.insert(bytes_.end(), b.begin(), b.end());
+    if (b.empty()) return;  // memcpy must not see a null buffer
+    if (b.size() <= buf_.size() - used_) {  // fast path: fits the buffer
+      std::memcpy(buf_.data() + used_, b.data(), b.size());
+      used_ += b.size();
+      return;
+    }
+    while (!b.empty()) {
+      if (used_ == buf_.size()) make_room(b.size());
+      const std::size_t n = std::min(b.size(), buf_.size() - used_);
+      std::memcpy(buf_.data() + used_, b.data(), n);
+      used_ += n;
+      b = b.subspan(n);
+    }
   }
   template <typename T>
   void put_array(std::span<const T> a) {
     put_bytes(std::as_bytes(a));
   }
   /// Zero-pad to the next kAlign boundary (array starts).
-  void align() { bytes_.resize(static_cast<std::size_t>(align_up(size())), std::byte{0}); }
-  [[nodiscard]] std::uint64_t size() const { return bytes_.size(); }
-  [[nodiscard]] std::span<const std::byte> bytes() const { return bytes_; }
+  void align() {
+    static constexpr std::array<std::byte, kAlign> kZeros{};
+    put_bytes(std::span<const std::byte>(kZeros).first(
+        static_cast<std::size_t>(align_up(size()) - size())));
+  }
+  /// Streaming mode: hand the buffered tail to the drain (no-op otherwise).
+  void finish() {
+    if (drain_ && used_ > 0) drain_buffer();
+  }
+  [[nodiscard]] std::uint64_t size() const { return drained_ + used_; }
+  /// The whole payload (default mode); the not-yet-drained tail when
+  /// streaming.
+  [[nodiscard]] std::span<const std::byte> bytes() const {
+    return {buf_.data(), used_};
+  }
 
  private:
   void put_raw(const void* p, std::size_t n) {
-    const std::size_t at = bytes_.size();
-    bytes_.resize(at + n);
-    std::memcpy(bytes_.data() + at, p, n);
+    put_bytes({static_cast<const std::byte*>(p), n});
   }
-  std::vector<std::byte> bytes_;
+  /// The buffer is full: grow it geometrically up to the chunk bound, or,
+  /// at the bound, drain it.
+  void make_room(std::size_t want) {
+    if (buf_.size() < chunk_) {
+      buf_.resize(std::min(
+          chunk_, std::max({2 * buf_.size(), used_ + want, std::size_t{256}})));
+    } else {
+      drain_buffer();
+    }
+  }
+  void drain_buffer() {
+    drain_(bytes());
+    drained_ += used_;
+    used_ = 0;
+  }
+
+  std::size_t chunk_ = std::numeric_limits<std::size_t>::max();
+  Drain drain_;
+  std::uint64_t drained_ = 0;
+  std::vector<std::byte> buf_;  ///< storage; bytes [0, used_) are payload
+  std::size_t used_ = 0;
 };
 
 /// Bounds-checked little-endian cursor over one section payload. Every

@@ -23,24 +23,43 @@
 namespace te::io {
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320).
+// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320), slicing-by-8.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+/// Slicing-by-8 tables: t[0] is the classic byte-at-a-time table, and
+/// t[k][b] is the CRC of byte b followed by k zero bytes, so one step folds
+/// eight input bytes with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
   }
   return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian load of four bytes (a plain load on the hosts TETC runs
+/// on; spelled bytewise so it never depends on alignment).
+inline std::uint32_t load_le32(const std::byte* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 #if TE_OBS_ENABLED
 /// Process-wide io traffic counters (bench/CI observability: the warm-start
@@ -98,17 +117,15 @@ void check_file_header(std::span<const std::byte> h,
 
 /// Serialized section header (32 bytes).
 std::array<std::byte, kSectionHeaderBytes> make_section_header(
-    SectionType type, std::uint32_t version,
-    std::span<const std::byte> payload) {
+    SectionType type, std::uint32_t version, std::uint64_t payload_bytes,
+    std::uint32_t payload_crc) {
   std::array<std::byte, kSectionHeaderBytes> h{};
   std::memcpy(h.data(), kSectionMagic.data(), kSectionMagic.size());
   const std::uint32_t type32 = static_cast<std::uint32_t>(type);
   std::memcpy(h.data() + 4, &type32, 4);
   std::memcpy(h.data() + 8, &version, 4);
   // bytes [12, 16): reserved, zero.
-  const std::uint64_t payload_bytes = payload.size();
   std::memcpy(h.data() + 16, &payload_bytes, 8);
-  const std::uint32_t payload_crc = crc32(payload);
   std::memcpy(h.data() + 24, &payload_crc, 4);
   const std::uint32_t header_crc = crc32({h.data(), 28});
   std::memcpy(h.data() + 28, &header_crc, 4);
@@ -158,9 +175,19 @@ void check_padding(std::span<const std::byte> pad, std::uint64_t offset,
 }  // namespace
 
 std::uint32_t crc32_update(std::uint32_t crc, std::span<const std::byte> data) {
+  const auto& t = kCrcTables;
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (const std::byte b : data) {
-    c = kCrcTable[(c ^ static_cast<std::uint32_t>(b)) & 0xFFu] ^ (c >> 8);
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<std::uint32_t>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -216,13 +243,42 @@ void Writer::pad_to(std::uint64_t target) {
   }
 }
 
-void Writer::add_section(SectionType type, std::uint32_t version,
-                         std::span<const std::byte> payload) {
+void Writer::add_streamed_section(SectionType type, std::uint32_t version,
+                                  const PayloadEmitter& emit) {
+  // Pass 1: size and CRC; no more than one chunk of payload is ever held.
+  std::uint64_t payload_bytes = 0;
+  std::uint32_t payload_crc = 0;
+  {
+    PayloadBuilder sizer(kSectionChunkBytes,
+                         [&](std::span<const std::byte> chunk) {
+                           payload_bytes += chunk.size();
+                           payload_crc = crc32_update(payload_crc, chunk);
+                         });
+    emit(sizer);
+    sizer.finish();
+  }
   pad_to(align_up(size_));
-  const auto header = make_section_header(type, version, payload);
+  const auto header =
+      make_section_header(type, version, payload_bytes, payload_crc);
   write_raw({header.data(), header.size()});
   pad_to(align_up(size_));
-  write_raw(payload);
+
+  // Pass 2: the same bytes again, straight to the file.
+  const std::uint64_t payload_offset = size_;
+  std::uint32_t written_crc = 0;
+  PayloadBuilder out(kSectionChunkBytes, [&](std::span<const std::byte> chunk) {
+    write_raw(chunk);
+    written_crc = crc32_update(written_crc, chunk);
+  });
+  emit(out);
+  out.finish();
+  TE_IO_REQUIRE(size_ - payload_offset == payload_bytes &&
+                    written_crc == payload_crc,
+                path_, payload_offset,
+                "section payload emitter is not deterministic: pass 1 gave "
+                    << payload_bytes << " bytes (CRC " << payload_crc
+                    << "), pass 2 wrote " << (size_ - payload_offset)
+                    << " bytes (CRC " << written_crc << ")");
   // No trailing pad: the container ends exactly at the last payload byte,
   // so every byte of the file is covered by a CRC or a validated zero-pad
   // check and any flip or truncation is detectable. The next add_section

@@ -16,6 +16,7 @@
 // instruction-accounting performance models; pass nullptr (the default) for
 // the uninstrumented fast path.
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -158,10 +159,21 @@ template <Real T>
   const int n = a.dim();
   Matrix<double> acc(n, n);
 
-  std::vector<index_t> mono;
+  // Monomial of the class and the per-(i, j) reduced monomial: stack
+  // scratch at paper-scale dims, one heap block for the large-n regime.
+  constexpr int kStackDim = 64;
+  index_t stack[2 * kStackDim];
+  std::vector<index_t> heap;
+  index_t* mono = stack;
+  if (n > kStackDim) {
+    heap.resize(2 * static_cast<std::size_t>(n));
+    mono = heap.data();
+  }
+  index_t* k = mono + n;
   for (comb::IndexClassIterator it(m, n); !it.done(); it.next()) {
     const auto idx = it.index();
-    mono = comb::index_to_monomial(idx, n);
+    std::fill(mono, mono + n, index_t{0});
+    for (int t = 0; t < m; ++t) ++mono[idx[t]];
     const double av =
         static_cast<double>(a.value(it.rank()));
 
@@ -173,23 +185,23 @@ template <Real T>
         const index_t j = idx[tj];
         // sigma(i, j): multinomial of the class with one occurrence of i and
         // one of j removed; requires k_i (and k_j) large enough.
-        std::vector<index_t> k = mono;
-        k[static_cast<std::size_t>(i)] -= 1;
-        k[static_cast<std::size_t>(j)] -= 1;
+        std::copy(mono, mono + n, k);
+        k[i] -= 1;
+        k[j] -= 1;
         bool feasible = true;
         double xpow = 1.0;
         for (int q = 0; q < n; ++q) {
-          if (k[static_cast<std::size_t>(q)] < 0) {
+          if (k[q] < 0) {
             feasible = false;
             break;
           }
-          for (index_t r = 0; r < k[static_cast<std::size_t>(q)]; ++r) {
+          for (index_t r = 0; r < k[q]; ++r) {
             xpow *= static_cast<double>(x[static_cast<std::size_t>(q)]);
           }
         }
         if (feasible) {
           const auto sigma = comb::multinomial_from_monomial(
-              {k.data(), k.size()});
+              {k, static_cast<std::size_t>(n)});
           const double contrib = static_cast<double>(sigma) * av * xpow;
           acc(i, j) += contrib;
           if (i != j) acc(j, i) += contrib;

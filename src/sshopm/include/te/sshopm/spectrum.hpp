@@ -155,7 +155,14 @@ template <Real T>
 [[nodiscard]] std::vector<Eigenpair<T>> cluster_results(
     const SymmetricTensor<T>& a, std::span<const Result<T>> runs,
     const MultiStartOptions& opt) {
-  kernels::BoundKernels<T> k(a, kernels::Tier::kGeneral);
+  // Residuals on the unrolled kernel where the shape is registered, else
+  // general: a fixed rule, so worst_residual never depends on a JIT or an
+  // option. The two differ only within the derived forward-error bound
+  // (DESIGN.md section 11), and clustering never reads the residual.
+  const kernels::BoundKernels<T> k(
+      a, kernels::find_unrolled<T>(a.order(), a.dim()) != nullptr
+             ? kernels::Tier::kUnrolled
+             : kernels::Tier::kGeneral);
   const bool even = a.order() % 2 == 0;
 
   std::vector<Eigenpair<T>> pairs;

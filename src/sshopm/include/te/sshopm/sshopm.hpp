@@ -65,19 +65,21 @@ enum class FailureReason {
 }
 
 /// Outcome of one SS-HOPM run.
+/// Members are ordered widest first so Result<float> packs into 64 bytes:
+/// a volume-scale batch holds one Result per (tensor, start).
 template <Real T>
 struct Result {
-  T lambda = T(0);          ///< final Rayleigh quotient A x^m
   std::vector<T> x;         ///< final unit iterate (on kDegenerateIterate:
                             ///< the last pre-normalization iterate)
-  int iterations = 0;       ///< iterations actually performed
-  bool converged = false;   ///< lambda change fell below tolerance
-  /// kNone iff converged; otherwise why the run stopped.
-  FailureReason failure = FailureReason::kNone;
   /// lambda_0, lambda_1, ... (only when Options::record_trace). Kolda &
   /// Mayo prove this sequence is monotone when |alpha| dominates the
   /// curvature bound -- a property the tests check directly.
   std::vector<T> lambda_trace;
+  T lambda = T(0);          ///< final Rayleigh quotient A x^m
+  int iterations = 0;       ///< iterations actually performed
+  /// kNone iff converged; otherwise why the run stopped.
+  FailureReason failure = FailureReason::kNone;
+  bool converged = false;   ///< lambda change fell below tolerance
 };
 
 namespace detail {
@@ -178,14 +180,22 @@ class Run {
 }  // namespace detail
 
 /// Residual ||A x^{m-1} - lambda x||_2 of a claimed eigenpair: the
-/// self-validating acceptance check used throughout the tests.
+/// self-validating acceptance check used throughout the tests, and the
+/// per-run worst_residual of cluster_results. Allocation-free up to
+/// kernels::kMaxBatchDim (extraction calls it once per run).
 template <Real T>
 [[nodiscard]] T eigen_residual(const kernels::BoundKernels<T>& k,
                                T lambda, std::span<const T> x) {
-  std::vector<T> y(x.size());
-  k.ttsv1(x, std::span<T>(y.data(), y.size()));
+  T y_stack[kernels::kMaxBatchDim];
+  std::vector<T> y_heap;
+  if (x.size() > static_cast<std::size_t>(kernels::kMaxBatchDim)) {
+    y_heap.resize(x.size());
+  }
+  const std::span<T> y =
+      y_heap.empty() ? std::span<T>(y_stack, x.size()) : std::span<T>(y_heap);
+  k.ttsv1(x, y);
   for (std::size_t i = 0; i < x.size(); ++i) y[i] -= lambda * x[i];
-  return nrm2(std::span<const T>(y.data(), y.size()));
+  return nrm2(std::span<const T>(y));
 }
 
 #if TE_OBS_ENABLED

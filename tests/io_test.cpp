@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "te/dwmri/dataset.hpp"
 #include "te/io/batch_codec.hpp"
@@ -58,6 +61,108 @@ void expect_results_bitwise(const std::vector<sshopm::Result<T>>& a,
     EXPECT_EQ(a[i].converged, b[i].converged) << "slot " << i;
     EXPECT_EQ(a[i].failure, b[i].failure) << "slot " << i;
     EXPECT_EQ(a[i].lambda_trace, b[i].lambda_trace) << "slot " << i;
+  }
+}
+
+/// Bit-at-a-time CRC-32 (IEEE, reflected 0xEDB88320): the independent
+/// reference the table-driven crc32_update is checked against.
+std::uint32_t crc32_bitwise(std::span<const std::byte> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::byte b : data) {
+    c ^= static_cast<std::uint32_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::byte> pseudo_random_bytes(std::size_t n, std::uint32_t seed) {
+  std::vector<std::byte> out(n);
+  std::uint32_t s = seed;
+  for (auto& b : out) {
+    s = s * 1664525u + 1013904223u;
+    b = static_cast<std::byte>(s >> 24);
+  }
+  return out;
+}
+
+template <typename V>
+void put_le(std::vector<std::byte>& out, std::size_t at, V v) {
+  std::memcpy(out.data() + at, &v, sizeof(v));
+}
+
+/// The container a Writer must produce for one section, assembled by hand
+/// from the layout in format.hpp: file header, zero pad, section header,
+/// zero pad, payload.
+std::vector<std::byte> reference_container(SectionType type,
+                                           std::uint32_t version,
+                                           std::span<const std::byte> payload) {
+  std::vector<std::byte> out(kFileHeaderBytes);
+  std::memcpy(out.data(), kFileMagic.data(), kFileMagic.size());
+  put_le(out, 8, kEndianTag);
+  put_le(out, 12, crc32({out.data(), 12}));
+  const std::size_t h = static_cast<std::size_t>(align_up(out.size()));
+  out.resize(h + kSectionHeaderBytes);
+  std::memcpy(out.data() + h, kSectionMagic.data(), kSectionMagic.size());
+  put_le(out, h + 4, static_cast<std::uint32_t>(type));
+  put_le(out, h + 8, version);
+  put_le(out, h + 16, static_cast<std::uint64_t>(payload.size()));
+  put_le(out, h + 24, crc32(payload));
+  put_le(out, h + 28, crc32({out.data() + h, 28}));
+  out.resize(static_cast<std::size_t>(align_up(out.size())));
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+std::vector<std::byte> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::vector<std::byte> out(raw.size());
+  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32.
+
+TEST(IoCrc, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(std::as_bytes(std::span(check.data(), check.size()))),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(IoCrc, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..257 cover the empty input, pure tails (< 8 bytes), and
+  // several 8-byte strides plus every tail length; offsets 0..7 cover
+  // every start alignment of the 8-byte loads.
+  const auto data = pseudo_random_bytes(8 + 257, 19);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const auto s = std::span<const std::byte>(data).subspan(off, len);
+      ASSERT_EQ(crc32(s), crc32_bitwise(s)) << "offset " << off << " length "
+                                            << len;
+    }
+  }
+}
+
+TEST(IoCrc, ChainedUpdatesOverAnySplitEqualOneShot) {
+  // What the two-pass section writer relies on: folding a payload chunk by
+  // chunk gives the checksum of the whole.
+  const auto data = pseudo_random_bytes(1000, 23);
+  const std::span<const std::byte> all(data);
+  const std::uint32_t whole = crc32(all);
+  for (std::uint32_t seed = 1; seed <= 64; ++seed) {
+    std::uint32_t crc = 0;
+    std::size_t at = 0;
+    std::uint32_t s = seed;
+    while (at < all.size()) {
+      s = s * 1664525u + 1013904223u;
+      const std::size_t piece = std::min<std::size_t>(s % 97, all.size() - at);
+      crc = crc32_update(crc, all.subspan(at, piece));  // pieces may be empty
+      at += piece;
+    }
+    EXPECT_EQ(crc, whole) << "split pattern " << seed;
   }
 }
 
@@ -368,6 +473,119 @@ TEST(IoBatchResult, RoundTripsBitwiseOnBothReadPaths) {
   const auto mapped = read_batch_result<double>(
       find_section(m, SectionType::kBatchResult), f.path);
   expect_results_bitwise(result.results, mapped.results);
+}
+
+// ---------------------------------------------------------------------------
+// Streamed sections (Writer's two-pass, bounded-memory path).
+
+TEST(IoStreamedSection, SpanPayloadsAtChunkBoundariesMatchTheSpec) {
+  TmpFile f("chunk_edges.tetc");
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kSectionChunkBytes - 1,
+        kSectionChunkBytes, kSectionChunkBytes + 1,
+        2 * kSectionChunkBytes + 7}) {
+    const auto payload = pseudo_random_bytes(n, static_cast<std::uint32_t>(n));
+    {
+      Writer w(f.path);
+      w.add_section(SectionType::kChunkResult, 1, payload);
+      w.flush();
+      EXPECT_EQ(w.size(), reference_container(SectionType::kChunkResult, 1,
+                                              payload)
+                              .size());
+    }
+    EXPECT_EQ(read_file(f.path),
+              reference_container(SectionType::kChunkResult, 1, payload))
+        << "payload of " << n << " bytes";
+  }
+}
+
+TEST(IoStreamedSection, BatchResultLargerThanOneChunkIsByteIdentical) {
+  // Mixed iterate lengths and some recorded traces, so records straddle
+  // chunk boundaries at every alignment.
+  batch::BatchResult<double> r;
+  r.num_tensors = 64;
+  r.num_starts = 40;
+  r.wall_seconds = 1.25;
+  r.modeled_seconds = 0.5;
+  r.transfer_seconds = 0.125;
+  r.useful_flops = 123456789;
+  CounterRng rng(77);
+  for (int i = 0; i < r.num_tensors * r.num_starts; ++i) {
+    const auto u = static_cast<std::uint64_t>(i);
+    sshopm::Result<double> res;
+    res.lambda = rng.in(1, u, -5.0, 5.0);
+    res.iterations = i % 200;
+    res.converged = i % 3 != 0;
+    res.failure = res.converged ? sshopm::FailureReason::kNone
+                                : sshopm::FailureReason::kMaxIterations;
+    res.x.resize(static_cast<std::size_t>(1 + i % 6));
+    for (std::size_t k = 0; k < res.x.size(); ++k) {
+      res.x[k] = rng.in(2, u * 8 + k, -1.0, 1.0);
+    }
+    if (i % 5 == 0) {
+      res.lambda_trace.resize(static_cast<std::size_t>(i % 11));
+      for (std::size_t k = 0; k < res.lambda_trace.size(); ++k) {
+        res.lambda_trace[k] = rng.in(3, u * 16 + k, -5.0, 5.0);
+      }
+    }
+    r.results.push_back(std::move(res));
+  }
+
+  // Reference: the same payload built whole in memory.
+  PayloadBuilder b;
+  b.put_u32(dtype_code<double>());
+  b.put_i32(r.num_tensors);
+  b.put_i32(r.num_starts);
+  b.put_u64(r.results.size());
+  b.put_f64(r.wall_seconds);
+  b.put_f64(r.modeled_seconds);
+  b.put_f64(r.transfer_seconds);
+  b.put_i64(r.useful_flops);
+  for (const auto& res : r.results) put_result_record(b, res);
+  ASSERT_GT(b.size(), 2 * kSectionChunkBytes);
+  ASSERT_NE(b.size() % kSectionChunkBytes, 0u);
+
+  TmpFile f("streamed_result.tetc");
+  save_batch_result(f.path, r);
+  EXPECT_EQ(read_file(f.path),
+            reference_container(SectionType::kBatchResult,
+                                kBatchResultVersion, b.bytes()));
+
+  const auto back = load_batch_result<double>(f.path);
+  EXPECT_EQ(back.num_tensors, r.num_tensors);
+  EXPECT_EQ(back.num_starts, r.num_starts);
+  EXPECT_EQ(back.useful_flops, r.useful_flops);
+  EXPECT_EQ(back.wall_seconds, r.wall_seconds);
+  expect_results_bitwise(r.results, back.results);
+}
+
+TEST(IoStreamedSection, EmitterThatChangesBetweenPassesThrows) {
+  TmpFile f("nondeterministic.tetc");
+  // Same length, different bytes: caught by the pass-2 CRC.
+  {
+    Writer w(f.path);
+    int calls = 0;
+    EXPECT_THROW(w.add_streamed_section(SectionType::kChunkResult, 1,
+                                        [&calls](PayloadBuilder& b) {
+                                          b.put_u32(calls++ == 0 ? 1u : 2u);
+                                        }),
+                 IoError);
+  }
+  // The section on disk fails its payload CRC: the tolerant reader stops
+  // before it, exactly as at a torn append.
+  EXPECT_FALSE(
+      StreamReader(f.path, /*tolerate_torn_tail=*/true).next().has_value());
+  // Different length: caught by the pass-2 byte count.
+  {
+    Writer w(f.path);
+    int calls = 0;
+    EXPECT_THROW(w.add_streamed_section(SectionType::kChunkResult, 1,
+                                        [&calls](PayloadBuilder& b) {
+                                          b.put_u32(7);
+                                          if (calls++ > 0) b.put_u32(7);
+                                        }),
+                 IoError);
+  }
 }
 
 // ---------------------------------------------------------------------------

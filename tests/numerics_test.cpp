@@ -1,12 +1,20 @@
 // Tests for the second-wave numerics: LU solves, Newton eigenpair
 // refinement (quadratic polish of SS-HOPM output), dense tensor algebra
-// (matricization / mode products / rotation), and the spherical-harmonics
-// correspondence of the DW-MRI pipeline.
+// (matricization / mode products / rotation), the spherical-harmonics
+// correspondence of the DW-MRI pipeline, and the derived forward-error
+// bound that lets extraction compute residuals on the unrolled tier.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "te/batch/batch.hpp"
+#include "te/comb/index_class.hpp"
+#include "te/dwmri/dataset.hpp"
 #include "te/dwmri/fiber_model.hpp"
 #include "te/dwmri/spherical_harmonics.hpp"
+#include "te/kernels/dispatch.hpp"
 #include "te/kernels/general.hpp"
 #include "te/sshopm/newton.hpp"
 #include "te/sshopm/spectrum.hpp"
@@ -399,6 +407,225 @@ TEST(SphericalHarmonics, RejectsOddDegree) {
   std::vector<dwmri::AdcSample> samples(50);
   EXPECT_THROW((void)dwmri::fit_sh(5, {samples.data(), samples.size()}),
                InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Derived forward-error bound of the unrolled tier: the licence for
+// computing extraction residuals on it instead of the general tier.
+// ---------------------------------------------------------------------------
+
+/// gamma_k = k u / (1 - k u), u the unit roundoff of T (Higham, Lemma 3.1).
+template <Real T>
+double gamma_k(int k) {
+  const double u = std::numeric_limits<T>::epsilon() / 2;
+  return k * u / (1 - k * u);
+}
+
+/// Per-entry bound on |unrolled - general| for y = A x^{m-1}:
+///   B_i = gamma_{m+K_i}(T) (|A| |x|^{m-1})_i + u_T |y_i|.
+/// The unrolled kernel forms each of the K_i contributions to y_i with at
+/// most m roundings (the (m-1)-fold x product and the sigma * a scaling)
+/// and sums them in T with K_i - 1 more, so it is within
+/// gamma_{m+K_i-1}(T) times the sum of |terms|, which is the general kernel
+/// run on |A| and |x|. The general kernel sums in double and rounds once
+/// to T: the u_T |y_i| term. A strict worst case would also charge the
+/// general kernel's own term products and, for double, its summation (up
+/// to gamma_{2m+2K_i}); the tighter form is asserted, and the largest
+/// |difference| / bound over this sweep is about 0.33 (float, m = n = 2).
+template <Real T>
+std::vector<double> unrolled_bound(const SymmetricTensor<T>& a,
+                                   std::span<const T> x,
+                                   std::span<const T> y_general) {
+  const int m = a.order();
+  const int n = a.dim();
+  std::vector<int> contributions(static_cast<std::size_t>(n), 0);
+  for (comb::IndexClassIterator it(m, n); !it.done(); it.next()) {
+    const auto idx = it.index();
+    for (int t = 0; t < m;) {
+      const index_t i = idx[t];
+      ++contributions[static_cast<std::size_t>(i)];
+      while (t < m && idx[t] == i) ++t;
+    }
+  }
+  SymmetricTensor<T> abs_a = a;
+  for (T& v : abs_a.values()) v = std::abs(v);
+  std::vector<T> abs_x(x.begin(), x.end());
+  for (T& v : abs_x) v = std::abs(v);
+  std::vector<T> s(static_cast<std::size_t>(n));
+  kernels::ttsv1_general(abs_a, std::span<const T>(abs_x),
+                         std::span<T>(s));
+  const double u = std::numeric_limits<T>::epsilon() / 2;
+  std::vector<double> b(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = gamma_k<T>(m + contributions[i]) * static_cast<double>(s[i]) +
+           u * std::abs(static_cast<double>(y_general[i]));
+  }
+  return b;
+}
+
+template <Real T>
+void expect_unrolled_within_bound(const kernels::UnrolledEntry<T>& e,
+                                  const SymmetricTensor<T>& a,
+                                  std::span<const T> x, const char* what) {
+  const auto n = static_cast<std::size_t>(e.dim);
+  std::vector<T> yu(n), yg(n);
+  e.ttsv1(a.values().data(), x.data(), yu.data());
+  kernels::ttsv1_general(a, x, std::span<T>(yg));
+  const auto b = unrolled_bound(a, x, std::span<const T>(yg));
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_LE(std::abs(static_cast<double>(yu[i]) -
+                       static_cast<double>(yg[i])),
+              b[i])
+        << what << " m" << e.order << "n" << e.dim << " entry " << i;
+  }
+}
+
+template <Real T>
+void sweep_unrolled_registry_against_bound() {
+  const CounterRng rng(2011);
+  for (const auto& e : kernels::unrolled_registry<T>()) {
+    const auto vectors = random_sphere_batch<T>(rng, 1000, 16, e.dim);
+    for (int t = 0; t < 4; ++t) {
+      const auto a = random_symmetric_tensor<T>(
+          rng, static_cast<std::uint64_t>(t), e.order, e.dim);
+      for (const auto& x : vectors) {
+        expect_unrolled_within_bound(e, a, std::span<const T>(x), "random");
+      }
+    }
+    if (e.dim == 3 && e.order % 2 == 0) {
+      // Fitted DW-MRI tensors: noisy ADC samples refit by least squares,
+      // as the application produces them.
+      dwmri::DatasetOptions opt;
+      opt.num_voxels = 8;
+      opt.order = e.order;
+      opt.refit_from_measurements = true;
+      opt.num_gradients = 64;
+      opt.noise_sigma = 0.02;
+      const auto ds = dwmri::make_dataset<T>(7, opt);
+      for (const auto& v : ds.voxels) {
+        for (const auto& x : vectors) {
+          expect_unrolled_within_bound(e, v.tensor, std::span<const T>(x),
+                                       "dwmri");
+        }
+      }
+    }
+  }
+}
+
+TEST(UnrolledBound, EveryRegisteredShapeWithinDerivedBound) {
+  ASSERT_FALSE(kernels::unrolled_registry<float>().empty());
+  sweep_unrolled_registry_against_bound<float>();
+  sweep_unrolled_registry_against_bound<double>();
+}
+
+/// True when run `r` merges into pair `p` under cluster_results' rule.
+template <Real T>
+bool same_pair(const sshopm::Eigenpair<T>& p, const sshopm::Result<T>& r,
+               bool even, const sshopm::MultiStartOptions& opt) {
+  const auto close = [&](T sgn, T lam) {
+    if (std::abs(static_cast<double>(lam - p.lambda)) >
+        opt.cluster_lambda_tol) {
+      return false;
+    }
+    double d = 0;
+    for (std::size_t i = 0; i < r.x.size(); ++i) {
+      const double e =
+          static_cast<double>(sgn * r.x[i]) - static_cast<double>(p.x[i]);
+      d += e * e;
+    }
+    return std::sqrt(d) <= opt.cluster_vector_tol;
+  };
+  return close(T(1), r.lambda) ||
+         (even ? close(T(-1), r.lambda) : close(T(-1), -r.lambda));
+}
+
+/// Every worst_residual extract_eigenpairs reports is the basin maximum of
+/// eigen_residual on the unrolled kernel, and lies within sqrt(n) times the
+/// per-entry bound (plus the rounding of the norm itself) of the value the
+/// general tier gives.
+template <Real T>
+void expect_worst_residuals_on_unrolled(const batch::BatchProblem<T>& p) {
+  const auto solved = batch::solve_cpu_sequential(p, kernels::Tier::kUnrolled);
+  sshopm::MultiStartOptions mopt;
+  mopt.inner = p.options;
+  const auto lists = batch::extract_eigenpairs(p, solved, mopt);
+  const bool even = p.order % 2 == 0;
+  int checked = 0;
+  for (int t = 0; t < p.num_tensors(); ++t) {
+    const auto& a = p.tensors[static_cast<std::size_t>(t)];
+    const auto& pairs = lists[static_cast<std::size_t>(t)];
+    const kernels::BoundKernels<T> ku(a, kernels::Tier::kUnrolled);
+    const kernels::BoundKernels<T> kg(a, kernels::Tier::kGeneral);
+    std::vector<T> max_u(pairs.size(), T(0)), max_g(pairs.size(), T(0));
+    std::vector<double> allowed(pairs.size(), 0.0);
+    std::vector<int> members(pairs.size(), 0);
+    for (int s = 0; s < p.num_starts(); ++s) {
+      const auto& r = solved.at(t, s);
+      if (!r.converged) continue;
+      std::size_t owner = pairs.size();
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        if (same_pair(pairs[k], r, even, mopt)) {
+          ASSERT_EQ(owner, pairs.size()) << "run " << s << " of tensor " << t
+                                         << " is near two pairs";
+          owner = k;
+        }
+      }
+      ASSERT_LT(owner, pairs.size()) << "run " << s << " of tensor " << t;
+      const std::span<const T> x(r.x);
+      const T ru = sshopm::eigen_residual(ku, r.lambda, x);
+      const T rg = sshopm::eigen_residual(kg, r.lambda, x);
+      std::vector<T> yg(r.x.size());
+      kernels::ttsv1_general(a, x, std::span<T>(yg));
+      const auto b = unrolled_bound(a, x, std::span<const T>(yg));
+      const double dev =
+          std::sqrt(static_cast<double>(p.dim)) *
+              *std::max_element(b.begin(), b.end()) +
+          gamma_k<T>(p.dim + 3) *
+              (static_cast<double>(ru) + static_cast<double>(rg));
+      EXPECT_LE(std::abs(static_cast<double>(ru) - static_cast<double>(rg)),
+                dev);
+      ++members[owner];
+      max_u[owner] = std::max(max_u[owner], ru);
+      max_g[owner] = std::max(max_g[owner], rg);
+      allowed[owner] = std::max(allowed[owner], dev);
+    }
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      EXPECT_EQ(members[k], pairs[k].basin_count);
+      EXPECT_EQ(pairs[k].worst_residual, max_u[k])
+          << "tensor " << t << " pair " << k;
+      EXPECT_LE(std::abs(static_cast<double>(max_u[k]) -
+                         static_cast<double>(max_g[k])),
+                allowed[k])
+          << "tensor " << t << " pair " << k;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, p.num_tensors());
+}
+
+TEST(UnrolledBound, ExtractWorstResidualIsUnrolledBasinMaximum) {
+  // The paper's application: fitted order-4 DW-MRI tensors, alpha = 0.
+  dwmri::DatasetOptions opt;
+  opt.num_voxels = 24;
+  opt.refit_from_measurements = true;
+  opt.noise_sigma = 0.02;
+  batch::BatchProblem<float> dw;
+  dw.order = 4;
+  dw.dim = 3;
+  dw.tensors = dwmri::make_dataset<float>(11, opt).tensors();
+  dw.starts = random_sphere_batch<float>(CounterRng(5), 0, 64, 3);
+  dw.options.alpha = 0.0;
+  dw.options.tolerance = 1e-6;
+  expect_worst_residuals_on_unrolled(dw);
+
+  // Random tensors: odd order in double, and a second shape in float.
+  auto odd = batch::BatchProblem<double>::random(31, 8, 48, 3, 3);
+  odd.options.alpha = 1.0;
+  expect_worst_residuals_on_unrolled(odd);
+  auto wide = batch::BatchProblem<float>::random(32, 8, 48, 4, 5);
+  wide.options.alpha = 2.0;
+  wide.options.tolerance = 1e-6;
+  expect_worst_residuals_on_unrolled(wide);
 }
 
 }  // namespace

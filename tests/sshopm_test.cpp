@@ -123,6 +123,18 @@ TEST(Sshopm, IterateStaysUnitNorm) {
               1e-12);
 }
 
+TEST(Sshopm, FloatResultIsSixtyFourBytes) {
+  // A batch holds one Result per (tensor, start), 524,288 of them in a
+  // 4096-voxel x 128-start volume: the widest-first member order keeps the
+  // float record at 64 bytes where std::vector is three pointers.
+  if constexpr (sizeof(std::vector<float>) == 24) {
+    EXPECT_EQ(sizeof(Result<float>), 64u);
+  } else {
+    GTEST_SKIP() << "std::vector<float> is " << sizeof(std::vector<float>)
+                 << " bytes here";
+  }
+}
+
 TEST(Sshopm, NegativeShiftFindsMinima) {
   // alpha < 0 makes the map concave: converges to local *minima* of f.
   // On a rank-1 tensor with even order, the minimum eigenvalue of f on the
