@@ -4,10 +4,12 @@
 #   1. plain Release (the seed tier-1 configuration): build + full ctest,
 #      then the labeled subsets explicitly so the label wiring itself is
 #      gated (tier1 = fast correctness, slow = randomized property sweeps,
-#      stress = concurrency stress).
+#      stress = concurrency stress, fuzz = the fixed-budget mutational fuzz
+#      driver over the JSON reader and the serve wire).
 #   2. ASan+UBSan over the whole suite (-DTE_SANITIZE=address,undefined):
-#      every simulated GPU kernel runs natively under host sanitizers and
-#      the simulator's own MemSanitizer tests run instrumented.
+#      every simulated GPU kernel runs natively under host sanitizers, the
+#      simulator's own MemSanitizer tests run instrumented, and the fuzz
+#      driver runs its full budget instrumented.
 #   3. TSan (-DTE_SANITIZE=thread) over the concurrency surface only --
 #      the thread pool, the batch backends, the streaming scheduler (shared
 #      table cache + lent pools), the stress suite, the te::serve layer,
@@ -80,7 +82,7 @@ run_pass build -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON "$@"
 
 # Labeled subsets (same build tree; cheap, and verifies the label wiring).
-for label in tier1 slow stress analysis oracle serve; do
+for label in tier1 slow stress analysis oracle serve fuzz; do
   echo "=== build: ctest -L ${label} ==="
   ctest --test-dir build -L "${label}" --output-on-failure -j "${JOBS}"
 done

@@ -1,12 +1,11 @@
 #include "te/obs/export.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <sstream>
+
+#include "te/util/json.hpp"
 
 namespace te::obs {
 
@@ -15,39 +14,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // JSON writing.
 // ---------------------------------------------------------------------------
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 std::string format_double(double v) {
   if (!std::isfinite(v)) return "0";  // JSON has no Inf/NaN
@@ -63,271 +29,38 @@ std::string format_int(std::int64_t v) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reading (validation only; no external dependency allowed).
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  bool number_is_integer = false;  ///< lexeme had no '.', 'e' or 'E'
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  /// Parse the whole document; returns false with `error` set on failure.
-  bool parse(JsonValue& out, std::string& error) {
-    skip_ws();
-    if (!parse_value(out, error)) return false;
-    skip_ws();
-    if (pos_ != s_.size()) {
-      error = "trailing characters after document end";
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool fail(std::string& error, const std::string& what) {
-    error = what + " at offset " + std::to_string(pos_);
-    return false;
-  }
-
-  bool parse_value(JsonValue& out, std::string& error) {
-    if (pos_ >= s_.size()) return fail(error, "unexpected end of input");
-    const char c = s_[pos_];
-    if (c == '{') return parse_object(out, error);
-    if (c == '[') return parse_array(out, error);
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return parse_string(out.string, error);
-    }
-    if (c == 't' || c == 'f') return parse_literal(out, error);
-    if (c == 'n') return parse_null(out, error);
-    return parse_number(out, error);
-  }
-
-  bool parse_object(JsonValue& out, std::string& error) {
-    out.kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key, error)) return false;
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') {
-        return fail(error, "expected ':' in object");
-      }
-      ++pos_;
-      skip_ws();
-      JsonValue v;
-      if (!parse_value(v, error)) return false;
-      out.object.emplace_back(std::move(key), std::move(v));
-      skip_ws();
-      if (pos_ >= s_.size()) return fail(error, "unterminated object");
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or '}' in object");
-    }
-  }
-
-  bool parse_array(JsonValue& out, std::string& error) {
-    out.kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue v;
-      if (!parse_value(v, error)) return false;
-      out.array.push_back(std::move(v));
-      skip_ws();
-      if (pos_ >= s_.size()) return fail(error, "unterminated array");
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or ']' in array");
-    }
-  }
-
-  bool parse_string(std::string& out, std::string& error) {
-    if (pos_ >= s_.size() || s_[pos_] != '"') {
-      return fail(error, "expected string");
-    }
-    ++pos_;
-    out.clear();
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return fail(error, "unterminated escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) {
-              return fail(error, "truncated \\u escape");
-            }
-            // Validation-grade handling: keep the escape verbatim (metric
-            // names are ASCII; nothing downstream re-decodes).
-            out += "\\u";
-            out.append(s_, pos_, 4);
-            pos_ += 4;
-            break;
-          }
-          default:
-            return fail(error, "unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return fail(error, "unterminated string");
-  }
-
-  bool parse_literal(JsonValue& out, std::string& error) {
-    if (s_.compare(pos_, 4, "true") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      pos_ += 5;
-      return true;
-    }
-    return fail(error, "unknown literal");
-  }
-
-  bool parse_null(JsonValue& out, std::string& error) {
-    if (s_.compare(pos_, 4, "null") == 0) {
-      out.kind = JsonValue::Kind::kNull;
-      pos_ += 4;
-      return true;
-    }
-    return fail(error, "unknown literal");
-  }
-
-  bool parse_number(JsonValue& out, std::string& error) {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
-    bool integral = true;
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      integral = false;
-      ++pos_;
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0) {
-        ++pos_;
-      }
-    }
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0) {
-        ++pos_;
-      }
-    }
-    if (pos_ == start || (pos_ == start + 1 && s_[start] == '-')) {
-      return fail(error, "expected number");
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    out.number = std::stod(s_.substr(start, pos_ - start));
-    out.number_is_integer = integral;
-    return true;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Schema checks.
 // ---------------------------------------------------------------------------
+
+using json::Value;
+using Kind = json::Value::Kind;
 
 bool expect(bool cond, const std::string& what, std::string& error) {
   if (!cond && error.empty()) error = what;
   return cond;
 }
 
-bool check_histogram(const std::string& name, const JsonValue& h,
+bool is(const Value* v, Kind kind) { return v != nullptr && v->kind == kind; }
+
+/// Counters and histogram buckets: numbers without a fractional part.
+bool is_integer(const Value& v) {
+  return v.kind == Kind::kNumber && std::trunc(v.number) == v.number;
+}
+
+/// Top-level member `name` of a parsed document, when it is an object.
+const Value* section(const std::optional<Value>& doc, std::string_view name) {
+  const Value* v = doc ? doc->find(name) : nullptr;
+  return is(v, Kind::kObject) ? v : nullptr;
+}
+
+bool check_histogram(const std::string& name, const Value& h,
                      std::string& error) {
-  if (!expect(h.kind == JsonValue::Kind::kObject,
+  if (!expect(h.kind == Kind::kObject,
               "histogram '" + name + "' is not an object", error)) {
     return false;
   }
   for (const char* field : {"count", "total", "min", "max", "mean"}) {
-    const JsonValue* v = h.find(field);
-    if (!expect(v != nullptr && v->kind == JsonValue::Kind::kNumber,
+    if (!expect(h.find_number(field).has_value(),
                 "histogram '" + name + "' missing numeric field '" +
                     field + "'",
                 error)) {
@@ -337,17 +70,17 @@ bool check_histogram(const std::string& name, const JsonValue& h,
   // Quantile fields are optional (artifacts written before they existed
   // stay valid) but must be numeric when present.
   for (const char* field : {"p50", "p95", "p99"}) {
-    const JsonValue* v = h.find(field);
+    const Value* v = h.find(field);
     if (v != nullptr &&
-        !expect(v->kind == JsonValue::Kind::kNumber,
+        !expect(v->kind == Kind::kNumber,
                 "histogram '" + name + "' field '" + field +
                     "' is not a number",
                 error)) {
       return false;
     }
   }
-  const JsonValue* b = h.find("buckets");
-  if (!expect(b != nullptr && b->kind == JsonValue::Kind::kArray,
+  const Value* b = h.find("buckets");
+  if (!expect(is(b, Kind::kArray),
               "histogram '" + name + "' missing buckets array", error)) {
     return false;
   }
@@ -357,7 +90,7 @@ bool check_histogram(const std::string& name, const JsonValue& h,
     return false;
   }
   for (const auto& e : b->array) {
-    if (!expect(e.kind == JsonValue::Kind::kNumber && e.number_is_integer,
+    if (!expect(is_integer(e),
                 "histogram '" + name + "' has a non-integer bucket", error)) {
       return false;
     }
@@ -373,16 +106,16 @@ std::string to_json(const Snapshot& snap, const ExportMeta& meta) {
   out += "{\n  \"schema\": \"te-obs-v1\",\n  \"meta\": {";
   for (std::size_t i = 0; i < meta.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
-    append_escaped(out, meta[i].first);
+    json::append_escaped(out, meta[i].first);
     out += ": ";
-    append_escaped(out, meta[i].second);
+    json::append_escaped(out, meta[i].second);
   }
   out += meta.empty() ? "},\n" : "\n  },\n";
 
   out += "  \"counters\": {";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
-    append_escaped(out, snap.counters[i].name);
+    json::append_escaped(out, snap.counters[i].name);
     out += ": " + format_int(snap.counters[i].value);
   }
   out += snap.counters.empty() ? "},\n" : "\n  },\n";
@@ -390,7 +123,7 @@ std::string to_json(const Snapshot& snap, const ExportMeta& meta) {
   out += "  \"gauges\": {";
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     out += i == 0 ? "\n    " : ",\n    ";
-    append_escaped(out, snap.gauges[i].name);
+    json::append_escaped(out, snap.gauges[i].name);
     out += ": " + format_double(snap.gauges[i].value);
   }
   out += snap.gauges.empty() ? "},\n" : "\n  },\n";
@@ -399,7 +132,7 @@ std::string to_json(const Snapshot& snap, const ExportMeta& meta) {
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     const auto& h = snap.histograms[i];
     out += i == 0 ? "\n    " : ",\n    ";
-    append_escaped(out, h.name);
+    json::append_escaped(out, h.name);
     out += ": {\"count\": " + format_int(h.count);
     out += ", \"total\": " + format_double(h.total);
     out += ", \"min\": " + format_double(h.min);
@@ -422,7 +155,7 @@ std::string to_json(const Snapshot& snap, const ExportMeta& meta) {
     const auto& s = snap.spans[i];
     out += i == 0 ? "\n    " : ",\n    ";
     out += "{\"path\": ";
-    append_escaped(out, s.path);
+    json::append_escaped(out, s.path);
     out += ", \"depth\": " + format_int(s.depth);
     out += ", \"start_seconds\": " + format_double(s.start_seconds);
     out += ", \"duration_seconds\": " + format_double(s.duration_seconds);
@@ -501,87 +234,71 @@ bool write_file(const std::string& path, const std::string& content) {
 
 ValidationResult validate_export_json(const std::string& json) {
   ValidationResult res;
-  JsonValue doc;
-  JsonParser parser(json);
-  if (!parser.parse(doc, res.error)) return res;
   std::string& error = res.error;
+  const auto doc = json::parse(json, &error);
+  if (!doc) return res;
 
-  if (!expect(doc.kind == JsonValue::Kind::kObject,
-              "document root is not an object", error)) {
+  if (!expect(doc->kind == Kind::kObject, "document root is not an object",
+              error)) {
     return res;
   }
-  const JsonValue* schema = doc.find("schema");
-  if (!expect(schema != nullptr &&
-                  schema->kind == JsonValue::Kind::kString &&
-                  schema->string == "te-obs-v1",
+  const std::string* schema = doc->find_string("schema");
+  if (!expect(schema != nullptr && *schema == "te-obs-v1",
               "missing or wrong schema tag (want \"te-obs-v1\")", error)) {
     return res;
   }
 
-  const JsonValue* meta = doc.find("meta");
-  if (!expect(meta != nullptr && meta->kind == JsonValue::Kind::kObject,
-              "missing meta object", error)) {
-    return res;
-  }
+  const Value* meta = section(doc, "meta");
+  if (!expect(meta != nullptr, "missing meta object", error)) return res;
   for (const auto& [k, v] : meta->object) {
-    if (!expect(v.kind == JsonValue::Kind::kString,
+    if (!expect(v.kind == Kind::kString,
                 "meta entry '" + k + "' is not a string", error)) {
       return res;
     }
   }
 
-  const JsonValue* counters = doc.find("counters");
-  if (!expect(counters != nullptr &&
-                  counters->kind == JsonValue::Kind::kObject,
-              "missing counters object", error)) {
+  const Value* counters = section(doc, "counters");
+  if (!expect(counters != nullptr, "missing counters object", error)) {
     return res;
   }
   for (const auto& [k, v] : counters->object) {
-    if (!expect(v.kind == JsonValue::Kind::kNumber && v.number_is_integer,
-                "counter '" + k + "' is not an integer", error)) {
+    if (!expect(is_integer(v), "counter '" + k + "' is not an integer",
+                error)) {
       return res;
     }
   }
 
-  const JsonValue* gauges = doc.find("gauges");
-  if (!expect(gauges != nullptr && gauges->kind == JsonValue::Kind::kObject,
-              "missing gauges object", error)) {
-    return res;
-  }
+  const Value* gauges = section(doc, "gauges");
+  if (!expect(gauges != nullptr, "missing gauges object", error)) return res;
   for (const auto& [k, v] : gauges->object) {
-    if (!expect(v.kind == JsonValue::Kind::kNumber,
-                "gauge '" + k + "' is not a number", error)) {
+    if (!expect(v.kind == Kind::kNumber, "gauge '" + k + "' is not a number",
+                error)) {
       return res;
     }
   }
 
-  const JsonValue* hists = doc.find("histograms");
-  if (!expect(hists != nullptr && hists->kind == JsonValue::Kind::kObject,
-              "missing histograms object", error)) {
+  const Value* hists = section(doc, "histograms");
+  if (!expect(hists != nullptr, "missing histograms object", error)) {
     return res;
   }
   for (const auto& [k, v] : hists->object) {
     if (!check_histogram(k, v, error)) return res;
   }
 
-  const JsonValue* spans = doc.find("spans");
-  if (!expect(spans != nullptr && spans->kind == JsonValue::Kind::kArray,
-              "missing spans array", error)) {
+  const Value* spans = doc->find("spans");
+  if (!expect(is(spans, Kind::kArray), "missing spans array", error)) {
     return res;
   }
   for (const auto& s : spans->array) {
-    if (!expect(s.kind == JsonValue::Kind::kObject, "span is not an object",
-                error)) {
+    if (!expect(s.kind == Kind::kObject, "span is not an object", error)) {
       return res;
     }
-    const JsonValue* path = s.find("path");
-    if (!expect(path != nullptr && path->kind == JsonValue::Kind::kString,
+    if (!expect(s.find_string("path") != nullptr,
                 "span missing string 'path'", error)) {
       return res;
     }
     for (const char* field : {"depth", "start_seconds", "duration_seconds"}) {
-      const JsonValue* f = s.find(field);
-      if (!expect(f != nullptr && f->kind == JsonValue::Kind::kNumber,
+      if (!expect(s.find_number(field).has_value(),
                   "span missing numeric field '" + std::string(field) + "'",
                   error)) {
         return res;
@@ -590,7 +307,6 @@ ValidationResult validate_export_json(const std::string& json) {
   }
 
   res.ok = true;
-  res.error.clear();
   return res;
 }
 
@@ -599,40 +315,23 @@ std::optional<double> read_export_histogram_quantile(
   if (percentile != 50 && percentile != 95 && percentile != 99) {
     return std::nullopt;
   }
-  JsonValue doc;
-  std::string error;
-  JsonParser parser(json);
-  if (!parser.parse(doc, error)) return std::nullopt;
-  if (doc.kind != JsonValue::Kind::kObject) return std::nullopt;
-  const JsonValue* hists = doc.find("histograms");
-  if (hists == nullptr || hists->kind != JsonValue::Kind::kObject) {
-    return std::nullopt;
-  }
-  const JsonValue* h = hists->find(name);
-  if (h == nullptr || h->kind != JsonValue::Kind::kObject) {
-    return std::nullopt;
-  }
-  const JsonValue* q = h->find("p" + std::to_string(percentile));
-  if (q == nullptr || q->kind != JsonValue::Kind::kNumber) {
-    return std::nullopt;
-  }
-  return q->number;
+  const auto doc = json::parse(json);
+  const Value* hists = section(doc, "histograms");
+  const Value* h = hists != nullptr ? hists->find(name) : nullptr;
+  if (h == nullptr) return std::nullopt;
+  char field[8];
+  std::snprintf(field, sizeof field, "p%d", percentile);
+  return h->find_number(field);
 }
 
 std::optional<std::vector<std::pair<std::string, double>>>
 read_export_counters(const std::string& json, const std::string& prefix) {
-  JsonValue doc;
-  std::string error;
-  JsonParser parser(json);
-  if (!parser.parse(doc, error)) return std::nullopt;
-  if (doc.kind != JsonValue::Kind::kObject) return std::nullopt;
-  const JsonValue* counters = doc.find("counters");
-  if (counters == nullptr || counters->kind != JsonValue::Kind::kObject) {
-    return std::nullopt;
-  }
+  const auto doc = json::parse(json);
+  const Value* counters = section(doc, "counters");
+  if (counters == nullptr) return std::nullopt;
   std::vector<std::pair<std::string, double>> out;
   for (const auto& [name, v] : counters->object) {
-    if (name.starts_with(prefix) && v.kind == JsonValue::Kind::kNumber) {
+    if (name.starts_with(prefix) && v.kind == Kind::kNumber) {
       out.emplace_back(name, v.number);
     }
   }
@@ -641,20 +340,10 @@ read_export_counters(const std::string& json, const std::string& prefix) {
 
 std::optional<double> read_export_gauge(const std::string& json,
                                         const std::string& name) {
-  JsonValue doc;
-  std::string error;
-  JsonParser parser(json);
-  if (!parser.parse(doc, error)) return std::nullopt;
-  if (doc.kind != JsonValue::Kind::kObject) return std::nullopt;
-  const JsonValue* gauges = doc.find("gauges");
-  if (gauges == nullptr || gauges->kind != JsonValue::Kind::kObject) {
-    return std::nullopt;
-  }
-  const JsonValue* g = gauges->find(name);
-  if (g == nullptr || g->kind != JsonValue::Kind::kNumber) {
-    return std::nullopt;
-  }
-  return g->number;
+  const auto doc = json::parse(json);
+  const Value* gauges = section(doc, "gauges");
+  if (gauges == nullptr) return std::nullopt;
+  return gauges->find_number(name);
 }
 
 }  // namespace te::obs

@@ -12,8 +12,9 @@
 //     spreadsheet-grade consumers; spans are exported as kind=span rows
 //     with the duration in the value column.
 //
-// validate_export_json() re-parses a document with the bundled minimal
-// JSON reader and checks it against the te-obs-v1 shape; tools/
+// validate_export_json() re-parses a document with the library's one
+// strict JSON reader (te/util/json.hpp) and checks it against the
+// te-obs-v1 shape; the read_export_* lookups parse the same way. tools/
 // obs_json_check wraps it as the CI gate, and the unit tests close the
 // loop (export -> validate) in both TE_OBS modes. The exporters work in
 // disabled builds too -- they just see an empty snapshot -- so bench

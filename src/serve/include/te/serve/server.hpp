@@ -130,6 +130,7 @@ struct RequestStatus {
   int chunks_restored = 0;  ///< replayed from a WAL, never re-executed
   std::int64_t submit_step = 0;
   std::int64_t complete_step = 0;  ///< valid when state == kDone
+  bool evicted = false;  ///< retention freed it; result() refuses the ticket
 };
 
 /// stats() snapshot of the whole server.
@@ -288,6 +289,7 @@ class Server {
     st.shard = r.shard;
     st.submit_step = r.submit_step;
     st.complete_step = r.complete_step;
+    st.evicted = r.evicted;
     const auto& sched = shards_[static_cast<std::size_t>(r.shard)];
     if (sched) {
       st.chunks_total = sched->chunks_total(r.job);

@@ -12,13 +12,20 @@
 //   {"op":"cancel","ticket":0}  -> {"ok":true,"cancelled":true}
 //   {"op":"stats"}              -> {"ok":true,"submitted":..,...}
 //
+// poll and wait report "evicted":true, and no lambda00, for a request the
+// server's completed_retention window has already released.
+//
 // Submit ships a generator spec (seed/tensors/starts/order/dim), not tensor
 // payloads: the service solves BatchProblem::random(seed, ...), which is
 // deterministic, so client and server agree on the problem without moving
 // megabytes through the socket. Errors (including admission rejections)
 // come back as {"ok":false,"error":"..."}; a malformed line never kills the
-// server. The parser handles exactly the flat object subset the protocol
-// uses -- it is not a general JSON reader.
+// server. Each line is parsed once by the library's strict JSON reader
+// (te/util/json.hpp: RFC 8259 numbers, escapes decoded exactly or refused,
+// no duplicate keys, nothing after the object) and must be a flat object:
+// a line that is not an object, or has a nested object or array value, is
+// refused. Fields are looked up at the top level only. The socket front-end
+// refuses a line longer than 64 KiB.
 
 #include <optional>
 #include <string>
@@ -28,21 +35,10 @@
 namespace te::serve {
 
 /// Execute one protocol line against a server; returns the response line
-/// (no trailing newline). Never throws: failures become error responses.
+/// (no trailing newline): always one JSON object with an "ok" field. Never
+/// throws: failures become error responses.
 [[nodiscard]] std::string handle_line(Server<float>& server,
                                       const std::string& line);
-
-/// Flat-object field extraction (exposed for tests and the CLI's response
-/// handling). Returns nullopt when the key is absent or the wrong shape.
-/// wire_string decodes the RFC 8259 escapes (\uXXXX below 0x80 only) and
-/// returns nullopt for any escape it does not decode, so distinct JSON
-/// strings never decode to the same std::string. wire_number accepts only
-/// the RFC 8259 number grammar, ending at whitespace, ',' or '}', and
-/// refuses a value out of double's range.
-[[nodiscard]] std::optional<std::string> wire_string(const std::string& json,
-                                                     const std::string& key);
-[[nodiscard]] std::optional<double> wire_number(const std::string& json,
-                                                const std::string& key);
 
 /// Kernel tier by protocol name ("general", "precomputed", ...); every
 /// tier but jit, which needs an acquire step serve does not run.

@@ -23,11 +23,13 @@ sockaddr_un make_addr(const std::string& path) {
   return addr;
 }
 
-/// Write the whole buffer, retrying on short writes / EINTR.
+/// Write the whole buffer, retrying on short writes / EINTR. A peer that
+/// already hung up fails the write (EPIPE) instead of raising SIGPIPE.
 bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -86,9 +88,12 @@ void SocketFrontEnd::serve_connection(int fd) {
   // time, so a client that connects and goes silent would otherwise wedge
   // the whole front-end and make stop() hang in thread_.join(). Poll with
   // a short timeout (re-checking stopping_ like the accept loop does) and
-  // hang up on clients idle past kIdleTimeoutMs.
+  // hang up on clients idle past kIdleTimeoutMs. A line longer than
+  // kMaxLineBytes gets one error reply and a hang-up, so a client that
+  // never sends a newline cannot grow `pending` without bound.
   constexpr int kPollMs = 100;
   constexpr int kIdleTimeoutMs = 10'000;
+  constexpr std::size_t kMaxLineBytes = 64 * 1024;
   std::string pending;
   char buf[4096];
   int idle_ms = 0;
@@ -110,14 +115,24 @@ void SocketFrontEnd::serve_connection(int fd) {
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return;  // client hung up
     idle_ms = 0;
+    std::size_t scan = pending.size();  // earlier bytes hold no '\n'
     pending.append(buf, static_cast<std::size_t>(n));
-    std::size_t nl;
-    while ((nl = pending.find('\n')) != std::string::npos) {
-      const std::string line = pending.substr(0, nl);
-      pending.erase(0, nl + 1);
+    std::size_t begin = 0;
+    for (;;) {
+      const std::size_t nl = pending.find('\n', scan);
+      const std::size_t end = nl == std::string::npos ? pending.size() : nl;
+      if (end - begin > kMaxLineBytes) {
+        (void)write_all(fd, "{\"ok\":false,\"error\":\"line longer than " +
+                                std::to_string(kMaxLineBytes) + " bytes\"}\n");
+        return;
+      }
+      if (nl == std::string::npos) break;
+      const std::string line = pending.substr(begin, nl - begin);
+      begin = scan = nl + 1;
       if (line.empty()) continue;
       if (!write_all(fd, handle_line(server_, line) + "\n")) return;
     }
+    pending.erase(0, begin);
   }
 }
 

@@ -1,73 +1,23 @@
 #include "te/serve/wire.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <sstream>
-#include <string_view>
+
+#include "te/util/json.hpp"
 
 namespace te::serve {
 
 namespace {
 
-/// Position just past `"key":` in a flat object, or npos.
-std::size_t value_pos(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  std::size_t at = 0;
-  while ((at = json.find(needle, at)) != std::string::npos) {
-    std::size_t p = at + needle.size();
-    while (p < json.size() &&
-           std::isspace(static_cast<unsigned char>(json[p]))) {
-      ++p;
-    }
-    if (p < json.size() && json[p] == ':') {
-      ++p;
-      while (p < json.size() &&
-             std::isspace(static_cast<unsigned char>(json[p]))) {
-        ++p;
-      }
-      return p;
-    }
-    at += needle.size();  // matched a value, not a key; keep scanning
-  }
-  return std::string::npos;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using json::Value;
 
 std::string error_line(const std::string& message) {
-  return "{\"ok\":false,\"error\":\"" + json_escape(message) + "\"}";
+  std::string out = "{\"ok\":false,\"error\":";
+  json::append_escaped(out, message);
+  return out + "}";
 }
 
 /// Required integer field in [lo, hi], throwing InvalidArgument with a
@@ -75,11 +25,11 @@ std::string error_line(const std::string& message) {
 /// range. The range check MUST precede the cast: static_cast<int> of a
 /// double outside int's range (1e300, NaN, inf) is undefined behavior, not
 /// an exception the handle_line try/catch could turn into an error line.
-int required_int(const std::string& json, const std::string& key, int lo,
+int required_int(const Value& request, const std::string& key, int lo,
                  int hi) {
-  const auto v = wire_number(json, key);
+  const auto v = request.find_number(key);
   TE_REQUIRE(v.has_value(),
-             "missing or non-JSON numeric field '" << key << "'");
+             "missing numeric field '" << key << "'");
   TE_REQUIRE(std::isfinite(*v) && *v == std::floor(*v),
              "field '" << key << "' is not a finite integer");
   TE_REQUIRE(*v >= static_cast<double>(lo) && *v <= static_cast<double>(hi),
@@ -102,22 +52,22 @@ std::uint64_t symmetric_entries_capped(int order, int dim,
   return n;
 }
 
-std::string handle_submit(Server<float>& server, const std::string& line) {
-  const auto tenant = wire_string(line, "tenant");
-  TE_REQUIRE(tenant.has_value(), "missing string field 'tenant'");
-  const auto tier_name = wire_string(line, "tier");
-  const auto tier = wire_tier(tier_name.value_or("general"));
-  TE_REQUIRE(tier.has_value(),
-             "unknown tier '" << tier_name.value_or("general") << "'");
+std::string handle_submit(Server<float>& server, const Value& request) {
+  const std::string* tenant = request.find_string("tenant");
+  TE_REQUIRE(tenant != nullptr, "missing string field 'tenant'");
+  const std::string* tier_field = request.find_string("tier");
+  const std::string tier_name = tier_field ? *tier_field : "general";
+  const auto tier = wire_tier(tier_name);
+  TE_REQUIRE(tier.has_value(), "unknown tier '" << tier_name << "'");
   // Protocol-level bounds: the wire is untrusted, so every generator knob
   // is range-checked before BatchProblem::random allocates anything, and
   // the combined per-request tensor footprint is capped so huge-but-
   // individually-plausible (order, dim, tensors) combinations cannot
   // trigger unbounded allocations either.
-  const int tensors = required_int(line, "tensors", 1, 4096);
-  const int starts = required_int(line, "starts", 1, 1024);
-  const int order = required_int(line, "order", 3, 8);
-  const int dim = required_int(line, "dim", 2, 64);
+  const int tensors = required_int(request, "tensors", 1, 4096);
+  const int starts = required_int(request, "starts", 1, 1024);
+  const int order = required_int(request, "order", 3, 8);
+  const int dim = required_int(request, "dim", 2, 64);
   constexpr std::uint64_t kMaxRequestValues = std::uint64_t{1} << 24;
   const std::uint64_t total =
       static_cast<std::uint64_t>(tensors) *
@@ -127,7 +77,7 @@ std::string handle_submit(Server<float>& server, const std::string& line) {
                  << " tensors of order " << order << ", dim " << dim);
   auto problem = batch::BatchProblem<float>::random(
       static_cast<std::uint64_t>(required_int(
-          line, "seed", 0, std::numeric_limits<int>::max())),
+          request, "seed", 0, std::numeric_limits<int>::max())),
       tensors, starts, order, dim);
   const SubmitOutcome out =
       server.submit(*tenant, std::move(problem), *tier);
@@ -137,16 +87,19 @@ std::string handle_submit(Server<float>& server, const std::string& line) {
 
 std::string status_line(const Server<float>& server, Ticket t) {
   const RequestStatus st = server.poll(t);
+  std::string tenant;
+  json::append_escaped(tenant, st.tenant);
   std::ostringstream os;
   os << "{\"ok\":true,\"state\":\"" << request_state_name(st.state)
-     << "\",\"tenant\":\"" << json_escape(st.tenant)
-     << "\",\"shard\":" << st.shard
+     << "\",\"tenant\":" << tenant << ",\"shard\":" << st.shard
      << ",\"chunks_total\":" << st.chunks_total
      << ",\"chunks_done\":" << st.chunks_done
-     << ",\"chunks_restored\":" << st.chunks_restored;
-  if (st.state == RequestState::kDone) {
+     << ",\"chunks_restored\":" << st.chunks_restored
+     << ",\"evicted\":" << (st.evicted ? "true" : "false");
+  if (st.state == RequestState::kDone && !st.evicted) {
     // First result slot's eigenvalue: enough for a client to check it got
-    // real numbers back (full results stay in-process).
+    // real numbers back (full results stay in-process; an evicted
+    // request's result storage is gone).
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.9g",
                   static_cast<double>(server.result(t).results.front().lambda));
@@ -172,80 +125,6 @@ std::string handle_stats(const Server<float>& server) {
 
 }  // namespace
 
-std::optional<std::string> wire_string(const std::string& json,
-                                       const std::string& key) {
-  // The RFC 8259 escapes, with \uXXXX decoded only below 0x80 (that covers
-  // json_escape's \u00XX). Any other escape is refused rather than guessed
-  // at, so two distinct JSON strings never decode to the same bytes.
-  static constexpr std::string_view kEscaped = "\"\\/bfnrt";
-  static constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
-  std::size_t p = value_pos(json, key);
-  if (p == std::string::npos || p >= json.size() || json[p] != '"') {
-    return std::nullopt;
-  }
-  std::string out;
-  for (++p; p < json.size(); ++p) {
-    if (json[p] == '"') return out;
-    if (json[p] != '\\') {
-      out += json[p];
-      continue;
-    }
-    if (++p == json.size()) break;
-    if (const auto i = kEscaped.find(json[p]); i != std::string_view::npos) {
-      out += kDecoded[i];
-      continue;
-    }
-    unsigned code = 0;
-    const char* hex = json.data() + p + 1;
-    if (json[p] != 'u' || p + 4 >= json.size() ||
-        std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4 ||
-        code >= 0x80) {
-      return std::nullopt;
-    }
-    out += static_cast<char>(code);
-    p += 4;
-  }
-  return std::nullopt;  // unterminated string
-}
-
-std::optional<double> wire_number(const std::string& json,
-                                  const std::string& key) {
-  // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?, and
-  // then the value must end. strtod would also take hex, "+4", ".5", "inf"
-  // or a numeric prefix like "4abc", and reads the locale's decimal point.
-  const std::size_t p = value_pos(json, key);
-  if (p == std::string::npos) return std::nullopt;
-  const auto digit = [&](std::size_t i) {
-    return i < json.size() && json[i] >= '0' && json[i] <= '9';
-  };
-  const auto digits = [&](std::size_t i) {
-    while (digit(i)) ++i;
-    return i;
-  };
-  std::size_t q = p;
-  if (q < json.size() && json[q] == '-') ++q;
-  if (!digit(q)) return std::nullopt;
-  q = json[q] == '0' ? q + 1 : digits(q);
-  if (q < json.size() && json[q] == '.') {
-    if (!digit(++q)) return std::nullopt;
-    q = digits(q);
-  }
-  if (q < json.size() && (json[q] == 'e' || json[q] == 'E')) {
-    ++q;
-    if (q < json.size() && (json[q] == '+' || json[q] == '-')) ++q;
-    if (!digit(q)) return std::nullopt;
-    q = digits(q);
-  }
-  const bool ends = q < json.size() &&
-                   (json[q] == ',' || json[q] == '}' ||
-                    std::isspace(static_cast<unsigned char>(json[q])));
-  if (!ends) return std::nullopt;
-  double v = 0;
-  const auto [end, ec] = std::from_chars(json.data() + p, json.data() + q, v);
-  if (ec != std::errc() || end != json.data() + q) return std::nullopt;
-  return v;
-}
-
 std::optional<kernels::Tier> wire_tier(const std::string& name) {
   // Serve has no JIT acquire path, so "jit" is refused like an unknown name.
   const auto tier = kernels::tier_from_name(name);
@@ -255,12 +134,22 @@ std::optional<kernels::Tier> wire_tier(const std::string& name) {
 
 std::string handle_line(Server<float>& server, const std::string& line) {
   try {
-    const auto op = wire_string(line, "op");
-    TE_REQUIRE(op.has_value(), "missing string field 'op'");
-    if (*op == "submit") return handle_submit(server, line);
+    std::string error;
+    const auto request = json::parse(line, &error);
+    TE_REQUIRE(request.has_value(), "malformed JSON: " << error);
+    TE_REQUIRE(request->kind == Value::Kind::kObject,
+               "a request is a JSON object");
+    for (const auto& [key, v] : request->object) {
+      TE_REQUIRE(v.kind != Value::Kind::kObject &&
+                     v.kind != Value::Kind::kArray,
+                 "field '" << key << "' is nested; requests are flat");
+    }
+    const std::string* op = request->find_string("op");
+    TE_REQUIRE(op != nullptr, "missing string field 'op'");
+    if (*op == "submit") return handle_submit(server, *request);
     if (*op == "stats") return handle_stats(server);
     if (*op == "poll" || *op == "wait" || *op == "cancel") {
-      const Ticket t = required_int(line, "ticket", 0,
+      const Ticket t = required_int(*request, "ticket", 0,
                                     std::numeric_limits<int>::max());
       if (*op == "wait") server.wait(t);
       if (*op == "cancel") {

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <latch>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -547,6 +550,74 @@ TEST(ObsExport, PreQuantileDocumentsStillValidate) {
   EXPECT_TRUE(v.ok) << v.error;
   EXPECT_FALSE(
       obs::read_export_histogram_quantile(legacy, "lat", 95).has_value());
+}
+
+// Gauges at the edges of double's range survive export -> validate -> read
+// back exactly. The subnormal used to pass to_json and then abort
+// obs_json_check (std::stod threw out_of_range on it).
+TEST(ObsExport, ExtremeGaugesRoundTripExactly) {
+  obs::Snapshot snap;
+  const double values[] = {std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(), -0.0};
+  snap.gauges = {{"tiny", values[0]}, {"huge", values[1]}, {"neg0", values[2]}};
+  const std::string json = obs::to_json(snap, {});
+  EXPECT_NE(json.find("4.9406564584124654e-324"), std::string::npos) << json;
+  const auto v = obs::validate_export_json(json);
+  ASSERT_TRUE(v.ok) << v.error;
+  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
+    const auto got = obs::read_export_gauge(json, snap.gauges[i].name);
+    ASSERT_TRUE(got.has_value()) << snap.gauges[i].name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*got),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << snap.gauges[i].name;
+  }
+}
+
+// Numbers outside RFC 8259 or outside double's range fail validation with
+// a message instead of being read leniently or throwing.
+TEST(ObsExport, ValidatorRefusesNonJsonNumbers) {
+  for (const char* gauge : {"1e999", ".5", "01", "1.", "1e", "+1", "NaN"}) {
+    const std::string doc =
+        std::string(R"({"schema": "te-obs-v1", "meta": {}, "counters": {},
+                        "gauges": {"g": )") +
+        gauge + R"(}, "histograms": {}, "spans": []})";
+    const auto v = obs::validate_export_json(doc);
+    EXPECT_FALSE(v.ok) << gauge;
+    EXPECT_FALSE(v.error.empty()) << gauge;
+    EXPECT_FALSE(obs::read_export_gauge(doc, "g").has_value()) << gauge;
+  }
+}
+
+// to_json's string escaping is pinned byte for byte: quotes, backslashes,
+// the short escapes, \u00xx for other control bytes, and everything else
+// (DEL, UTF-8) copied through.
+TEST(ObsExport, EscapedNamesMatchTheGoldenDocument) {
+  obs::Snapshot snap;
+  snap.counters.push_back({"c\"q\\b\x01\x1f\x7f\t\n\r\b\f", 3});
+  snap.gauges.push_back({"g/\xc3\xa9", 4.9406564584124654e-324});
+  snap.gauges.push_back({"max", std::numeric_limits<double>::max()});
+  snap.gauges.push_back({"negzero", -0.0});
+  const std::string golden =
+      "{\n"
+      "  \"schema\": \"te-obs-v1\",\n"
+      "  \"meta\": {\n"
+      "    \"k\\\"\\\\\": \"v\\u0002\\n\"\n"
+      "  },\n"
+      "  \"counters\": {\n"
+      "    \"c\\\"q\\\\b\\u0001\\u001f\x7f"
+      "\\t\\n\\r\\u0008\\u000c\": 3\n"
+      "  },\n"
+      "  \"gauges\": {\n"
+      "    \"g/\xc3\xa9\": 4.9406564584124654e-324,\n"
+      "    \"max\": 1.7976931348623157e+308,\n"
+      "    \"negzero\": -0\n"
+      "  },\n"
+      "  \"histograms\": {},\n"
+      "  \"spans\": []\n"
+      "}\n";
+  const std::string json = obs::to_json(snap, {{"k\"\\", "v\x02\n"}});
+  EXPECT_EQ(json, golden);
+  EXPECT_TRUE(obs::validate_export_json(json).ok);
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "te/serve/server.hpp"
 #include "te/serve/socket.hpp"
 #include "te/serve/wire.hpp"
+#include "te/util/json.hpp"
 
 namespace te::serve {
 namespace {
@@ -34,6 +37,47 @@ std::string tmp_path(const char* name) {
   return (std::filesystem::temp_directory_path() /
           (std::string("te_serve_test_") + name))
       .string();
+}
+
+// Top-level fields of a request or response line, read with the library's
+// JSON reader; nullopt when the line does not parse or the field is absent
+// or of another type.
+std::optional<std::string> str_field(const std::string& line,
+                                     const std::string& key) {
+  const auto doc = json::parse(line);
+  const std::string* s = doc ? doc->find_string(key) : nullptr;
+  return s != nullptr ? std::optional(*s) : std::nullopt;
+}
+
+std::optional<double> num_field(const std::string& line,
+                                const std::string& key) {
+  const auto doc = json::parse(line);
+  return doc ? doc->find_number(key) : std::nullopt;
+}
+
+std::optional<bool> bool_field(const std::string& line,
+                               const std::string& key) {
+  const auto doc = json::parse(line);
+  const json::Value* v = doc ? doc->find(key) : nullptr;
+  if (v == nullptr || v->kind != json::Value::Kind::kBool) {
+    return std::nullopt;
+  }
+  return v->boolean;
+}
+
+/// A raw client connection to a front-end socket, or -1.
+int connect_unix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (fd < 0 || path.size() >= sizeof(addr.sun_path)) return -1;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 struct TmpDir {
@@ -492,11 +536,11 @@ TEST(Serve, TornTailOnOneShardIsDroppedOthersUnaffected) {
 TEST(ServeWire, ParsesFlatFields) {
   const std::string line =
       "{\"op\":\"submit\",\"tenant\":\"a b\",\"seed\":7,\"dim\":4}";
-  EXPECT_EQ(wire_string(line, "op").value(), "submit");
-  EXPECT_EQ(wire_string(line, "tenant").value(), "a b");
-  EXPECT_EQ(wire_number(line, "seed").value(), 7.0);
-  EXPECT_FALSE(wire_string(line, "missing").has_value());
-  EXPECT_FALSE(wire_number(line, "tenant").has_value());
+  EXPECT_EQ(str_field(line, "op").value(), "submit");
+  EXPECT_EQ(str_field(line, "tenant").value(), "a b");
+  EXPECT_EQ(num_field(line, "seed").value(), 7.0);
+  EXPECT_FALSE(str_field(line, "missing").has_value());
+  EXPECT_FALSE(num_field(line, "tenant").has_value());
   EXPECT_EQ(wire_tier("blocked_par").value(), Tier::kBlockedPar);
   EXPECT_FALSE(wire_tier("warp9").has_value());
 }
@@ -517,8 +561,8 @@ TEST(ServeWire, RetiredAndJitTierNamesAreRefusedAsUnknown) {
                     "\"tier\":\"") +
         tier + "\"}";
     const auto resp = handle_line(server, line);
-    ASSERT_TRUE(wire_string(resp, "error").has_value()) << resp;
-    EXPECT_NE(wire_string(resp, "error")->find("unknown tier"),
+    ASSERT_TRUE(str_field(resp, "error").has_value()) << resp;
+    EXPECT_NE(str_field(resp, "error")->find("unknown tier"),
               std::string::npos)
         << resp;
   }
@@ -542,18 +586,18 @@ TEST(ServeWire, DeviceOnlyTierIsRefusedAndTheServerKeepsRunning) {
       server,
       "{\"op\":\"submit\",\"tenant\":\"a\",\"seed\":7,\"tensors\":4,"
       "\"starts\":2,\"order\":3,\"dim\":4,\"tier\":\"precomputed\"}");
-  const auto ticket = wire_number(submit, "ticket");
+  const auto ticket = num_field(submit, "ticket");
   ASSERT_TRUE(ticket.has_value()) << submit;
   const auto wait = handle_line(
       server, "{\"op\":\"wait\",\"ticket\":" +
                   std::to_string(static_cast<int>(*ticket)) + "}");
-  EXPECT_EQ(wire_string(wait, "state").value(), "done") << wait;
+  EXPECT_EQ(str_field(wait, "state").value(), "done") << wait;
   server.stop();
 }
 
 TEST(ServeWire, StringEscapesDecodeExactlyOrNotAtAll) {
   const auto field = [](const std::string& value) {
-    return wire_string("{\"t\":\"" + value + "\"}", "t");
+    return str_field("{\"t\":\"" + value + "\"}", "t");
   };
   EXPECT_EQ(field(R"(a\rb)").value(), "a\rb");
   EXPECT_EQ(field(R"(\b\f\n\t\/\"\\)").value(), "\b\f\n\t/\"\\");
@@ -583,16 +627,16 @@ TEST(ServeWire, ControlCharacterTenantsRoundTripAndStayDistinct) {
   // back the exact tenant bytes.
   const std::string tenant = "t\x01\r\x1f\"\\";
   const auto first = submit(R"(t\u0001\r\u001F\"\\)");
-  const auto ticket = wire_number(first, "ticket");
+  const auto ticket = num_field(first, "ticket");
   ASSERT_TRUE(ticket.has_value()) << first;
   const auto poll = handle_line(
       server, "{\"op\":\"poll\",\"ticket\":" +
                   std::to_string(static_cast<int>(*ticket)) + "}");
   EXPECT_NE(poll.find(R"(\u0001)"), std::string::npos) << poll;
-  EXPECT_EQ(wire_string(poll, "tenant").value(), tenant) << poll;
+  EXPECT_EQ(str_field(poll, "tenant").value(), tenant) << poll;
   // "a\rb" and "arb" are two admission/DRR buckets, not one.
-  ASSERT_TRUE(wire_number(submit(R"(a\rb)"), "ticket").has_value());
-  ASSERT_TRUE(wire_number(submit("arb"), "ticket").has_value());
+  ASSERT_TRUE(num_field(submit(R"(a\rb)"), "ticket").has_value());
+  ASSERT_TRUE(num_field(submit("arb"), "ticket").has_value());
   EXPECT_EQ(server.stats().active_tenants, 3);
 }
 
@@ -602,22 +646,22 @@ TEST(ServeWire, SubmitWaitStatsCancelRoundTrip) {
       server,
       "{\"op\":\"submit\",\"tenant\":\"w\",\"seed\":7,\"tensors\":4,"
       "\"starts\":2,\"order\":3,\"dim\":4,\"tier\":\"general\"}");
-  EXPECT_EQ(wire_number(submit, "ticket").value(), 0.0);
+  EXPECT_EQ(num_field(submit, "ticket").value(), 0.0);
   const auto wait = handle_line(server, "{\"op\":\"wait\",\"ticket\":0}");
-  EXPECT_EQ(wire_string(wait, "state").value(), "done");
-  ASSERT_TRUE(wire_number(wait, "lambda00").has_value());
+  EXPECT_EQ(str_field(wait, "state").value(), "done");
+  ASSERT_TRUE(num_field(wait, "lambda00").has_value());
   // The reported eigenvalue is the one-shot backend's, bit for bit (within
   // the %.9g float round-trip, which is exact for float).
   const auto ref = batch::solve_cpu_sequential(problem(7), Tier::kGeneral);
-  EXPECT_FLOAT_EQ(static_cast<float>(*wire_number(wait, "lambda00")),
+  EXPECT_FLOAT_EQ(static_cast<float>(*num_field(wait, "lambda00")),
                   ref.results.front().lambda);
   const auto stats = handle_line(server, "{\"op\":\"stats\"}");
-  EXPECT_EQ(wire_number(stats, "completed").value(), 1.0);
+  EXPECT_EQ(num_field(stats, "completed").value(), 1.0);
 
   const auto bad = handle_line(server, "{\"op\":\"warp\"}");
-  EXPECT_TRUE(wire_string(bad, "error").has_value());
+  EXPECT_TRUE(str_field(bad, "error").has_value());
   const auto reject = handle_line(server, "{\"op\":\"poll\",\"ticket\":99}");
-  EXPECT_TRUE(wire_string(reject, "error").has_value());
+  EXPECT_TRUE(str_field(reject, "error").has_value());
 }
 
 TEST(ServeSocket, LineProtocolOverAfUnix) {
@@ -629,9 +673,9 @@ TEST(ServeSocket, LineProtocolOverAfUnix) {
       path,
       "{\"op\":\"submit\",\"tenant\":\"s\",\"seed\":8,\"tensors\":2,"
       "\"starts\":2,\"order\":3,\"dim\":4}");
-  ASSERT_TRUE(wire_number(submit, "ticket").has_value()) << submit;
+  ASSERT_TRUE(num_field(submit, "ticket").has_value()) << submit;
   const auto wait = request_over_socket(path, "{\"op\":\"wait\",\"ticket\":0}");
-  EXPECT_EQ(wire_string(wait, "state").value(), "done") << wait;
+  EXPECT_EQ(str_field(wait, "state").value(), "done") << wait;
   front.stop();
   server.stop();
   EXPECT_FALSE(std::filesystem::exists(path));  // socket unlinked on stop
@@ -644,15 +688,8 @@ TEST(ServeSocket, StopIsPromptWithAnIdleClientConnected) {
   SocketFrontEnd front(server, path);
   // A client that connects and never sends a byte: before the connection
   // loop polled with a timeout, stop() hung forever in thread_.join().
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = connect_unix(path);
   ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  ASSERT_LT(path.size(), sizeof(addr.sun_path));
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
   // Let the accept loop pick the connection up, then stop mid-connection.
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   front.stop();
@@ -676,7 +713,7 @@ TEST(ServeWire, RejectsNonFiniteOversizedAndOutOfRangeNumbers) {
         "\"starts\":1,\"order\":3,\"dim\":4}",
         "{\"op\":\"poll\",\"ticket\":0.5}"}) {
     const auto resp = handle_line(server, line);
-    EXPECT_TRUE(wire_string(resp, "error").has_value()) << resp;
+    EXPECT_TRUE(str_field(resp, "error").has_value()) << resp;
   }
   // Individually in-range knobs whose combined footprint blows the
   // per-request size budget are rejected before anything allocates.
@@ -684,8 +721,8 @@ TEST(ServeWire, RejectsNonFiniteOversizedAndOutOfRangeNumbers) {
       server,
       "{\"op\":\"submit\",\"tenant\":\"w\",\"seed\":1,\"tensors\":4096,"
       "\"starts\":1,\"order\":8,\"dim\":64}");
-  ASSERT_TRUE(wire_string(budget, "error").has_value()) << budget;
-  EXPECT_NE(wire_string(budget, "error")->find("budget"), std::string::npos);
+  ASSERT_TRUE(str_field(budget, "error").has_value()) << budget;
+  EXPECT_NE(str_field(budget, "error")->find("budget"), std::string::npos);
   // None of the rejects was admitted.
   EXPECT_EQ(server.stats().submitted, 0);
 }
@@ -704,11 +741,105 @@ TEST(ServeWire, NumbersOutsideTheJsonGrammarAreRefused) {
     EXPECT_EQ(resp.rfind("{\"ok\":false,", 0), 0u) << seed << " -> " << resp;
   }
   EXPECT_EQ(server.stats().submitted, 0);
-  EXPECT_EQ(wire_number("{\"a\":-0.5e+1}", "a"), -5.0);
-  EXPECT_EQ(wire_number("{\"a\": 4 ,\"b\":0}", "a"), 4.0);
-  EXPECT_EQ(wire_number("{\"a\":1E2\t}", "a"), 100.0);
-  EXPECT_EQ(wire_number("{\"a\":0}", "a"), 0.0);
-  EXPECT_FALSE(wire_number("{\"a\":7", "a").has_value());
+  EXPECT_EQ(num_field("{\"a\":-0.5e+1}", "a"), -5.0);
+  EXPECT_EQ(num_field("{\"a\": 4 ,\"b\":0}", "a"), 4.0);
+  EXPECT_EQ(num_field("{\"a\":1E2\t}", "a"), 100.0);
+  EXPECT_EQ(num_field("{\"a\":0}", "a"), 0.0);
+  EXPECT_FALSE(num_field("{\"a\":7", "a").has_value());
+}
+
+// Each malformed line gets one {"ok":false,...} reply: a line that is not
+// an object, trailing bytes after the object, a tenant given only inside a
+// nested object, and a repeated key. A line past the 64 KiB cap gets one
+// error reply and the connection is closed. The same server then completes
+// a valid submit and wait.
+TEST(ServeSocket, MalformedAndOverlongLinesAreRefused) {
+  Server<float> server(small_options());
+  server.start();
+  const std::string path = tmp_path("refuse_sock");
+  SocketFrontEnd front(server, path);
+  for (const char* line :
+       {R"("op":"stats")", R"({"op":"stats"} x)",
+        R"({"op":"submit","seed":1,"tensors":1,"starts":1,"order":3,)"
+        R"("dim":4,"spec":{"tenant":"a"}})",
+        R"({"op":"stats","op":"stats"})"}) {
+    const auto resp = request_over_socket(path, line);
+    EXPECT_EQ(bool_field(resp, "ok"), false) << line << " -> " << resp;
+    EXPECT_TRUE(str_field(resp, "error").has_value()) << resp;
+  }
+  EXPECT_EQ(server.stats().submitted, 0);
+
+  // 1 MiB with no newline: the server stops reading past the cap, replies
+  // once and hangs up, so the send fails part way (EPIPE, not SIGPIPE).
+  const int fd = connect_unix(path);
+  ASSERT_GE(fd, 0);
+  const std::string blob(std::size_t{1} << 20, 'x');
+  for (std::size_t sent = 0; sent < blob.size();) {
+    const ssize_t n = ::send(fd, blob.data() + sent, blob.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char buf[256];
+  for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) > 0;) {
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  EXPECT_EQ(bool_field(reply, "ok"), false) << reply;
+  EXPECT_NE(str_field(reply, "error").value_or("").find("65536"),
+            std::string::npos)
+      << reply;
+
+  const auto submit = request_over_socket(
+      path,
+      "{\"op\":\"submit\",\"tenant\":\"s\",\"seed\":8,\"tensors\":2,"
+      "\"starts\":2,\"order\":3,\"dim\":4}");
+  const auto ticket = num_field(submit, "ticket");
+  ASSERT_TRUE(ticket.has_value()) << submit;
+  const auto wait = request_over_socket(
+      path, "{\"op\":\"wait\",\"ticket\":" +
+                std::to_string(static_cast<int>(*ticket)) + "}");
+  EXPECT_EQ(str_field(wait, "state").value(), "done") << wait;
+  front.stop();
+  server.stop();
+}
+
+// Past completed_retention a done request's result storage is released.
+// poll and wait keep answering for it, as Server::poll promises, and only
+// leave out lambda00, which needs the released result.
+TEST(ServeWire, EvictedRequestStillPollsAndWaits) {
+  ServeOptions opt = small_options();
+  opt.completed_retention = 1;
+  Server<float> server(opt);
+  const auto run = [&](int seed) {
+    const auto submit = handle_line(
+        server, "{\"op\":\"submit\",\"tenant\":\"e\",\"seed\":" +
+                    std::to_string(seed) +
+                    ",\"tensors\":2,\"starts\":2,\"order\":3,\"dim\":4}");
+    const auto ticket = num_field(submit, "ticket");
+    EXPECT_TRUE(ticket.has_value()) << submit;
+    return handle_line(
+        server, "{\"op\":\"wait\",\"ticket\":" +
+                    std::to_string(static_cast<int>(ticket.value_or(-1))) +
+                    "}");
+  };
+  const auto first = run(1);
+  EXPECT_EQ(bool_field(first, "evicted"), false) << first;
+  EXPECT_TRUE(num_field(first, "lambda00").has_value()) << first;
+  const auto second = run(2);  // retires ticket 1, evicts ticket 0
+  EXPECT_TRUE(num_field(second, "lambda00").has_value()) << second;
+  EXPECT_TRUE(server.poll(0).evicted);
+  EXPECT_FALSE(server.poll(1).evicted);
+  for (const char* op : {"poll", "wait"}) {
+    const auto resp = handle_line(
+        server, std::string("{\"op\":\"") + op + "\",\"ticket\":0}");
+    EXPECT_EQ(bool_field(resp, "ok"), true) << resp;
+    EXPECT_EQ(str_field(resp, "state"), "done") << resp;
+    EXPECT_EQ(bool_field(resp, "evicted"), true) << resp;
+    EXPECT_FALSE(num_field(resp, "lambda00").has_value()) << resp;
+  }
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
 // Utility-layer tests: deterministic RNG, sphere sampling, small linear
 // algebra (Jacobi, Cholesky, least squares), table formatting and CLI
-// parsing.
+// parsing, and the strict JSON reader's conformance table.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "te/util/cli.hpp"
+#include "te/util/json.hpp"
 #include "te/util/linalg.hpp"
 #include "te/util/op_counter.hpp"
 #include "te/util/rng.hpp"
@@ -354,6 +358,108 @@ TEST(Formatting, FixedAndAuto) {
   EXPECT_EQ(fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_auto(0.0), "0");
   EXPECT_NE(fmt_auto(1e9).find("e"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// JSON reader conformance.
+// ---------------------------------------------------------------------------
+
+std::optional<double> json_number(const std::string& text) {
+  const auto v = json::parse(text);
+  if (!v || v->kind != json::Value::Kind::kNumber) return std::nullopt;
+  return v->number;
+}
+
+std::optional<std::string> json_string(const std::string& text) {
+  const auto v = json::parse(text);
+  if (!v || v->kind != json::Value::Kind::kString) return std::nullopt;
+  return v->string;
+}
+
+TEST(JsonReader, AcceptsRfcNumbers) {
+  EXPECT_EQ(json_number("0"), 0.0);
+  const auto neg_zero = json_number("-0");
+  ASSERT_TRUE(neg_zero.has_value());
+  EXPECT_TRUE(std::signbit(*neg_zero));
+  EXPECT_EQ(json_number("1E+2"), 100.0);
+  EXPECT_EQ(json_number("-0.5e+1"), -5.0);
+  EXPECT_EQ(json_number(" 12.25e-2 \r\n"), 0.1225);
+  EXPECT_EQ(json_number("4.9406564584124654e-324"),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(json_number("1.7976931348623157e308"),
+            std::numeric_limits<double>::max());
+}
+
+TEST(JsonReader, RefusesNumbersOutsideTheGrammarOrRange) {
+  for (const char* bad : {".5", "01", "1.", "1e", "1e+", "-", "+1", "0x10",
+                          "1e999", "-1e999", "1e-400", "NaN", "Infinity",
+                          "inf", "- 1", "1 2"}) {
+    std::string error;
+    EXPECT_FALSE(json::parse(bad, &error).has_value()) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+}
+
+TEST(JsonReader, DecodesValidEscapesExactly) {
+  EXPECT_EQ(json_string(R"("\"\\\/\b\f\n\r\t")"), "\"\\/\b\f\n\r\t");
+  EXPECT_EQ(json_string(R"("A\u001f\u007F\u0000")"),
+            std::string("A\x1f\x7f\0", 4));
+  EXPECT_EQ(json_string("\"caf\xc3\xa9\x7f\""), "caf\xc3\xa9\x7f");
+}
+
+TEST(JsonReader, RefusesBadEscapesAndRawControlCharacters) {
+  for (const char* bad :
+       {R"("a\qb")", R"("\x41")", R"("\u00")", R"("\u12G4")", R"("\u-041")",
+        R"("\u00e9")", R"("\ud83d\ude00")", R"("\)", R"("abc)", "\"a\nb\"",
+        "\"a\tb\"", "\"\x01\"", "\"\x1f\""}) {
+    EXPECT_FALSE(json::parse(bad).has_value()) << bad;
+  }
+}
+
+TEST(JsonReader, RefusesDeepNestingTrailingBytesAndDuplicateKeys) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(json::parse(nested(json::kMaxDepth)).has_value());
+  EXPECT_FALSE(json::parse(nested(json::kMaxDepth + 1)).has_value());
+  EXPECT_FALSE(json::parse(nested(100000)).has_value());  // no stack blowup
+  for (const char* bad :
+       {R"({"a":1} x)", R"({"a":1}{})", "[1]]", "true false", R"({"a":1,})",
+        "[1,]", R"({"a" 1})", R"({a:1})", "", "   ", "tru", "nul",
+        R"({"a":1,"b":2,"a":3})", R"({"k":{"x":1,"x":1}})"}) {
+    EXPECT_FALSE(json::parse(bad).has_value()) << bad;
+  }
+  // The same key in sibling objects is not a duplicate.
+  const auto ok = json::parse(R"([{"a":1},{"a":2}] )");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->array.size(), 2u);
+}
+
+TEST(JsonReader, LookupsAreTopLevelAndTyped) {
+  const auto doc =
+      json::parse(R"({"s":"x","n":2,"b":true,"z":null,"o":{"s":"inner"}})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(*doc->find_string("s"), "x");
+  EXPECT_EQ(doc->find_number("n"), 2.0);
+  EXPECT_EQ(doc->find_string("n"), nullptr);
+  EXPECT_FALSE(doc->find_number("s").has_value());
+  EXPECT_TRUE(doc->find("b")->boolean);
+  EXPECT_EQ(doc->find("z")->kind, json::Value::Kind::kNull);
+  EXPECT_EQ(doc->find("inner"), nullptr);
+  EXPECT_EQ(*doc->find("o")->find_string("s"), "inner");
+  EXPECT_EQ(doc->find("o")->find("o"), nullptr);
+}
+
+TEST(JsonReader, AppendEscapedOutputParsesBackToTheSameBytes) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all += static_cast<char>(c);
+  std::string out;
+  json::append_escaped(out, all);
+  EXPECT_EQ(json_string(out), all);
+  out.clear();
+  json::append_escaped(out, "q\"b\\n\n\r\t\x01");
+  EXPECT_EQ(out, R"("q\"b\\n\n\r\t\u0001")");
 }
 
 }  // namespace

@@ -20,8 +20,8 @@
 
 #include "te/serve/server.hpp"
 #include "te/serve/socket.hpp"
-#include "te/serve/wire.hpp"
 #include "te/util/cli.hpp"
+#include "te/util/json.hpp"
 
 namespace {
 
@@ -67,8 +67,9 @@ int run_client(const std::string& socket_path, const std::string& line) {
     const std::string response =
         te::serve::request_over_socket(socket_path, line);
     std::printf("%s\n", response.c_str());
-    const auto ok = te::serve::wire_string(response, "error");
-    return ok.has_value() ? 1 : 0;
+    const auto doc = te::json::parse(response);
+    const te::json::Value* ok = doc ? doc->find("ok") : nullptr;
+    return ok != nullptr && ok->boolean ? 0 : 1;  // set only by `true`
   } catch (const std::exception& e) {
     std::fprintf(stderr, "serve_cli: %s\n", e.what());
     return 1;
