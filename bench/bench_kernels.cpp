@@ -19,20 +19,6 @@
 //                         runs the width autotuner per tier so the
 //                         kernels.multi.autotune_width.* gauges land in
 //                         the metrics dump
-//   --blocked             run the large-n blocked_par smoke: ttsv0/ttsv1
-//                         over the blocked compact layout at m=3,
-//                         n in {64, 128, 256} with 1/2/4-thread pools,
-//                         bitwise parity-gated against the general tier on
-//                         exact-integer inputs (nonzero exit on mismatch);
-//                         publishes kernels.blocked.parity and
-//                         kernels.blocked.speedup.t{2,4} gauges, and on
-//                         hosts with >= 4 hardware threads additionally
-//                         fails unless the 4-thread speedup at n = 256
-//                         reaches 2x; the measured n = 256 scaling over the
-//                         1-thread pool is also compared against the
-//                         analytic multicore model (te/parallel/cpu_model)
-//                         and the worst relative error is published as the
-//                         kernels.blocked.model_error gauge
 //   --jit                 run the runtime-codegen smoke: acquire JIT kernels
 //                         for three registry-miss shapes (m=3 n=7, m=4 n=9,
 //                         m=5 n=4), gate BITWISE parity against the general
@@ -56,7 +42,6 @@
 #include <iostream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include <cstdlib>
@@ -65,17 +50,12 @@
 #include "te/io/container.hpp"
 #include "te/jit/engine.hpp"
 #include "te/kernels/autotune.hpp"
-#include "te/kernels/blocked_par.hpp"
 #include "te/kernels/dense.hpp"
 #include "te/kernels/dispatch.hpp"
 #include "te/kernels/general.hpp"
 #include "te/kernels/precomputed.hpp"
 #include "te/obs/obs.hpp"
-#include "te/parallel/cpu_model.hpp"
-#include "te/parallel/executor.hpp"
-#include "te/parallel/thread_pool.hpp"
 #include "te/sshopm/sshopm.hpp"
-#include "te/tensor/blocked_symmetric_tensor.hpp"
 #include "te/tensor/generators.hpp"
 #include "te/util/rng.hpp"
 
@@ -283,7 +263,7 @@ void BM_TtsvPair_Multi(benchmark::State& state) {
     state.SkipWithError("shape not registered");
     return;
   }
-  kernels::BoundKernels<float> k(f.a, tier, &f.tables, nullptr, w);
+  kernels::BoundKernels<float> k(f.a, tier, &f.tables, w);
   state.SetLabel(std::string(kernels::tier_name(tier)) + "/w" +
                  std::to_string(w) + (k.vectorized() ? "" : "/fallback"));
   kernels::VectorBatch<float> x(n, w);
@@ -321,12 +301,13 @@ void register_multi_benchmarks() {
 }
 
 // ---------------------------------------------------------------------------
-// --blocked: the large-n blocked_par smoke (parity gate + speedup gauges).
+// --jit: runtime-codegen smoke over registry-miss shapes (parity gate +
+// speedup gauges against the precomputed tier).
 // ---------------------------------------------------------------------------
 
-// Exact-integer tensor/vector: every ttsv term and partial sum is an
+// Exact-integer tensor: every ttsv term and partial sum is an
 // integer well inside double exactness, so the result is independent of
-// summation order and the parity check can be BITWISE across task counts.
+// summation order and the parity check can be BITWISE.
 SymmetricTensor<double> integer_tensor(int m, int n) {
   CounterRng rng(4242);
   SymmetricTensor<double> a(m, n);
@@ -349,133 +330,6 @@ double min_time_ms(F&& f, int reps) {
   }
   return best;
 }
-
-int run_blocked_smoke() {
-  const int m = 3;
-  const unsigned hw = std::thread::hardware_concurrency();
-  bool parity_ok = true;
-  double speedup_t2 = 0.0;
-  double speedup_t4 = 0.0;
-  // blocked_par times at n = 256 for 1/2/4 threads: the model inputs.
-  double t256_by_threads[3] = {0.0, 0.0, 0.0};
-
-  for (const int n : {64, 128, 256}) {
-    const auto a = integer_tensor(m, n);
-    std::vector<double> x(static_cast<std::size_t>(n));
-    CounterRng rng(9);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      x[i] = static_cast<double>(static_cast<int>(rng.in(2, i, -2.0, 3.0)));
-    }
-    const std::span<const double> xs{x.data(), x.size()};
-    const BlockedSymmetricTensor<double> blocked(
-        a, kernels::default_block_dim(n));
-    kernels::BlockedParWorkspace<double> ws;
-
-    std::vector<double> y_ref(static_cast<std::size_t>(n));
-    kernels::ttsv1_general(a, xs, {y_ref.data(), y_ref.size()});
-    const double y0_ref = kernels::ttsv0_general(a, xs);
-    const double t_general = min_time_ms(
-        [&] {
-          kernels::ttsv1_general(a, xs, {y_ref.data(), y_ref.size()});
-          benchmark::DoNotOptimize(y_ref.data());
-        },
-        3);
-
-    std::cout << "blocked smoke m=" << m << " n=" << n << ": general "
-              << t_general << " ms";
-    for (const int threads : {1, 2, 4}) {
-      ThreadPool pool(threads);
-      const auto ex = te::parallel::executor_for(pool);
-      std::vector<double> y(static_cast<std::size_t>(n));
-      kernels::ttsv1_blocked_par(blocked, xs, {y.data(), y.size()}, ex, ws);
-      const double y0 = kernels::ttsv0_blocked_par(blocked, xs, ex, ws);
-      // Bitwise parity: exact-integer inputs make order irrelevant.
-      bool ok = y0 == y0_ref;
-      for (int i = 0; i < n; ++i) {
-        ok = ok && y[static_cast<std::size_t>(i)] ==
-                       y_ref[static_cast<std::size_t>(i)];
-      }
-      if (!ok) {
-        parity_ok = false;
-        std::cerr << "\nblocked smoke: PARITY FAILURE at n=" << n
-                  << " threads=" << threads << "\n";
-      }
-      const double t = min_time_ms(
-          [&] {
-            kernels::ttsv1_blocked_par(blocked, xs, {y.data(), y.size()}, ex,
-                                       ws);
-            benchmark::DoNotOptimize(y.data());
-          },
-          3);
-      const double speedup = t > 0.0 ? t_general / t : 0.0;
-      std::cout << ", t" << threads << " " << t << " ms (" << speedup << "x"
-                << (ok ? "" : ", PARITY FAIL") << ")";
-      if (n == 256 && threads == 2) speedup_t2 = speedup;
-      if (n == 256 && threads == 4) speedup_t4 = speedup;
-      if (n == 256) {
-        t256_by_threads[threads == 1 ? 0 : (threads == 2 ? 1 : 2)] = t;
-      }
-    }
-    std::cout << "\n";
-  }
-
-  // Compare the measured blocked_par scaling (over its own 1-thread time)
-  // with the analytic model. The modeled machine is a single socket wide
-  // enough to host every measured thread count, so the cross-socket term
-  // never engages and the comparison isolates e_omp against reality.
-  double model_error = 0.0;
-  if (hw >= 4 && t256_by_threads[0] > 0.0 && t256_by_threads[1] > 0.0 &&
-      t256_by_threads[2] > 0.0) {
-    te::parallel::CpuSpec spec;
-    spec.sockets = 1;
-    spec.cores_per_socket = std::max(4, static_cast<int>(hw));
-    const te::parallel::CpuModelParams params;
-    std::cout << "blocked model n=256:";
-    for (const int threads : {2, 4}) {
-      const double measured =
-          t256_by_threads[0] / t256_by_threads[threads == 2 ? 1 : 2];
-      const double modeled = te::parallel::modeled_speedup(
-          spec, params, kernels::Tier::kBlockedPar, threads);
-      const double err = std::abs(measured - modeled) / modeled;
-      model_error = std::max(model_error, err);
-      std::cout << " t" << threads << " measured " << measured
-                << "x vs modeled " << modeled << "x";
-    }
-    std::cout << " (max rel error " << model_error << ")\n";
-  } else if (hw < 4) {
-    std::cout << "blocked model: only " << hw
-              << " hardware thread(s); measured-vs-modeled comparison "
-                 "skipped\n";
-  }
-
-  auto& reg = te::obs::global();
-  reg.gauge("kernels.blocked.parity").set(parity_ok ? 1.0 : 0.0);
-  reg.gauge("kernels.blocked.speedup.t2").set(speedup_t2);
-  reg.gauge("kernels.blocked.speedup.t4").set(speedup_t4);
-  reg.gauge("kernels.blocked.hw_threads").set(static_cast<double>(hw));
-  reg.gauge("kernels.blocked.model_error").set(model_error);
-
-  if (!parity_ok) {
-    std::cerr << "bench_kernels: --blocked parity gate failed\n";
-    return 1;
-  }
-  if (hw >= 4 && speedup_t4 < 2.0) {
-    std::cerr << "bench_kernels: --blocked speedup gate failed (t4 "
-              << speedup_t4 << "x < 2x at n=256 on " << hw
-              << " hardware threads)\n";
-    return 1;
-  }
-  if (hw < 4) {
-    std::cout << "blocked smoke: only " << hw
-              << " hardware thread(s); speedup gate skipped (parity gated)\n";
-  }
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-// --jit: runtime-codegen smoke over registry-miss shapes (parity gate +
-// speedup gauges against the precomputed tier).
-// ---------------------------------------------------------------------------
 
 // None of these shapes is in the compile-time unrolled registry: the only
 // way Tier::kJit can serve them is through the runtime code generator.
@@ -529,8 +383,7 @@ int run_jit_smoke() {
 
     // Every admitted lane width, each lane against a scalar general call.
     for (const int w : {2, 4, 8}) {
-      kernels::BoundKernels<double> mk(a, kernels::Tier::kJit, nullptr,
-                                       nullptr, w);
+      kernels::BoundKernels<double> mk(a, kernels::Tier::kJit, nullptr, w);
       kernels::VectorBatch<double> xb(n, w);
       kernels::VectorBatch<double> yb(n, w);
       for (int i = 0; i < n; ++i) {
@@ -624,14 +477,12 @@ int main(int argc, char** argv) {
   te::CliArgs cli(argc, argv);
   g_tables_path = cli.get_or("tables", std::string());
   const bool multi = cli.has("multi");
-  const bool blocked = cli.has("blocked");
   const bool jit_smoke = cli.has("jit");
   // Strip the local flags before google-benchmark validates argv.
   std::vector<char*> filtered;
   for (int i = 0; i < argc; ++i) {
     const std::string_view a(argv[i]);
-    if (a == "--require-warm-start" || a == "--multi" || a == "--blocked" ||
-        a == "--jit") {
+    if (a == "--require-warm-start" || a == "--multi" || a == "--jit") {
       continue;
     }
     if (a.rfind("--metrics-json", 0) == 0 ||
@@ -660,14 +511,7 @@ int main(int argc, char** argv) {
                 << ": best width " << rep.best_width << "\n";
     }
   }
-  int blocked_rc = 0;
-  if (blocked) {
-    blocked_rc = run_blocked_smoke();
-  }
-  if (jit_smoke) {
-    const int rc = run_jit_smoke();
-    if (rc != 0) blocked_rc = rc;
-  }
+  const int jit_rc = jit_smoke ? run_jit_smoke() : 0;
   if (!te::bench::maybe_write_metrics(cli, "bench_kernels",
                                       {{"workload", "ttsv microbench"}})) {
     return 1;
@@ -685,5 +529,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return blocked_rc;
+  return jit_rc;
 }

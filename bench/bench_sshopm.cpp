@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
 
       double best_speedup = 0;
       for (const int width : kernels::multi_widths()) {
-        kernels::BoundKernels<float> mk(a, tier, tab, nullptr, width);
+        kernels::BoundKernels<float> mk(a, tier, tab, width);
         WallTimer timer;
         const auto got = sshopm::solve_multi(
             mk,

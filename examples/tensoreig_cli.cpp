@@ -2,7 +2,7 @@
 //
 //   $ ./tensoreig_cli --input voxels.tesymb [--backend gpu|cpu|cpu-parallel]
 //                     [--tier general|precomputed|blocked|unrolled|
-//                             blocked_par|jit|auto]
+//                             jit|auto]
 //                     [--starts 128] [--alpha 0] [--threads 4]
 //                     [--chunk 32] [--checkpoint run.tetc [--resume]]
 //                     [--spill-dir DIR] [--refine] [--max-peaks 4]
@@ -92,12 +92,11 @@ int main(int argc, char** argv) {
         << "usage: tensoreig_cli --input batch.{tesymb|tetc} [options]\n"
            "  --backend gpu|cpu|cpu-parallel   execution backend (gpu)\n"
            "  --tier T       kernel tier (unrolled): general, precomputed,\n"
-           "                 blocked (gpu only), unrolled, blocked_par,\n"
-           "                 jit or auto; 'jit' compiles a shape-specialized\n"
-           "                 kernel via $TE_JIT_CC and falls back to\n"
-           "                 precomputed when unavailable; 'auto' times the\n"
-           "                 host tiers on cpu and picks unrolled, else\n"
-           "                 blocked, on gpu\n"
+           "                 blocked (gpu only), unrolled, jit or auto;\n"
+           "                 'jit' compiles a shape-specialized kernel via\n"
+           "                 $TE_JIT_CC and falls back to precomputed when\n"
+           "                 unavailable; 'auto' times the host tiers on cpu\n"
+           "                 and picks unrolled, else blocked, on gpu\n"
            "  --starts N     starting vectors per tensor (128)\n"
            "  --alpha A      SS-HOPM shift; 'auto' = (m-1)||A||_F (0)\n"
            "  --threads P    cpu-parallel worker count (4)\n"

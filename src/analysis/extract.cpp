@@ -237,8 +237,7 @@ MultiProbeKernel bind_multi_tier(int order, int dim, kernels::Tier tier,
     SymmetricTensor<double> a(order, dim,
                               std::vector<double>(values.begin(),
                                                   values.end()));
-    const kernels::BoundKernels<double> m(a, tier, tables.get(), nullptr,
-                                          width);
+    const kernels::BoundKernels<double> m(a, tier, tables.get(), width);
     m.ttsv0(x, out0);
   };
   k.ttsv1 = [order, dim, tier, tables, width](
@@ -248,8 +247,7 @@ MultiProbeKernel bind_multi_tier(int order, int dim, kernels::Tier tier,
     SymmetricTensor<double> a(order, dim,
                               std::vector<double>(values.begin(),
                                                   values.end()));
-    const kernels::BoundKernels<double> m(a, tier, tables.get(), nullptr,
-                                          width);
+    const kernels::BoundKernels<double> m(a, tier, tables.get(), width);
     m.ttsv1(x, y);
   };
   return k;

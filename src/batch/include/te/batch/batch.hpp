@@ -142,7 +142,7 @@ void solve_tensor(const BatchProblem<T>& p, int t, kernels::Tier tier,
                   const kernels::KernelTables<T>* tables, int width,
                   std::span<sshopm::Result<T>> results) {
   const kernels::BoundKernels<T> k(p.tensors[static_cast<std::size_t>(t)],
-                                   tier, tables, nullptr, width);
+                                   tier, tables, width);
   const auto nv = static_cast<std::size_t>(p.num_starts());
   sshopm::solve_starts(k, std::span<const std::vector<T>>(p.starts),
                        p.options,

@@ -63,9 +63,8 @@ namespace te::comb {
 /// silently wrap int64 mid-computation at large (order, dim) *before* any
 /// individual binomial() guard fires: the per-suffix blocks each fit while
 /// their sum does not (first seen at order=6, dim=10^4). Never throws;
-/// callers that need storage (SymmetricTensor, KernelTables, the blocked
-/// layout) TE_REQUIRE it at construction with a shape-level error instead
-/// of surfacing a generic binomial overflow from deep inside rank().
+/// callers that need storage (SymmetricTensor, KernelTables) TE_REQUIRE
+/// it at construction with a shape-level error instead of surfacing a generic binomial overflow from deep inside rank().
 [[nodiscard]] inline bool shape_fits_offset(int order, int dim) {
   if (order < 1 || dim < 1 || order > kMaxFactorialArg) return false;
   // count_suffixes(len, lo, dim) is maximal at lo = 0 and shrinks with lo,
@@ -141,45 +140,5 @@ class IndexClassIterator {
 /// precomputed index table the paper shares across all threads
 /// (Section V-C). Size: num_unique_entries(order, dim) * order.
 [[nodiscard]] std::vector<index_t> all_index_classes(int order, int dim);
-
-/// Prefix-summed suffix counts making index_class_rank O(order) instead of
-/// O(order * dim) per class. The rank decomposes as
-///
-///   rank = sum_j ( F[j][idx_j] - F[j][lo_j] ),   lo_j = idx_{j-1}, lo_0 = 0
-///
-/// where F[j][w] = sum_{v < w} count_suffixes(order-j-1, v, dim) -- an
-/// (order x dim+1) table built once per shape in O(order * dim). The
-/// blocked<->flat layout conversions rank every one of the U classes, so
-/// the amortized table turns an O(U * m * n) conversion into O(U * m).
-class ClassRankTable {
- public:
-  ClassRankTable(int order, int dim);
-
-  [[nodiscard]] int order() const { return order_; }
-  [[nodiscard]] int dim() const { return dim_; }
-
-  /// Lexicographic rank of a (nondecreasing, in-range) index rep; equal to
-  /// index_class_rank(index_rep, dim()) but O(order).
-  [[nodiscard]] offset_t rank(std::span<const index_t> index_rep) const {
-    TE_ASSERT(static_cast<int>(index_rep.size()) == order_);
-    offset_t r = 0;
-    index_t lo = 0;
-    for (int j = 0; j < order_; ++j) {
-      const index_t v = index_rep[static_cast<std::size_t>(j)];
-      const offset_t* row =
-          prefix_.data() + static_cast<std::size_t>(j) *
-                               (static_cast<std::size_t>(dim_) + 1);
-      r += row[v] - row[lo];
-      lo = v;
-    }
-    return r;
-  }
-
- private:
-  int order_;
-  int dim_;
-  /// Row j holds F[j][0..dim], flattened; row stride dim + 1.
-  std::vector<offset_t> prefix_;
-};
 
 }  // namespace te::comb

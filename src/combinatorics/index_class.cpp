@@ -105,25 +105,6 @@ void IndexClassIterator::reset() {
   done_ = false;
 }
 
-ClassRankTable::ClassRankTable(int order, int dim)
-    : order_(order), dim_(dim) {
-  TE_REQUIRE(order >= 1 && dim >= 1, "order and dim must be positive");
-  TE_REQUIRE(shape_fits_offset(order, dim),
-             "ClassRankTable: shape [order=" << order << ", dim=" << dim
-                 << "] exceeds 64-bit offset capacity");
-  const std::size_t stride = static_cast<std::size_t>(dim) + 1;
-  prefix_.assign(static_cast<std::size_t>(order) * stride, 0);
-  for (int j = 0; j < order; ++j) {
-    offset_t* row = prefix_.data() + static_cast<std::size_t>(j) * stride;
-    offset_t acc = 0;
-    for (index_t v = 0; v < dim; ++v) {
-      row[v] = acc;
-      acc += count_suffixes(order - j - 1, v, dim);
-    }
-    row[dim] = acc;
-  }
-}
-
 std::vector<index_t> all_index_classes(int order, int dim) {
   const offset_t u = num_unique_entries(order, dim);
   std::vector<index_t> table;

@@ -18,9 +18,8 @@ double AutotuneReport::best_us() const {
       return unrolled_us;
     case Tier::kJit:
       return jit_us;
-    case Tier::kBlocked:     // device-only
-    case Tier::kBlockedPar:  // thread-count dependent
-      break;                 // not autotune candidates
+    case Tier::kBlocked:  // device-only: not an autotune candidate
+      break;
   }
   return -1;
 }
@@ -101,7 +100,7 @@ MultiWidthReport autotune_multi_width(int order, int dim, Tier tier,
     if (tier == Tier::kJit && find_jit<float>(order, dim) == nullptr) {
       return -1;
     }
-    BoundKernels<float> k(a, tier, tab, nullptr, width);
+    BoundKernels<float> k(a, tier, tab, width);
     // A width that degrades to the per-lane fallback is the scalar math
     // plus gather overhead -- never preferable to width 1, so don't let
     // timing noise pick it. The predicate is the facade's own vectorized()

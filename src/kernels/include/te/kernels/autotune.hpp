@@ -7,8 +7,7 @@
 // and the general tier is the always-available fallback. autotune_tier()
 // measures the actual per-call cost of every *available* host tier and
 // returns the fastest -- what `tensoreig_cli --tier auto` runs on the CPU
-// backends. It never returns blocked (device-only) or blocked_par
-// (its cost depends on the thread count).
+// backends. It never returns blocked (device-only).
 
 #include "te/kernels/dispatch.hpp"
 
@@ -51,9 +50,9 @@ struct MultiWidthReport {
 /// registered vector widths with a vectorized route, and pick the
 /// cheapest per lane. The refusal predicate is BoundKernels::vectorized()
 /// -- genuine per-lane fallback -- so JIT-admitted widths are timed like
-/// any registry width; tiers with no vectorized route at a width
-/// (blocked_par, unregistered unrolled or unadmitted JIT widths) report
-/// width 1 without timing the fallback. The chosen width is recorded in the te::obs gauge
+/// any registry width; widths with no vectorized route (unregistered
+/// unrolled shapes, unadmitted JIT widths) are not timed, so such a shape
+/// reports width 1. The chosen width is recorded in the te::obs gauge
 /// `kernels.multi.autotune_width.<tier>` so dispatch regressions show up
 /// in exported metric trajectories.
 [[nodiscard]] MultiWidthReport autotune_multi_width(int order, int dim,

@@ -10,13 +10,11 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 
-#include "te/kernels/blocked_par.hpp"
 #include "te/kernels/general.hpp"
 #include "te/kernels/jit_registry.hpp"
 #include "te/kernels/multi.hpp"
@@ -34,13 +32,13 @@ namespace te::kernels {
 ///
 /// The values are persisted (checkpoint job records and problem
 /// fingerprints store static_cast<int32_t>(tier)), so they never change.
-/// Slot 2 belonged to a retired tier and stays unused.
+/// Slots 2 and 5 belonged to retired tiers and stay unused, so a persisted
+/// 5 (the old blocked_par tier) matches no tier and is refused.
 enum class Tier {
   kGeneral = 0,
   kPrecomputed = 1,
   kBlocked = 3,
   kUnrolled = 4,
-  kBlockedPar = 5,
   kJit = 6,
 };
 
@@ -48,14 +46,13 @@ static_assert(static_cast<int>(Tier::kGeneral) == 0 &&
                   static_cast<int>(Tier::kPrecomputed) == 1 &&
                   static_cast<int>(Tier::kBlocked) == 3 &&
                   static_cast<int>(Tier::kUnrolled) == 4 &&
-                  static_cast<int>(Tier::kBlockedPar) == 5 &&
                   static_cast<int>(Tier::kJit) == 6,
               "Tier values are persisted; do not renumber");
 
 /// Every tier, in the order metrics arrays and tier sweeps use.
-inline constexpr std::array<Tier, 6> kAllTiers = {
-    Tier::kGeneral,  Tier::kPrecomputed, Tier::kBlocked,
-    Tier::kUnrolled, Tier::kBlockedPar,  Tier::kJit};
+inline constexpr std::array<Tier, 5> kAllTiers = {
+    Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked, Tier::kUnrolled,
+    Tier::kJit};
 
 /// Number of tiers (metrics arrays and tier sweeps size off this).
 inline constexpr int kNumTiers = static_cast<int>(kAllTiers.size());
@@ -65,9 +62,8 @@ inline constexpr int kNumTiers = static_cast<int>(kAllTiers.size());
 /// the simulated-GPU kernel (gpusim::sshopm_device_thread) implements.
 /// kBlocked is device-only; past the unrolled registry the host runs jit
 /// or precomputed instead.
-inline constexpr std::array<Tier, 5> kHostTiers = {
-    Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled, Tier::kBlockedPar,
-    Tier::kJit};
+inline constexpr std::array<Tier, 4> kHostTiers = {
+    Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled, Tier::kJit};
 inline constexpr std::array<Tier, 3> kDeviceTiers = {
     Tier::kGeneral, Tier::kBlocked, Tier::kUnrolled};
 
@@ -89,8 +85,6 @@ inline constexpr std::array<Tier, 3> kDeviceTiers = {
       return "blocked";
     case Tier::kUnrolled:
       return "unrolled";
-    case Tier::kBlockedPar:
-      return "blocked_par";
     case Tier::kJit:
       return "jit";
   }
@@ -175,8 +169,9 @@ template <Real T>
 [[nodiscard]] bool is_multi_width(int width) noexcept;
 
 /// Heuristic lane pick for (order, dim, tier): one full vector register of
-/// T (AVX-512: 16 floats / 8 doubles) for the tiers with vectorized
-/// routes, 1 for the tiers that would fall back to scalar anyway.
+/// T (AVX-512: 16 floats / 8 doubles), rounded down to a registered width.
+/// Every host tier has a vectorized route, so today the pick does not
+/// depend on the shape or the tier.
 template <Real T>
 [[nodiscard]] int pick_simd_width(int order, int dim, Tier tier);
 
@@ -224,14 +219,6 @@ template <Real T>
 /// gathers a lane into a stack buffer of this size).
 inline constexpr int kMaxBatchDim = 64;
 
-/// Default block size for the blocked_par tier's internal repack: one
-/// block for paper-scale dims (the layout degenerates to the flat walk),
-/// 32-index blocks at large n so each block-class's x/y footprint stays
-/// cache-sized.
-[[nodiscard]] constexpr int default_block_dim(int dim) {
-  return dim < 32 ? dim : 32;
-}
-
 /// Tensor + tier + lane width bound together behind a uniform call
 /// interface.
 ///
@@ -249,29 +236,22 @@ inline constexpr int kMaxBatchDim = 64;
 /// dim <= kMaxBatchDim.
 ///
 /// Binds host tiers only (kHostTiers); the device-only kBlocked is refused
-/// with InvalidArgument. The bound tensor, the tables (precomputed) and
-/// the executor (blocked_par) must outlive the facade. kUnrolled requires
-/// the shape to be present in the registry; callers that want graceful
-/// fallback should check find_unrolled first. kJit likewise requires an
+/// with InvalidArgument. The bound tensor and the tables (precomputed)
+/// must outlive the facade. kUnrolled requires the shape to be present in
+/// the registry; callers that want graceful fallback should check
+/// find_unrolled first. kJit likewise requires an
 /// admitted runtime kernel (te::jit acquires, proves and registers them;
 /// jit::acquire_tier is the graceful-fallback entry point that degrades to
-/// kPrecomputed instead of throwing here). kBlockedPar repacks the tensor
-/// into the blocked layout at bind time and runs on the supplied
-/// ParallelExecutor (sequential when none given).
+/// kPrecomputed instead of throwing here).
 ///
-/// Thread safety: every call is const. For all tiers but kBlockedPar the
-/// facade is immutable after construction and may be shared across
-/// threads. kBlockedPar keeps one reusable workspace per facade (shared by
-/// its copies), which makes its calls non-reentrant -- including the
-/// VectorBatch calls, whose lanes fall back to it. Share tensors and
-/// tables across threads, and give each thread its own BoundKernels.
+/// Thread safety: every call is const and the facade is immutable after
+/// construction, so one BoundKernels may be shared across threads.
 template <Real T>
 class BoundKernels {
  public:
   BoundKernels(const SymmetricTensor<T>& a, Tier tier,
-               const KernelTables<T>* tables = nullptr,
-               const ParallelExecutor* par = nullptr, int width = 1)
-      : a_(&a), tier_(tier), tables_(tables), par_(par) {
+               const KernelTables<T>* tables = nullptr, int width = 1)
+      : a_(&a), tier_(tier), tables_(tables) {
     TE_REQUIRE(runs_on_host(tier),
                "tier '" << tier_name(tier) << "' runs on the GPU backend only");
     if (uses_tables(tier)) {
@@ -289,10 +269,6 @@ class BoundKernels {
                  "no admitted JIT kernel for order "
                      << a.order() << ", dim " << a.dim()
                      << " (acquire via te::jit first)");
-    } else if (tier == Tier::kBlockedPar) {
-      blocked_ = std::make_shared<BlockedSymmetricTensor<T>>(
-          a, default_block_dim(a.dim()));
-      blocked_ws_ = std::make_shared<BlockedParWorkspace<T>>();
     }
     if (width != 1) bind_width(width);
   }
@@ -385,11 +361,6 @@ class BoundKernels {
     }
   }
 
-  /// kBlockedPar only: the internal blocked repack of the bound tensor.
-  [[nodiscard]] const BlockedSymmetricTensor<T>* blocked() const {
-    return blocked_.get();
-  }
-
  private:
   /// Resolve a width other than 1 and look up its vectorized route.
   void bind_width(int width) {
@@ -413,9 +384,7 @@ class BoundKernels {
         case Tier::kJit:
           multi_jit_ = find_jit_multi<T>(a_->order(), a_->dim(), width_);
           break;
-        case Tier::kBlocked:
-        case Tier::kBlockedPar:
-          // No bit-compatible vectorized route; per-lane scalar fallback.
+        case Tier::kBlocked:  // device-only: refused at bind
           break;
       }
     }
@@ -450,9 +419,6 @@ class BoundKernels {
         if (ops) *ops += jit_->ops0;
         return jit_->ttsv0(a_->values().data(), x.data());
       }
-      case Tier::kBlockedPar:
-        return ttsv0_blocked_par(*blocked_, x, par_ ? *par_ : seq_executor(),
-                                 *blocked_ws_, ops);
     }
     TE_REQUIRE(false, "unreachable");
     return T(0);
@@ -477,10 +443,6 @@ class BoundKernels {
         if (ops) *ops += jit_->ops1;
         jit_->ttsv1(a_->values().data(), x.data(), y.data());
         return;
-      case Tier::kBlockedPar:
-        ttsv1_blocked_par(*blocked_, x, y, par_ ? *par_ : seq_executor(),
-                          *blocked_ws_, ops);
-        return;
     }
     TE_REQUIRE(false, "unreachable");
   }
@@ -490,9 +452,6 @@ class BoundKernels {
   const KernelTables<T>* tables_ = nullptr;
   const UnrolledEntry<T>* unrolled_ = nullptr;
   const JitEntry<T>* jit_ = nullptr;
-  const ParallelExecutor* par_ = nullptr;
-  std::shared_ptr<BlockedSymmetricTensor<T>> blocked_;
-  std::shared_ptr<BlockedParWorkspace<T>> blocked_ws_;
   int width_ = 1;
   const MultiGeneralFns<T>* multi_general_ = nullptr;
   const MultiPrecomputedFns<T>* multi_precomputed_ = nullptr;

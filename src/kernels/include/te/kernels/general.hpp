@@ -79,8 +79,8 @@ void ttsv1_general_raw(int order, int dim, const T* values,
   const int m = order;
 
   // Accumulate in double for the same reason as ttsv0. Paper-scale dims fit
-  // the stack accumulator; the large-n regime (blocked layout, n >= 256)
-  // falls back to a heap accumulator instead of hitting a capacity wall.
+  // the stack accumulator; large n (dim > 64) falls back to a heap
+  // accumulator instead of hitting a capacity wall.
   constexpr int kMaxOrder = comb::kMaxFactorialArg;
   TE_REQUIRE(m <= kMaxOrder, "order too large for exact multinomials");
   double acc_stack[64] = {};

@@ -91,9 +91,7 @@ template <Real T>
 int pick_simd_width(int order, int dim, Tier tier) {
   (void)order;
   (void)dim;
-  // No bit-compatible vectorized route for blocked_par; lane-blocking would
-  // only add gather/scatter overhead, so stay on the per-vector path.
-  if (tier == Tier::kBlockedPar) return 1;
+  (void)tier;
   int w = simd::preferred_width<T>();
   if (w > simd::kMaxWidth) w = simd::kMaxWidth;
   while (w > 1 && !is_multi_width(w)) w /= 2;

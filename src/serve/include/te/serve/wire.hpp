@@ -36,9 +36,13 @@ namespace te::serve {
 
 /// Execute one protocol line against a server; returns the response line
 /// (no trailing newline): always one JSON object with an "ok" field. Never
-/// throws: failures become error responses.
+/// throws: failures become error responses. An error reply carries only
+/// the precondition's own message (InvalidArgument::message()) or, for any
+/// other exception, "internal error" -- never a source path or line. When
+/// `diagnostic` is given, a failure also stores the full what() there.
 [[nodiscard]] std::string handle_line(Server<float>& server,
-                                      const std::string& line);
+                                      const std::string& line,
+                                      std::string* diagnostic = nullptr);
 
 /// Kernel tier by protocol name ("general", "precomputed", ...); every
 /// tier but jit, which needs an acquire step serve does not run.

@@ -1,6 +1,7 @@
 #include "te/serve/socket.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include <poll.h>
@@ -130,7 +131,13 @@ void SocketFrontEnd::serve_connection(int fd) {
       const std::string line = pending.substr(begin, nl - begin);
       begin = scan = nl + 1;
       if (line.empty()) continue;
-      if (!write_all(fd, handle_line(server_, line) + "\n")) return;
+      std::string diagnostic;
+      const std::string reply = handle_line(server_, line, &diagnostic);
+      // The client sees only the message; the operator gets the full text.
+      if (!diagnostic.empty()) {
+        std::fprintf(stderr, "serve: %s\n", diagnostic.c_str());
+      }
+      if (!write_all(fd, reply + "\n")) return;
     }
     pending.erase(0, begin);
   }

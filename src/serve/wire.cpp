@@ -38,9 +38,9 @@ int required_int(const Value& request, const std::string& key, int lo,
   return static_cast<int>(*v);
 }
 
-/// Unique entry count of a symmetric (order, dim) tensor -- the blocked
-/// storage allocation unit -- C(dim + order - 1, order), saturated at
-/// `cap` so the multiplication cannot overflow.
+/// Unique entry count of a symmetric (order, dim) tensor -- the values
+/// one tensor stores on every tier -- C(dim + order - 1, order), saturated
+/// at `cap` so the multiplication cannot overflow.
 std::uint64_t symmetric_entries_capped(int order, int dim,
                                        std::uint64_t cap) {
   std::uint64_t n = 1;
@@ -132,7 +132,8 @@ std::optional<kernels::Tier> wire_tier(const std::string& name) {
   return tier;
 }
 
-std::string handle_line(Server<float>& server, const std::string& line) {
+std::string handle_line(Server<float>& server, const std::string& line,
+                        std::string* diagnostic) {
   try {
     std::string error;
     const auto request = json::parse(line, &error);
@@ -160,8 +161,12 @@ std::string handle_line(Server<float>& server, const std::string& line) {
       return status_line(server, t);
     }
     TE_REQUIRE(false, "unknown op '" << *op << "'");
+  } catch (const InvalidArgument& e) {
+    if (diagnostic != nullptr) *diagnostic = e.what();
+    return error_line(std::string(e.message()));
   } catch (const std::exception& e) {
-    return error_line(e.what());
+    if (diagnostic != nullptr) *diagnostic = e.what();
+    return error_line("internal error");
   }
   return error_line("unreachable");
 }

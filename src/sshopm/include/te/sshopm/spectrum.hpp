@@ -267,7 +267,7 @@ template <Real T>
     }
     return pairs;
   }
-  const kernels::BoundKernels<T> k(a, tier, tables, nullptr, opt.simd_width);
+  const kernels::BoundKernels<T> k(a, tier, tables, opt.simd_width);
   std::vector<Result<T>> runs(starts.size());
   solve_starts(k, starts, opt.inner, std::span<Result<T>>(runs), ops);
   return cluster_results(a, std::span<const Result<T>>(runs.data(),

@@ -2,7 +2,6 @@
 // the library ships with. Keeps template compile errors local to this
 // module and gives the static library real object code.
 
-#include "te/tensor/blocked_symmetric_tensor.hpp"
 #include "te/tensor/dense_tensor.hpp"
 #include "te/tensor/generators.hpp"
 #include "te/tensor/io.hpp"
@@ -12,8 +11,6 @@ namespace te {
 
 template class SymmetricTensor<float>;
 template class SymmetricTensor<double>;
-template class BlockedSymmetricTensor<float>;
-template class BlockedSymmetricTensor<double>;
 template class DenseTensor<float>;
 template class DenseTensor<double>;
 

@@ -91,7 +91,6 @@ TEST(CheckPlan, AllScalarTiersProveCleanOnApplicationShape) {
       kernels::Tier::kGeneral,
       kernels::Tier::kPrecomputed,
       kernels::Tier::kUnrolled,
-      kernels::Tier::kBlockedPar,
   };
   for (const kernels::Tier tier : tiers) {
     const AccessPlan plan = extract_plan(bind_tier(4, 3, tier));
@@ -392,9 +391,9 @@ TEST(Analyze, ShapeSweepCoversAllTiersAndWidths) {
   opt.widths = {2};
   const ShapeAnalysis s = analyze_shape(2, 2, opt);
   EXPECT_TRUE(s.proven());
-  // 4 host tiers (no admitted jit kernel) x (scalar + one width) + 3
+  // 3 host tiers (no admitted jit kernel) x (scalar + one width) + 3
   // device tiers.
-  EXPECT_EQ(s.reports.size(), 11u);
+  EXPECT_EQ(s.reports.size(), 9u);
 }
 
 TEST(Analyze, RegisteredShapesAreSortedUniqueAndIncludeApplicationSize) {

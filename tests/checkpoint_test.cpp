@@ -254,6 +254,48 @@ TEST(CheckpointResume, JobRecordCarriesThePersistedTierValue) {
   }
 }
 
+// Value 5 was the retired blocked_par tier and stays reserved: a log whose
+// job record journals tier 5 matches no resubmission, on any host tier, and
+// is refused with the mismatch error instead of resuming silently.
+TEST(CheckpointResume, RetiredTierValueInTheJobRecordIsRefused) {
+  auto p = BatchProblem<float>::random(70, 4, 2, 4, 3);
+  p.options.alpha = 1.0;
+  SchedulerOptions opt;
+  opt.chunk_tensors = 2;
+  TmpFile ckpt("retired_tier.tetc");
+  opt.checkpoint_path = ckpt.path;
+  {
+    io::CheckpointJob job;
+    job.job = 0;
+    job.fingerprint = io::problem_fingerprint<float>(
+        p.order, p.dim, 5, p.options,
+        std::span<const SymmetricTensor<float>>(p.tensors),
+        std::span<const std::vector<float>>(p.starts));
+    job.order = p.order;
+    job.dim = p.dim;
+    job.num_tensors = p.num_tensors();
+    job.num_starts = p.num_starts();
+    job.tier = 5;
+    job.chunk_tensors = opt.chunk_tensors;
+    io::Writer w(ckpt.path);
+    io::add_checkpoint_job_section(w, job);
+    w.flush();
+  }
+  for (const Tier tier : kernels::kHostTiers) {
+    if (tier == Tier::kJit) continue;  // needs an admitted runtime kernel
+    Scheduler<float> s(Backend::kCpuSequential, opt);
+    try {
+      (void)s.submit(p, tier);
+      ADD_FAILURE() << "resumed a tier-5 log as " << kernels::tier_name(tier);
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.message()).find(
+                    "does not match the resubmitted problem"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TableCache disk spill: KernelTables warm-started from a .tetc file.
 

@@ -1,6 +1,8 @@
 // Tests for the combinatorics module: multinomials (Properties 1-2),
-// index-class iteration (Fig. 4), ranking/unranking, and the paper's
-// Table I enumeration reproduced verbatim.
+// index-class iteration (Fig. 4), ranking/unranking, the paper's Table I
+// enumeration reproduced verbatim, and the large-n guards (the
+// shape_fits_offset capacity precheck, checked_binomial, rank/unrank round
+// trips at n = 10^4).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 
 #include "te/comb/index_class.hpp"
 #include "te/comb/multinomial.hpp"
+#include "te/tensor/symmetric_tensor.hpp"
 
 namespace te::comb {
 namespace {
@@ -269,6 +272,69 @@ TEST(CountSuffixes, MatchesDefinition) {
       EXPECT_EQ(count_suffixes(2, lo, dim), brute);
       EXPECT_EQ(count_suffixes(0, lo, dim), 1);
       EXPECT_EQ(count_suffixes(1, lo, dim), dim - lo);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Capacity precheck (int64 overflow at large (m, n)).
+
+TEST(ShapeFitsOffset, AcceptsPaperScaleAndLargeN) {
+  EXPECT_TRUE(comb::shape_fits_offset(3, 3));
+  EXPECT_TRUE(comb::shape_fits_offset(4, 6));
+  EXPECT_TRUE(comb::shape_fits_offset(3, 1024));
+  EXPECT_TRUE(comb::shape_fits_offset(20, 1));
+  // n = 10^4: fine through order 5...
+  EXPECT_TRUE(comb::shape_fits_offset(5, 10000));
+  // ...but order 6 would wrap the int64 rank arithmetic mid-sum.
+  EXPECT_FALSE(comb::shape_fits_offset(6, 10000));
+}
+
+TEST(ShapeFitsOffset, RejectsInvalidAndOversized) {
+  EXPECT_FALSE(comb::shape_fits_offset(0, 5));
+  EXPECT_FALSE(comb::shape_fits_offset(3, 0));
+  EXPECT_FALSE(comb::shape_fits_offset(21, 2));  // past kMaxFactorialArg
+  EXPECT_FALSE(comb::shape_fits_offset(8, 1000000));
+}
+
+TEST(CheckedBinomial, MatchesBinomialInRangeAndProbesOverflow) {
+  EXPECT_EQ(comb::checked_binomial(10, 3).value(), comb::binomial(10, 3));
+  EXPECT_EQ(comb::checked_binomial(5, 7).value(), 0);
+  EXPECT_EQ(comb::checked_binomial(10004, 5).value(),
+            comb::binomial(10004, 5));
+  EXPECT_FALSE(comb::checked_binomial(10005, 6).has_value());
+}
+
+TEST(CapacityPrecheck, RankAndUnrankRejectOverflowShapesClearly) {
+  std::vector<index_t> idx(6, 9999);
+  EXPECT_THROW((void)comb::index_class_rank({idx.data(), idx.size()}, 10000),
+               InvalidArgument);
+  EXPECT_THROW((void)comb::index_class_unrank(0, 6, 10000), InvalidArgument);
+}
+
+TEST(CapacityPrecheck, TensorConstructionRejectsOverflowShape) {
+  EXPECT_THROW((SymmetricTensor<double>(6, 10000)), InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Large-dim rank/unrank round trips.
+
+TEST(LargeDimRank, RoundTripAtTenThousand) {
+  const int n = 10000;
+  for (const int m : {2, 3, 5}) {
+    const offset_t u = comb::num_unique_entries(m, n);
+    // First and last ranks.
+    for (const offset_t r : {offset_t{0}, u - 1, u / 2, u / 3, offset_t{1}}) {
+      const auto idx = comb::index_class_unrank(r, m, n);
+      EXPECT_EQ(comb::index_class_rank({idx.data(), idx.size()}, n), r)
+          << "m=" << m << " rank=" << r;
+    }
+    // First class is all-zero, last is all n-1.
+    const auto first = comb::index_class_unrank(0, m, n);
+    const auto last = comb::index_class_unrank(u - 1, m, n);
+    for (int j = 0; j < m; ++j) {
+      EXPECT_EQ(first[static_cast<std::size_t>(j)], 0);
+      EXPECT_EQ(last[static_cast<std::size_t>(j)], n - 1);
     }
   }
 }

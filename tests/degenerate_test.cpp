@@ -31,9 +31,9 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-constexpr kernels::Tier kCpuTiers[] = {
-    kernels::Tier::kGeneral, kernels::Tier::kPrecomputed,
-    kernels::Tier::kUnrolled, kernels::Tier::kBlockedPar};
+constexpr kernels::Tier kCpuTiers[] = {kernels::Tier::kGeneral,
+                                       kernels::Tier::kPrecomputed,
+                                       kernels::Tier::kUnrolled};
 
 SymmetricTensor<double> good_tensor() {
   return random_symmetric_tensor<double>(CounterRng(11), 5, 4, 3);

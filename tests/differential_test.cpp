@@ -24,9 +24,8 @@ using kernels::Tier;
 
 constexpr std::array<Backend, 3> kBackends = {
     Backend::kCpuSequential, Backend::kCpuParallel, Backend::kGpuSim};
-constexpr std::array<Tier, 5> kTiers = {Tier::kGeneral, Tier::kPrecomputed,
-                                        Tier::kBlocked, Tier::kUnrolled,
-                                        Tier::kBlockedPar};
+constexpr std::array<Tier, 4> kTiers = {Tier::kGeneral, Tier::kPrecomputed,
+                                        Tier::kBlocked, Tier::kUnrolled};
 
 [[nodiscard]] bool tier_supported(Backend b, Tier tier) {
   return b == Backend::kGpuSim ? kernels::runs_on_device(tier)
@@ -106,8 +105,7 @@ TEST(DifferentialOracle, MultiStartLanesAllWidthsMatchQrst) {
   opt.tolerance = 1e-10;
   opt.max_iterations = 1000;
   for (const int width : kernels::multi_widths()) {
-    const kernels::BoundKernels<double> k(a, Tier::kGeneral, nullptr, nullptr,
-                                          width);
+    const kernels::BoundKernels<double> k(a, Tier::kGeneral, nullptr, width);
     const auto runs = sshopm::solve_multi(
         k, std::span<const std::vector<double>>(starts.data(), starts.size()),
         opt);

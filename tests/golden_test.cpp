@@ -98,7 +98,7 @@ void check_kofidis_regalia(Backend backend, Tier tier, double lambda_tol,
 TEST(GoldenKofidisRegalia, AllBackendsAllTiersDouble) {
   for (Backend b : kBackends) {
     for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked,
-                      Tier::kUnrolled, Tier::kBlockedPar}) {
+                      Tier::kUnrolled}) {
       if (!tier_supported(b, tier)) continue;
       check_kofidis_regalia<double>(b, tier, 1e-6, 1e-5);
     }
@@ -108,7 +108,7 @@ TEST(GoldenKofidisRegalia, AllBackendsAllTiersDouble) {
 TEST(GoldenKofidisRegalia, AllBackendsAllTiersFloat) {
   for (Backend b : kBackends) {
     for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked,
-                      Tier::kUnrolled, Tier::kBlockedPar}) {
+                      Tier::kUnrolled}) {
       if (!tier_supported(b, tier)) continue;
       check_kofidis_regalia<float>(b, tier, 5e-3, 5e-3);
     }
@@ -174,7 +174,7 @@ void check_rank_one(Backend backend, Tier tier, double lambda_tol) {
 TEST(GoldenRankOne, AnalyticPairsAcrossBackendsAndTiers) {
   for (Backend b : kBackends) {
     for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kBlocked,
-                      Tier::kUnrolled, Tier::kBlockedPar}) {
+                      Tier::kUnrolled}) {
       if (!tier_supported(b, tier)) continue;
       check_rank_one<double>(b, tier, 1e-10);
       check_rank_one<float>(b, tier, 1e-4);

@@ -136,7 +136,7 @@ void expect_parity() {
 
   // Widths {2, 4, 8}: each lane against an independent scalar general call.
   for (const int w : {2, 4, 8}) {
-    kernels::BoundKernels<T> mk(a, kernels::Tier::kJit, nullptr, nullptr, w);
+    kernels::BoundKernels<T> mk(a, kernels::Tier::kJit, nullptr, w);
     EXPECT_TRUE(mk.vectorized()) << "width " << w;
     kernels::VectorBatch<T> xb(kN, w);
     kernels::VectorBatch<T> yb(kN, w);

@@ -290,6 +290,14 @@ TEST(JsonFuzz, HandleLineAlwaysRepliesWithOneObject) {
     const Value* flag = doc->find("ok");
     ASSERT_TRUE(flag != nullptr && flag->kind == Kind::kBool)
         << "iteration " << i << ": reply " << printable(reply);
+    // Replies carry the precondition's message only, never the server's
+    // source layout (unless the input itself brought the text to echo).
+    for (const char* leak : {"precondition failed", ".cpp:", ".hpp:"}) {
+      if (input.find(leak) != std::string::npos) continue;
+      ASSERT_EQ(reply.find(leak), std::string::npos)
+          << "iteration " << i << ": reply " << printable(reply) << " to "
+          << printable(input);
+    }
     if (flag->boolean) {
       ++ok;
     } else {

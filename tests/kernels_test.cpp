@@ -383,7 +383,20 @@ TEST(Dispatch, TierNamesRoundTripThroughTheOneTierList) {
   }
   EXPECT_EQ(kernels::tier_from_name("blocked"), Tier::kBlocked);
   EXPECT_FALSE(kernels::tier_from_name("cse").has_value());
+  EXPECT_FALSE(kernels::tier_from_name("blocked_par").has_value());
   EXPECT_FALSE(kernels::tier_from_name("").has_value());
+}
+
+// Checkpoints and fingerprints persist static_cast<int>(tier). The values
+// of the retired tiers (2, and 5 for blocked_par) belong to no tier, so a
+// stored 5 can never decode to a live one.
+TEST(Dispatch, RetiredTierValuesStayReserved) {
+  EXPECT_EQ(kernels::kAllTiers.size(), 5u);
+  EXPECT_EQ(kernels::kHostTiers.size(), 4u);
+  for (const Tier t : kernels::kAllTiers) {
+    EXPECT_NE(static_cast<int>(t), 2) << kernels::tier_name(t);
+    EXPECT_NE(static_cast<int>(t), 5) << kernels::tier_name(t);
+  }
 }
 
 TEST(Dispatch, EveryTierHasAPlacementAndBlockedIsDeviceOnly) {
@@ -395,6 +408,35 @@ TEST(Dispatch, EveryTierHasAPlacementAndBlockedIsDeviceOnly) {
   EXPECT_TRUE(kernels::runs_on_device(Tier::kBlocked));
   EXPECT_TRUE(kernels::runs_on_host(Tier::kPrecomputed));
   EXPECT_FALSE(kernels::runs_on_device(Tier::kPrecomputed));
+}
+
+// dim > 64 takes the heap-accumulator fallback in ttsv1_general (and in
+// ttsv1_precomputed). On exact-integer inputs every term and partial sum
+// is an integer well inside double exactness, so summation order cannot
+// matter and the two tiers agree bitwise.
+TEST(LargeDimKernels, GeneralHeapAccumulatorMatchesPrecomputedBitwise) {
+  const int m = 3;
+  const int n = 96;
+  const CounterRng rng(4242);
+  SymmetricTensor<double> a(m, n);
+  auto vals = a.values();
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    vals[i] = static_cast<double>(
+        static_cast<int>(rng.in(11, i, -4.0, 4.0)));  // ints in [-4, 4]
+  }
+  std::vector<double> x(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<double>(static_cast<int>(rng.in(12, i, -2.0, 3.0)));
+  }
+  const KernelTables<double> tables(m, n);
+  const std::span<const double> xs{x.data(), x.size()};
+  std::vector<double> y_general(static_cast<std::size_t>(n));
+  std::vector<double> y_precomputed(static_cast<std::size_t>(n));
+  ttsv1_general(a, xs, {y_general.data(), y_general.size()});
+  ttsv1_precomputed(a, tables, xs,
+                    {y_precomputed.data(), y_precomputed.size()});
+  EXPECT_EQ(y_general, y_precomputed);
+  EXPECT_EQ(ttsv0_general(a, xs), ttsv0_precomputed(a, tables, xs));
 }
 
 TEST(KernelTables, StorageOverheadNearPaperEstimate) {

@@ -122,7 +122,7 @@ TEST_P(MultiKernelTest, GeneralTierMatchesScalarPerLaneExactly) {
   const auto a = random_symmetric_tensor<double>(rng, 0, m, n);
   BoundKernels<double> scalar(a, Tier::kGeneral);
   for (int width : kernels::multi_widths()) {
-    BoundKernels<double> multi(a, Tier::kGeneral, nullptr, nullptr, width);
+    BoundKernels<double> multi(a, Tier::kGeneral, nullptr, width);
     ASSERT_TRUE(multi.vectorized()) << "width " << width;
     auto x = random_batch<double>(n, width, 300 + static_cast<std::uint64_t>(
                                                       width));
@@ -153,7 +153,7 @@ TEST_P(MultiKernelTest, PrecomputedTierMatchesScalarPerLaneExactly) {
   kernels::KernelTables<float> tab(m, n);
   BoundKernels<float> scalar(a, Tier::kPrecomputed, &tab);
   for (int width : kernels::multi_widths()) {
-    BoundKernels<float> multi(a, Tier::kPrecomputed, &tab, nullptr, width);
+    BoundKernels<float> multi(a, Tier::kPrecomputed, &tab, width);
     ASSERT_TRUE(multi.vectorized()) << "width " << width;
     auto x = random_batch<float>(n, width, 400 + static_cast<std::uint64_t>(
                                                      width));
@@ -189,7 +189,7 @@ TEST_P(MultiKernelTest, UnrolledTierMatchesScalarWithinTolerance) {
   const auto a = random_symmetric_tensor<double>(rng, 0, m, n);
   BoundKernels<double> scalar(a, Tier::kUnrolled);
   for (int width : kernels::multi_widths()) {
-    BoundKernels<double> multi(a, Tier::kUnrolled, nullptr, nullptr, width);
+    BoundKernels<double> multi(a, Tier::kUnrolled, nullptr, width);
     auto x = random_batch<double>(n, width, 500 + static_cast<std::uint64_t>(
                                                       width));
     std::vector<double> out(static_cast<std::size_t>(width));
@@ -216,17 +216,31 @@ TEST_P(MultiKernelTest, UnrolledTierMatchesScalarWithinTolerance) {
   }
 }
 
-// Tiers without a vectorized route (blocked_par) gather each lane through
-// the scalar kernels, so every width is bitwise identical by construction.
+// A width with no vectorized route gathers each lane through the scalar
+// kernels, so it is bitwise identical by construction. Without a compiler
+// only the unrolled tier reaches that fallback: at shapes in the scalar
+// registry but not in the multi one (jit at width 16 is covered by
+// jit_test). General and precomputed are vectorized at every width.
 TEST_P(MultiKernelTest, FallbackTiersAreBitwiseForEveryWidth) {
   const auto [m, n] = GetParam();
   CounterRng rng(203);
   const auto a = random_symmetric_tensor<double>(rng, 0, m, n);
-  for (Tier tier : {Tier::kBlockedPar}) {
-    BoundKernels<double> scalar(a, tier);
+  const kernels::KernelTables<double> tab(m, n);
+  for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled}) {
+    if (tier == Tier::kUnrolled &&
+        kernels::find_unrolled<double>(m, n) == nullptr) {
+      continue;
+    }
+    const auto* tables = kernels::uses_tables(tier) ? &tab : nullptr;
+    BoundKernels<double> scalar(a, tier, tables);
     for (int width : kernels::multi_widths()) {
-      BoundKernels<double> multi(a, tier, nullptr, nullptr, width);
-      EXPECT_FALSE(multi.vectorized());
+      BoundKernels<double> multi(a, tier, tables, width);
+      const bool fallback =
+          tier == Tier::kUnrolled &&
+          kernels::find_multi_unrolled<double>(m, n, width) == nullptr;
+      EXPECT_EQ(multi.vectorized(), !fallback)
+          << kernels::tier_name(tier) << " width " << width;
+      if (!fallback) continue;
       auto x = random_batch<double>(n, width,
                                     600 + static_cast<std::uint64_t>(width));
       std::vector<double> out(static_cast<std::size_t>(width));
@@ -262,27 +276,27 @@ TEST(MultiKernels, WidthResolutionAndValidation) {
   CounterRng rng(204);
   const auto a = random_symmetric_tensor<double>(rng, 0, 3, 4);
   // Width 0 resolves to the tier's autopick; width 1 is the scalar route.
-  BoundKernels<double> autow(a, Tier::kGeneral, nullptr, nullptr, 0);
+  BoundKernels<double> autow(a, Tier::kGeneral, nullptr, 0);
   EXPECT_TRUE(kernels::is_multi_width(autow.width()));
   EXPECT_EQ(autow.width(),
             kernels::pick_simd_width<double>(3, 4, Tier::kGeneral));
-  BoundKernels<double> one(a, Tier::kGeneral, nullptr, nullptr, 1);
+  BoundKernels<double> one(a, Tier::kGeneral, nullptr, 1);
   EXPECT_EQ(one.width(), 1);
   EXPECT_FALSE(one.vectorized());
   // Non-registered widths are rejected.
-  EXPECT_THROW(BoundKernels<double>(a, Tier::kGeneral, nullptr, nullptr, 3),
+  EXPECT_THROW(BoundKernels<double>(a, Tier::kGeneral, nullptr, 3),
                InvalidArgument);
-  EXPECT_THROW(BoundKernels<double>(a, Tier::kGeneral, nullptr, nullptr, 64),
+  EXPECT_THROW(BoundKernels<double>(a, Tier::kGeneral, nullptr, 64),
                InvalidArgument);
-  // Fallback tiers autopick width 1 (a wider batch would only add gather
-  // overhead with no amortization).
-  EXPECT_EQ(kernels::pick_simd_width<double>(3, 4, Tier::kBlockedPar), 1);
+  // Every host tier has a vectorized route, so the autopick is one rule.
+  EXPECT_EQ(kernels::pick_simd_width<double>(3, 4, Tier::kUnrolled),
+            kernels::pick_simd_width<double>(3, 4, Tier::kGeneral));
 }
 
 TEST(MultiKernels, BatchShapeMismatchThrows) {
   CounterRng rng(205);
   const auto a = random_symmetric_tensor<double>(rng, 0, 3, 4);
-  BoundKernels<double> k(a, Tier::kGeneral, nullptr, nullptr, 4);
+  BoundKernels<double> k(a, Tier::kGeneral, nullptr, 4);
   VectorBatch<double> wrong_width(4, 2);
   VectorBatch<double> wrong_dim(3, 4);
   std::vector<double> out(4);
@@ -304,7 +318,7 @@ TEST(MultiKernels, OpCountsScaleWithWidth) {
   OpCounts one;
   (void)scalar.ttsv0({sx.data(), sx.size()}, &one);
   const int width = 4;
-  BoundKernels<double> multi(a, Tier::kGeneral, nullptr, nullptr, width);
+  BoundKernels<double> multi(a, Tier::kGeneral, nullptr, width);
   auto x = random_batch<double>(5, width, 207);
   std::vector<double> out(static_cast<std::size_t>(width));
   OpCounts many;
@@ -379,7 +393,7 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
   const TierCase cases[] = {
       {Tier::kGeneral, nullptr},
       {Tier::kPrecomputed, &tab},
-      {Tier::kBlockedPar, nullptr},
+      {Tier::kUnrolled, nullptr},  // (4, 6): per-lane fallback
   };
   for (const auto& c : cases) {
     BoundKernels<double> sk(a, c.tier, c.tables);
@@ -387,7 +401,7 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
     for (const auto& x0 : starts) {
       ref.push_back(sshopm::solve(sk, {x0.data(), x0.size()}, opt));
     }
-    BoundKernels<double> mk(a, c.tier, c.tables, nullptr, width);
+    BoundKernels<double> mk(a, c.tier, c.tables, width);
     const auto got = sshopm::solve_multi(
         mk, std::span<const std::vector<double>>(starts.data(),
                                                  starts.size()),
@@ -395,8 +409,7 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
     // Classification is exact for every tier -- and because the lane
     // iterate lives contiguously in Result::x and goes through solve()'s
     // own update/normalize code shape, the lane-exact kernel routes
-    // (general/precomputed vector routes, blocked/blocked_par per-lane
-    // fallback)
+    // (general/precomputed vector routes, the unrolled per-lane fallback)
     // make the whole run bitwise identical to the scalar path.
     expect_slot_parity(got, ref, 0.0, kernels::tier_name(c.tier).data());
   }
@@ -429,7 +442,7 @@ TEST_P(SolveMultiTest, PoisonedLanesRetireIndependentlyWithScalarParity) {
   }
   ASSERT_EQ(ref[1].failure, sshopm::FailureReason::kDegenerateIterate);
 
-  BoundKernels<double> mk(a, Tier::kGeneral, nullptr, nullptr, width);
+  BoundKernels<double> mk(a, Tier::kGeneral, nullptr, width);
   const auto got = sshopm::solve_multi(
       mk,
       std::span<const std::vector<double>>(starts.data(), starts.size()),
@@ -460,7 +473,7 @@ TEST(SolveMulti, UnrolledTierClassificationParity) {
     ref.push_back(sshopm::solve(sk, {x0.data(), x0.size()}, opt));
   }
   for (int width : {4, 8}) {
-    BoundKernels<float> mk(a, Tier::kUnrolled, nullptr, nullptr, width);
+    BoundKernels<float> mk(a, Tier::kUnrolled, nullptr, width);
     const auto got = sshopm::solve_multi(
         mk,
         std::span<const std::vector<float>>(starts.data(), starts.size()),
@@ -560,7 +573,7 @@ TEST(SolveStarts, WidthOneIsPerStartSolveAndWiderIsSolveMulti) {
   }
   expect_slot_parity(got, ref, 0.0, "width 1");
 
-  const BoundKernels<double> wide(a, Tier::kGeneral, nullptr, nullptr, 4);
+  const BoundKernels<double> wide(a, Tier::kGeneral, nullptr, 4);
   sshopm::solve_starts(wide, span, opt,
                        std::span<sshopm::Result<double>>(got));
   expect_slot_parity(got, sshopm::solve_multi(wide, span, opt), 0.0,
@@ -579,11 +592,13 @@ TEST(MultiKernels, BatchCallsCountOncePerCallOnTheTierCounter) {
 #if TE_OBS_ENABLED
   CounterRng rng(225);
   const auto a = random_symmetric_tensor<double>(rng, 0, 3, 4);
-  for (Tier tier : {Tier::kGeneral, Tier::kBlockedPar}) {
+  // (3, 4) is in the scalar unrolled registry but not the multi one, so
+  // the unrolled batch calls take the per-lane fallback.
+  for (Tier tier : {Tier::kGeneral, Tier::kUnrolled}) {
     const std::string base(kernels::tier_name(tier));
     const auto& calls0 = obs::global().counter("kernels.ttsv0.calls." + base);
     const auto& calls1 = obs::global().counter("kernels.ttsv1.calls." + base);
-    const BoundKernels<double> k(a, tier, nullptr, nullptr, 8);
+    const BoundKernels<double> k(a, tier, nullptr, 8);
     EXPECT_EQ(k.vectorized(), tier == Tier::kGeneral);
     const auto x = random_batch<double>(4, 8, 226);
     VectorBatch<double> y(4, 8);
@@ -652,6 +667,22 @@ TEST(ThreadPoolRange, PropagatesFirstException) {
   EXPECT_EQ(n.load(), 4);
 }
 
+TEST(ThreadPoolRange, EmptyRangeIsCompleteNoOp) {
+  ThreadPool pool(3);
+  int calls = 0;
+  pool.submit_range(5, 5, [&](std::int64_t, std::int64_t, int) { ++calls; });
+  pool.submit_range(7, 3, [&](std::int64_t, std::int64_t, int) { ++calls; });
+  pool.parallel_chunks(0, [&](std::int64_t, std::int64_t, int) { ++calls; });
+  pool.parallel_for(0, [&](std::int64_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  // The pool still works afterwards.
+  std::atomic<int> sum{0};
+  pool.parallel_for(10, [&](std::int64_t i) {
+    sum += static_cast<int>(i);
+  });
+  EXPECT_EQ(sum.load(), 45);
+}
+
 // ---------------------------------------------------------------------------
 // TtsvWorkspace (satellite): hoisted scratch matches the allocating path.
 // ---------------------------------------------------------------------------
@@ -701,10 +732,10 @@ TEST(AutotuneMultiWidth, ReportsValidWidthAndMeasuresEveryCandidate) {
     EXPECT_TRUE(kernels::is_multi_width(w));
     EXPECT_GT(us, 0.0) << "width " << w;
   }
-  // Fallback tiers have no vectorized candidates: the scalar math plus
+  // Unrolled (3, 4) has no vectorized candidate: the scalar math plus
   // gather overhead can never beat width 1, so only width 1 is timed.
   const auto fallback =
-      kernels::autotune_multi_width(3, 4, Tier::kBlockedPar, 2);
+      kernels::autotune_multi_width(3, 4, Tier::kUnrolled, 2);
   EXPECT_EQ(fallback.best_width, 1);
   ASSERT_EQ(fallback.lane_us.size(), 1u);
   EXPECT_EQ(fallback.lane_us.front().first, 1);

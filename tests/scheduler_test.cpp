@@ -112,8 +112,7 @@ TEST(StreamPipeline, RejectsBadArguments) {
 
 TEST(TableCache, TableFreeTiersBypassTheCache) {
   TableCache<float> cache(4);
-  for (Tier tier :
-       {Tier::kGeneral, Tier::kUnrolled, Tier::kBlockedPar, Tier::kJit}) {
+  for (Tier tier : {Tier::kGeneral, Tier::kUnrolled, Tier::kJit}) {
     EXPECT_EQ(cache.get(4, 3, tier), nullptr);
   }
   EXPECT_EQ(cache.size(), 0u);
@@ -161,13 +160,61 @@ TEST(TableCache, RejectsZeroCapacity) {
 }
 
 // ---------------------------------------------------------------------------
+// Byte-budgeted TableCache (bytes, not entries).
+
+TEST(TableCacheBytes, EvictsOnByteBudgetNotEntryCount) {
+  // Budget sized to hold the two small shapes but not the large one too.
+  const kernels::KernelTables<double> probe_small(3, 4);
+  const kernels::KernelTables<double> probe_large(4, 10);
+  const std::size_t budget =
+      2 * probe_small.table_bytes() + probe_large.table_bytes() / 2;
+  batch::TableCache<double> cache(8, budget);
+
+  (void)cache.get(3, 4, Tier::kPrecomputed);
+  (void)cache.get(3, 5, Tier::kPrecomputed);
+  EXPECT_EQ(cache.stats().evictions, 0);
+  const auto resident_before = cache.bytes_resident();
+  EXPECT_GT(resident_before, 0);
+
+  // The large entry blows the byte budget while entry count (3) is far
+  // below capacity (8): older entries must be evicted anyway. The large
+  // entry itself exceeds the remaining budget, so eviction drains down to
+  // the never-evicted MRU entry.
+  const auto large = cache.get(4, 10, Tier::kPrecomputed);
+  EXPECT_GT(cache.stats().evictions, 0);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.bytes_resident(),
+            static_cast<std::int64_t>(large->table_bytes()));
+}
+
+TEST(TableCacheBytes, MostRecentEntrySurvivesOverBudgetInsert) {
+  batch::TableCache<double> cache(4, 1);  // 1-byte budget: everything over
+  const auto t = cache.get(3, 6, Tier::kPrecomputed);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(cache.size(), 1u);  // kept despite the budget
+  const auto again = cache.get(3, 6, Tier::kPrecomputed);
+  EXPECT_EQ(again.get(), t.get());
+  EXPECT_EQ(cache.stats().hits, 1);
+}
+
+TEST(TableCacheBytes, BytesResidentTracksContents) {
+  batch::TableCache<float> cache(4);
+  EXPECT_EQ(cache.bytes_resident(), 0);
+  const auto t = cache.get(3, 4, Tier::kPrecomputed);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(cache.bytes_resident(),
+            static_cast<std::int64_t>(t->table_bytes()));
+  cache.clear();
+  EXPECT_EQ(cache.bytes_resident(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Scheduler: differential equivalence against the one-shot backends.
 
 TEST(SchedulerCpu, BitwiseEqualToSequentialForEveryTier) {
   auto p = BatchProblem<float>::random(31, 10, 6, 4, 3);
   p.options.alpha = 1.0;
-  for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled,
-                    Tier::kBlockedPar}) {
+  for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled}) {
     const auto ref = solve_cpu_sequential(p, tier);
     for (int chunk : {1, 3, 10, 64}) {
       SchedulerOptions opt;
@@ -396,7 +443,7 @@ TEST(SchedulerValidation, GpuBackendRejectsCpuOnlyTiersAndWideDims) {
   Scheduler<float> sched(Backend::kGpuSim);
   auto p = BatchProblem<float>::random(50, 2, 2, 4, 3);
   EXPECT_THROW((void)sched.submit(p, Tier::kPrecomputed), InvalidArgument);
-  EXPECT_THROW((void)sched.submit(p, Tier::kBlockedPar), InvalidArgument);
+  EXPECT_THROW((void)sched.submit(p, Tier::kJit), InvalidArgument);
   auto wide = BatchProblem<float>::random(51, 2, 2, 3, gpusim::kMaxDim + 1);
   EXPECT_THROW((void)sched.submit(wide, Tier::kGeneral), InvalidArgument);
 }

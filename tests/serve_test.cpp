@@ -541,20 +541,22 @@ TEST(ServeWire, ParsesFlatFields) {
   EXPECT_EQ(num_field(line, "seed").value(), 7.0);
   EXPECT_FALSE(str_field(line, "missing").has_value());
   EXPECT_FALSE(num_field(line, "tenant").has_value());
-  EXPECT_EQ(wire_tier("blocked_par").value(), Tier::kBlockedPar);
+  EXPECT_EQ(wire_tier("unrolled").value(), Tier::kUnrolled);
   EXPECT_FALSE(wire_tier("warp9").has_value());
 }
 
 // Every protocol tier name comes from the one tier list; the retired "cse"
-// tier and "jit" (no acquire path in serve) are refused as unknown.
+// and "blocked_par" tiers and "jit" (no acquire path in serve) are refused
+// as unknown.
 TEST(ServeWire, RetiredAndJitTierNamesAreRefusedAsUnknown) {
   for (const Tier t : kernels::kAllTiers) {
     if (t == Tier::kJit) continue;
     EXPECT_EQ(wire_tier(std::string(kernels::tier_name(t))), t);
   }
   EXPECT_FALSE(wire_tier("jit").has_value());
+  EXPECT_FALSE(wire_tier("blocked_par").has_value());
   Server<float> server(small_options());
-  for (const char* tier : {"cse", "jit"}) {
+  for (const char* tier : {"cse", "blocked_par", "jit"}) {
     const std::string line =
         std::string("{\"op\":\"submit\",\"tenant\":\"w\",\"seed\":1,"
                     "\"tensors\":1,\"starts\":1,\"order\":3,\"dim\":4,"
@@ -567,6 +569,45 @@ TEST(ServeWire, RetiredAndJitTierNamesAreRefusedAsUnknown) {
         << resp;
   }
   EXPECT_EQ(server.stats().submitted, 0);
+}
+
+// An error reply carries the precondition's own message and nothing of
+// the server's source layout; the caller that asks for it gets the full
+// diagnostic (failed expression, file, line) on the side.
+TEST(ServeWire, ErrorRepliesCarryOnlyTheMessage) {
+  Server<float> server(small_options());
+  std::string diagnostic;
+  const auto refused = handle_line(
+      server,
+      "{\"op\":\"submit\",\"tenant\":\"w\",\"seed\":1,\"tensors\":1,"
+      "\"starts\":1,\"order\":3,\"dim\":4,\"tier\":\"blocked_par\"}",
+      &diagnostic);
+  EXPECT_EQ(str_field(refused, "error").value(),
+            "unknown tier 'blocked_par'")
+      << refused;
+  EXPECT_EQ(diagnostic.rfind("precondition failed: (", 0), 0u) << diagnostic;
+  EXPECT_NE(diagnostic.find("wire.cpp:"), std::string::npos) << diagnostic;
+
+  for (const char* line :
+       {"{\"op\":", "[1,2]", "{\"op\":\"poll\"}",
+        "{\"op\":\"poll\",\"ticket\":99}", "{\"op\":\"warp\"}",
+        "{\"op\":\"submit\",\"tenant\":\"w\",\"seed\":1,"
+        "\"tensors\":4096,\"starts\":1,\"order\":8,\"dim\":64}"}) {
+    diagnostic.clear();
+    const auto resp = handle_line(server, line, &diagnostic);
+    const auto error = str_field(resp, "error");
+    ASSERT_TRUE(error.has_value()) << resp;
+    EXPECT_EQ(error->find("precondition failed"), std::string::npos) << resp;
+    EXPECT_EQ(error->find(".cpp:"), std::string::npos) << resp;
+    EXPECT_EQ(error->find(".hpp:"), std::string::npos) << resp;
+    EXPECT_NE(diagnostic.find(*error), std::string::npos)
+        << diagnostic << " vs " << resp;
+  }
+
+  diagnostic.clear();
+  const auto stats = handle_line(server, "{\"op\":\"stats\"}", &diagnostic);
+  EXPECT_EQ(stats.rfind("{\"ok\":true,", 0), 0u) << stats;
+  EXPECT_TRUE(diagnostic.empty()) << diagnostic;
 }
 
 // Regression: a CPU-backend server used to accept a blocked-tier job

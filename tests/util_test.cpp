@@ -1,6 +1,7 @@
 // Utility-layer tests: deterministic RNG, sphere sampling, small linear
 // algebra (Jacobi, Cholesky, least squares), table formatting and CLI
-// parsing, and the strict JSON reader's conformance table.
+// parsing, the strict JSON reader's conformance table, and the split of an
+// InvalidArgument into its full diagnostic and the caller's message.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "te/util/assert.hpp"
 #include "te/util/cli.hpp"
 #include "te/util/json.hpp"
 #include "te/util/linalg.hpp"
@@ -21,6 +23,35 @@
 
 namespace te {
 namespace {
+
+// ---------------------------------------------------------------------------
+// InvalidArgument: what() is the full diagnostic, message() the caller's
+// text alone (what an untrusted peer may see).
+// ---------------------------------------------------------------------------
+
+TEST(InvalidArgument, MessageIsTheCallersTextWithoutTheSourceLocation) {
+  try {
+    TE_REQUIRE(1 + 1 == 3, "arithmetic says " << 2);
+    FAIL() << "TE_REQUIRE did not throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_EQ(e.message(), "arithmetic says 2");
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("precondition failed: (1 + 1 == 3) at ", 0), 0u)
+        << what;
+    EXPECT_NE(what.find("util_test.cpp:"), std::string::npos) << what;
+    EXPECT_TRUE(what.ends_with(" -- arithmetic says 2")) << what;
+  }
+  try {
+    TE_REQUIRE(false, "");
+    FAIL() << "TE_REQUIRE did not throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_EQ(e.message(), "precondition failed");
+    EXPECT_EQ(std::string(e.what()).find(" -- "), std::string::npos);
+  }
+  const InvalidArgument plain("plain text");
+  EXPECT_EQ(plain.message(), "plain text");
+  EXPECT_STREQ(plain.what(), "plain text");
+}
 
 // ---------------------------------------------------------------------------
 // RNG.
