@@ -80,9 +80,7 @@ std::vector<te::SymmetricTensor<float>> load_batch(const std::string& path) {
   return te::read_tensor_batch_binary<float>(in);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace te;
 
   CliArgs args(argc, argv);
@@ -239,4 +237,18 @@ int main(int argc, char** argv) {
   }
   std::cerr << "wrote eigenpairs for " << lists.size() << " tensors\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Bad user input (an unknown or misplaced tier, an unreadable file) is
+  // reported as one line and exit code 2, the usage-error code, not as an
+  // uncaught exception.
+  try {
+    return run(argc, argv);
+  } catch (const te::InvalidArgument& e) {
+    std::cerr << "tensoreig_cli: " << e.message() << "\n";
+    return 2;
+  }
 }

@@ -97,9 +97,10 @@ done
 # QRST all-eigenpairs spectrum and differentially verifies a fixed-shift
 # sweep against it (nonzero exit on any unmatched pair). The validator then
 # asserts the multi-vector, adaptive, and QRST gauges actually landed, and
-# holds the deterministic solve-outcome and per-tier ttsv call counters
-# equal to the committed BENCH_sshopm.json (--same-counters): any drift in
-# iteration counts or classification fails here. A change that moves them
+# holds the deterministic solve-outcome, per-tier ttsv call, scheduler
+# chunk and checkpoint counters equal to the committed BENCH_sshopm.json
+# (--same-counters): any drift in iteration counts, classification or
+# chunk accounting fails here. A change that moves them
 # on purpose regenerates and commits the file with this command line. The
 # counts are a property of the build's floating-point code, so a host whose
 # -march=native differs from the one that produced the file may need its
@@ -116,7 +117,9 @@ cmake --build build -j "${JOBS}" --target bench_sshopm bench_kernels \
   --require-gauge bench.sshopm.oracle.checked 1 \
   --require-gauge decomp.qrst.pairs 1 \
   --same-counters BENCH_sshopm.json sshopm.solve. \
-  --same-counters BENCH_sshopm.json kernels.ttsv
+  --same-counters BENCH_sshopm.json kernels.ttsv \
+  --same-counters BENCH_sshopm.json batch.scheduler. \
+  --same-counters BENCH_sshopm.json io.checkpoint.
 ./build/bench/bench_kernels --multi --benchmark_filter=Multi \
   --benchmark_min_time=0.01 --metrics-json build/BENCH_kernels.json
 ./build/tools/obs_json_check build/BENCH_kernels.json \

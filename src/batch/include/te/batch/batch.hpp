@@ -84,7 +84,11 @@ struct BatchResult {
   int num_starts = 0;
   /// Flat (tensor-major) results: entry t * num_starts + v.
   std::vector<sshopm::Result<T>> results;
-  double wall_seconds = 0;     ///< measured host execution time
+  /// Measured host execution time. A scheduler job sums the wall time of
+  /// its chunks; a kCpuParallel dispatch runs the chunks of several jobs
+  /// at once, so each chunk is charged the dispatch's wall time times its
+  /// share of the dispatch's tensors.
+  double wall_seconds = 0;
   double modeled_seconds = 0;  ///< platform-model time (GPU backend only;
                                ///< equals wall_seconds on CPU backends)
   std::int64_t useful_flops = 0;  ///< symmetric-kernel flop count actually
@@ -178,8 +182,9 @@ template <Real T>
   return out;
 }
 
-/// Parallel CPU backend: the tensor loop is chunked over a thread pool,
-/// exactly the paper's OpenMP mapping.
+/// Parallel CPU backend: the tensor loop runs as one parallel_for over a
+/// thread pool, the paper's OpenMP mapping with a dynamic schedule (each
+/// worker claims the next tensor).
 template <Real T>
 [[nodiscard]] BatchResult<T> solve_cpu_parallel(const BatchProblem<T>& p,
                                                 kernels::Tier tier,

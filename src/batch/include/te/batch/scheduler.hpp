@@ -23,7 +23,11 @@
 //     modeled host<->device transfer overlaps modeled compute -- both the
 //     serialized and the overlapped time are reported;
 //   * the CPU-parallel backend drains the same chunk queue over a single
-//     ThreadPool owned by (or lent to) the scheduler.
+//     ThreadPool owned by (or lent to) the scheduler: each run() or
+//     run_job() is one claimed parallel_for over every tensor of the
+//     chunks it executes, not one pool barrier per chunk (one chunk per
+//     dispatch while a checkpoint log is open, so every chunk is durable
+//     before the next starts).
 //
 // Invariant the test suite enforces: for every tier and backend, the
 // scheduler's results are bitwise-identical to the corresponding one-shot
@@ -31,6 +35,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -257,15 +262,8 @@ class Scheduler {
   /// the number of chunks executed.
   int run(int max_chunks = -1) {
     TE_OBS_SPAN("batch.run");
-    int executed = 0;
-    while (!queue_.empty() && (max_chunks < 0 || executed < max_chunks)) {
-      const Chunk c = queue_.front();
-      queue_.pop_front();
-      execute(c);
-      ++executed;
-      TE_OBS_ONLY(detail::SchedulerMetrics::get().queue_depth.set(
-          static_cast<double>(queue_.size())));
-    }
+    const int executed =
+        drain(max_chunks, [](const Chunk&) { return true; });
     for (auto& job : jobs_) {
       if (!job.done && !job.cancelled && job.chunks_done == job.chunks_total) {
         finalize(job);
@@ -304,19 +302,8 @@ class Scheduler {
     (void)at(id);  // validate the handle
     Job& job = jobs_[static_cast<std::size_t>(id)];
     TE_REQUIRE(!job.cancelled, "job " << id << " was cancelled");
-    int executed = 0;
-    while (max_chunks < 0 || executed < max_chunks) {
-      const auto it =
-          std::find_if(queue_.begin(), queue_.end(),
-                       [&](const Chunk& c) { return c.job == id; });
-      if (it == queue_.end()) break;
-      const Chunk c = *it;
-      queue_.erase(it);
-      execute(c);
-      ++executed;
-      TE_OBS_ONLY(detail::SchedulerMetrics::get().queue_depth.set(
-          static_cast<double>(queue_.size())));
-    }
+    const int executed =
+        drain(max_chunks, [id](const Chunk& c) { return c.job == id; });
     if (!job.done && job.chunks_done == job.chunks_total) finalize(job);
     return executed;
   }
@@ -522,64 +509,131 @@ class Scheduler {
     return r;
   }
 
+  /// Pop and execute the queued chunks `mine` selects, in queue order, at
+  /// most `max_chunks` of them (negative = all). kCpuParallel runs them as
+  /// one claimed dispatch; the other backends, and kCpuParallel while a
+  /// checkpoint log is open, run one chunk per dispatch, so each chunk's
+  /// WAL append lands before the next chunk starts. Returns the number of
+  /// chunks executed.
+  template <class Pred>
+  int drain(int max_chunks, Pred mine) {
+    const bool claimed = backend_ == Backend::kCpuParallel;
+    int executed = 0;
+    std::vector<Chunk> batch;
+    for (;;) {
+      const int budget = max_chunks < 0 ? std::numeric_limits<int>::max()
+                                        : max_chunks - executed;
+      const int take = claimed && !ckpt_ ? budget : std::min(budget, 1);
+      batch.clear();
+      for (auto it = queue_.begin();
+           static_cast<int>(batch.size()) < take;) {
+        it = std::find_if(it, queue_.end(), mine);
+        if (it == queue_.end()) break;
+        batch.push_back(*it);
+        it = queue_.erase(it);
+      }
+      if (batch.empty()) break;
+      if (claimed) {
+        execute_claimed(batch);
+      } else {
+        execute(batch.front());
+      }
+      executed += static_cast<int>(batch.size());
+      TE_OBS_ONLY(detail::SchedulerMetrics::get().queue_depth.set(
+          static_cast<double>(queue_.size())));
+    }
+    return executed;
+  }
+
+  /// One chunk on the sequential or simulated-GPU backend.
   void execute(const Chunk& c) {
     TE_OBS_SPAN("chunk");
     Job& job = jobs_[static_cast<std::size_t>(c.job)];
     const BatchProblem<T>& p = job.problem;
-    const int nv = p.num_starts();
     const auto tables = cache_->get(p.order, p.dim, job.tier);
-    sshopm::Result<T>* out_base =
-        job.result.results.data() +
-        static_cast<std::size_t>(c.begin) * nv;
-    // CPU backends: the one-shot backends' own per-tensor step, so chunked
-    // execution is bitwise identical to solve_cpu_* (table contents are a
-    // pure function of (order, dim), so cache sharing cannot perturb it).
     const std::span<sshopm::Result<T>> results(job.result.results);
 
     WallTimer timer;
-    switch (backend_) {
-      case Backend::kCpuSequential: {
-        for (int t = c.begin; t < c.end; ++t) {
-          detail::solve_tensor(p, t, job.tier, tables.get(), opt_.simd_width,
-                               results);
-        }
-        break;
-      }
-      case Backend::kCpuParallel: {
-        // Bulk dispatch: one chunked task per worker, one lock/wakeup.
-        pool().submit_range(
-            c.begin, c.end, [&](std::int64_t b, std::int64_t e, int) {
-              for (std::int64_t t = b; t < e; ++t) {
-                detail::solve_tensor(p, static_cast<int>(t), job.tier,
-                                     tables.get(), opt_.simd_width, results);
-              }
-            });
-        break;
-      }
-      case Backend::kGpuSim: {
-        gpusim::ChunkCost cost;
-        const auto launch = solve_gpusim_span<T>(
-            p.order, p.dim,
-            std::span<const SymmetricTensor<T>>(
-                p.tensors.data() + c.begin,
-                static_cast<std::size_t>(c.end - c.begin)),
-            std::span<const std::vector<T>>(p.starts.data(),
-                                            p.starts.size()),
-            p.options, job.tier, opt_.device, opt_.gpu, tables.get(),
-            std::span<sshopm::Result<T>>(
-                out_base, static_cast<std::size_t>(c.end - c.begin) * nv),
-            &cost);
-        TE_REQUIRE(launch.launchable,
-                   "chunk does not fit on the device (occupancy limiter: "
-                       << launch.occupancy.limiter << ")");
-        job.result.gpu.merge(launch, !job.gpu_merged);
-        job.gpu_merged = true;
-        job.pipeline.record(cost);
-        pipeline_.record(cost);
-        break;
+    if (backend_ == Backend::kGpuSim) {
+      const auto nv = static_cast<std::size_t>(p.num_starts());
+      const auto count = static_cast<std::size_t>(c.end - c.begin);
+      gpusim::ChunkCost cost;
+      const auto launch = solve_gpusim_span<T>(
+          p.order, p.dim,
+          std::span<const SymmetricTensor<T>>(p.tensors).subspan(
+              static_cast<std::size_t>(c.begin), count),
+          std::span<const std::vector<T>>(p.starts), p.options, job.tier,
+          opt_.device, opt_.gpu, tables.get(),
+          results.subspan(static_cast<std::size_t>(c.begin) * nv, count * nv),
+          &cost);
+      TE_REQUIRE(launch.launchable,
+                 "chunk does not fit on the device (occupancy limiter: "
+                     << launch.occupancy.limiter << ")");
+      job.result.gpu.merge(launch, !job.gpu_merged);
+      job.gpu_merged = true;
+      job.pipeline.record(cost);
+      pipeline_.record(cost);
+    } else {
+      // The one-shot backends' own per-tensor step, so chunked execution
+      // is bitwise identical to solve_cpu_* (table contents are a pure
+      // function of (order, dim), so cache sharing cannot perturb it).
+      for (int t = c.begin; t < c.end; ++t) {
+        detail::solve_tensor(p, t, job.tier, tables.get(), opt_.simd_width,
+                             results);
       }
     }
-    const double chunk_seconds = timer.seconds();
+    complete(c, timer.seconds());
+  }
+
+  /// Several chunks, possibly of different jobs, shapes and tiers, as ONE
+  /// pool dispatch over the flattened (chunk, tensor) index space: each
+  /// index runs the same detail::solve_tensor as a per-chunk execution, so
+  /// results are bitwise unchanged, while workers claim tensors until the
+  /// whole dispatch is drained instead of meeting at a barrier per chunk.
+  /// Tables are fetched once per chunk, so the cache hit/miss counts match
+  /// per-chunk execution. The dispatch's wall time is apportioned to its
+  /// chunks by tensor share; if it throws, no chunk of it is marked done.
+  void execute_claimed(std::span<const Chunk> batch) {
+    TE_OBS_SPAN("dispatch");
+    struct Slice {
+      Job* job;
+      std::shared_ptr<const kernels::KernelTables<T>> tables;
+      std::int64_t first;  ///< flat index of this chunk's first tensor
+    };
+    std::vector<Slice> slices;
+    slices.reserve(batch.size());
+    std::int64_t total = 0;
+    for (const Chunk& c : batch) {
+      Job& job = jobs_[static_cast<std::size_t>(c.job)];
+      slices.push_back(
+          {&job, cache_->get(job.problem.order, job.problem.dim, job.tier),
+           total});
+      total += c.end - c.begin;
+    }
+    WallTimer timer;
+    pool().parallel_for(total, [&](std::int64_t i) {
+      const auto k = static_cast<std::size_t>(
+          std::upper_bound(slices.begin(), slices.end(), i,
+                           [](std::int64_t v, const Slice& s) {
+                             return v < s.first;
+                           }) -
+          slices.begin() - 1);
+      const Slice& s = slices[k];
+      detail::solve_tensor(s.job->problem,
+                           batch[k].begin + static_cast<int>(i - s.first),
+                           s.job->tier, s.tables.get(), opt_.simd_width,
+                           std::span<sshopm::Result<T>>(s.job->result.results));
+    });
+    const double seconds = timer.seconds();
+    for (const Chunk& c : batch) {
+      complete(c, seconds * static_cast<double>(c.end - c.begin) /
+                      static_cast<double>(total));
+    }
+  }
+
+  /// Per-chunk bookkeeping once a chunk's result slots are written.
+  void complete(const Chunk& c, double chunk_seconds) {
+    Job& job = jobs_[static_cast<std::size_t>(c.job)];
     job.wall_seconds += chunk_seconds;
     ++job.chunks_done;
     job.done = false;  // finalized (again) at the end of run()

@@ -150,7 +150,7 @@ ThreadTask sshopm_device_thread(ThreadCtx& ctx, DeviceBatchView<T> view,
     x0[i] = *src;
   }
   sshopm::Result<T> r;
-  sshopm::detail::Run<T> run(r, opt.tolerance, false);
+  sshopm::detail::Run<T> run(r, opt.tolerance, nullptr);
   bool live = run.start({x0, static_cast<std::size_t>(n)});
   // r.x now holds the iterate and is never resized again.
   const std::span<const T> xs(r.x.data(), r.x.size());

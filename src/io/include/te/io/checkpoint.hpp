@@ -79,7 +79,7 @@ template <Real T>
   b.put_f64(opt.alpha);
   b.put_i32(opt.max_iterations);
   b.put_f64(opt.tolerance);
-  b.put_u32(opt.record_trace ? 1u : 0u);
+  b.put_u32(0u);  // was the removed record_trace flag; keeps old pins valid
   b.put_u64(tensors.size());
   b.put_u64(starts.size());
   std::uint32_t crc = crc32(b.bytes());

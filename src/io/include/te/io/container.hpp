@@ -374,7 +374,10 @@ template <Real T>
 //
 // Record: T lambda | i32 iterations | u32 converged | u32 failure |
 //         u64 x_size | u64 trace_size | x scalars | trace scalars.
-// Scalars round-trip through memcpy, so replay is bitwise-exact.
+// Scalars round-trip through memcpy, so replay is bitwise-exact. Result
+// keeps no lambda trace, so the writer always emits trace_size 0; the
+// reader skips the trace scalars an older file may carry, after an overrun
+// check.
 // ---------------------------------------------------------------------------
 
 template <Real T>
@@ -384,9 +387,8 @@ void put_result_record(PayloadBuilder& b, const sshopm::Result<T>& r) {
   b.put_u32(r.converged ? 1u : 0u);
   b.put_u32(static_cast<std::uint32_t>(r.failure));
   b.put_u64(r.x.size());
-  b.put_u64(r.lambda_trace.size());
+  b.put_u64(0);  // trace_size
   b.put_array(std::span<const T>(r.x));
-  b.put_array(std::span<const T>(r.lambda_trace));
 }
 
 template <Real T>
@@ -414,11 +416,7 @@ template <Real T>
   r.x.resize(static_cast<std::size_t>(x_size));
   const auto xb = c.bytes(x_size * sizeof(T));
   if (!r.x.empty()) std::memcpy(r.x.data(), xb.data(), xb.size());
-  r.lambda_trace.resize(static_cast<std::size_t>(trace_size));
-  const auto tb = c.bytes(trace_size * sizeof(T));
-  if (!r.lambda_trace.empty()) {
-    std::memcpy(r.lambda_trace.data(), tb.data(), tb.size());
-  }
+  (void)c.bytes(trace_size * sizeof(T));  // an older file's trace: dropped
   return r;
 }
 

@@ -168,12 +168,11 @@ template <Real T>
 /// True when `width` is 1 or a registered vector width.
 [[nodiscard]] bool is_multi_width(int width) noexcept;
 
-/// Heuristic lane pick for (order, dim, tier): one full vector register of
-/// T (AVX-512: 16 floats / 8 doubles), rounded down to a registered width.
-/// Every host tier has a vectorized route, so today the pick does not
-/// depend on the shape or the tier.
+/// Heuristic lane pick: one full vector register of T (AVX-512: 16 floats
+/// / 8 doubles), rounded down to a registered width. Every host tier has a
+/// vectorized route, so the pick depends on neither the shape nor the tier.
 template <Real T>
-[[nodiscard]] int pick_simd_width(int order, int dim, Tier tier);
+[[nodiscard]] int pick_simd_width();
 
 /// Vectorized general-tier entry points for one width.
 template <Real T>
@@ -366,8 +365,7 @@ class BoundKernels {
   void bind_width(int width) {
     TE_REQUIRE(a_->dim() <= kMaxBatchDim,
                "multi kernels support dim <= " << kMaxBatchDim);
-    width_ = width == 0 ? pick_simd_width<T>(a_->order(), a_->dim(), tier_)
-                        : width;
+    width_ = width == 0 ? pick_simd_width<T>() : width;
     TE_REQUIRE(is_multi_width(width_), "unsupported simd width " << width_);
     if (width_ > 1) {
       switch (tier_) {

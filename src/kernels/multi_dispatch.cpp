@@ -88,18 +88,15 @@ bool is_multi_width(int width) noexcept {
 }
 
 template <Real T>
-int pick_simd_width(int order, int dim, Tier tier) {
-  (void)order;
-  (void)dim;
-  (void)tier;
+int pick_simd_width() {
   int w = simd::preferred_width<T>();
   if (w > simd::kMaxWidth) w = simd::kMaxWidth;
   while (w > 1 && !is_multi_width(w)) w /= 2;
   return w < 2 ? 1 : w;
 }
 
-template int pick_simd_width<float>(int, int, Tier);
-template int pick_simd_width<double>(int, int, Tier);
+template int pick_simd_width<float>();
+template int pick_simd_width<double>();
 
 template <Real T>
 const MultiGeneralFns<T>* find_multi_general(int width) noexcept {

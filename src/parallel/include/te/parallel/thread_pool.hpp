@@ -1,11 +1,15 @@
 #pragma once
 // A small fixed-size thread pool with a blocking parallel_for.
 //
-// The CPU batch backend parallelizes over independent tensors exactly as the
-// paper does with `omp parallel for` (Section V-E): the iteration space is
-// divided into contiguous chunks, one per worker, because every tensor costs
-// roughly the same and contiguous chunks preserve memory locality. Work
-// stealing would be over-engineering here.
+// The CPU batch backend parallelizes over independent tensors as the paper
+// does with `omp parallel for` (Section V-E), but it does not hand each
+// worker a fixed contiguous share. SS-HOPM's iteration count varies from
+// start to start and tensor to tensor (Kolda & Mayo), so equal index counts
+// are not equal work, and a fixed share leaves the fast workers waiting on
+// the slowest. Instead parallel_for enqueues one task per worker, and every
+// task claims the next index from a shared atomic counter until the range
+// is exhausted: the dynamic schedule, at the cost of one relaxed
+// fetch_add per index.
 //
 // The pool is also usable with more workers than hardware threads -- the
 // functional results are identical, which is what the tests rely on when
@@ -13,6 +17,7 @@
 // one regardless of the host's core count.
 
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -38,40 +43,27 @@ class ThreadPool {
     return static_cast<int>(workers_.size());
   }
 
-  /// Run f(i) for i in [0, count), distributed over the pool in contiguous
-  /// chunks; blocks until every iteration has finished. Exceptions thrown by
-  /// f propagate to the caller (first one wins).
+  /// Run f(i) for every i in [0, count) exactly once and block until all
+  /// have finished. One task per worker (at most `count`) is enqueued under
+  /// a single lock with one wakeup; each task then claims indices from a
+  /// shared counter, so a worker that draws cheap indices simply claims
+  /// more. An empty range returns at once without touching the pool. The
+  /// first exception thrown by f propagates to the caller, the indices not
+  /// yet claimed are skipped, and the pool stays usable. Several threads
+  /// may call parallel_for on one pool at once; each call waits for its
+  /// own indices only.
   void parallel_for(std::int64_t count,
                     const std::function<void(std::int64_t)>& f);
 
-  /// Run f(chunk_begin, chunk_end, worker_index) once per chunk; blocks.
-  void parallel_chunks(
-      std::int64_t count,
-      const std::function<void(std::int64_t, std::int64_t, int)>& f);
-
-  /// Bulk submission: partition [first, last) into one contiguous chunk per
-  /// worker and run f(chunk_begin, chunk_end, worker_index) for each;
-  /// blocks until done. Unlike per-job submit(), all chunks are enqueued
-  /// under a single lock acquisition with one wakeup broadcast, so a
-  /// dispatch of P chunks costs one mutex round-trip instead of P.
-  /// Exceptions thrown by f propagate to the caller (first one wins).
-  void submit_range(
-      std::int64_t first, std::int64_t last,
-      const std::function<void(std::int64_t, std::int64_t, int)>& f);
-
  private:
   void worker_loop();
-  void submit(std::function<void()> job);
-  void wait_idle();
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable cv_job_;
   std::condition_variable cv_done_;
   std::vector<std::function<void()>> queue_;
-  int active_ = 0;
   bool stop_ = false;
-  std::exception_ptr first_error_;
 };
 
 }  // namespace te

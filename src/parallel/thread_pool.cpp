@@ -1,6 +1,8 @@
 #include "te/parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace te {
 
@@ -30,79 +32,54 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stop_ and drained
       job = std::move(queue_.back());
       queue_.pop_back();
-      ++active_;
     }
-    try {
-      job();
-    } catch (...) {
-      std::lock_guard lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) cv_done_.notify_all();
-    }
+    job();  // a parallel_for task: catches f's exceptions itself
   }
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard lock(mutex_);
-    queue_.push_back(std::move(job));
-  }
-  cv_job_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  cv_done_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-  if (first_error_) {
-    auto e = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
-}
-
-void ThreadPool::submit_range(
-    std::int64_t first, std::int64_t last,
-    const std::function<void(std::int64_t, std::int64_t, int)>& f) {
-  // Empty range: a complete no-op -- no zero-length chunks enqueued, no
-  // lock taken, no wakeup broadcast, f never called.
-  if (last <= first) return;
-  const std::int64_t count = last - first;
-  const int p = num_threads();
-  const std::int64_t chunk = (count + p - 1) / p;
-  int launched = 0;
-  {
-    std::lock_guard lock(mutex_);
-    for (std::int64_t begin = first; begin < last; begin += chunk) {
-      const std::int64_t end = std::min(begin + chunk, last);
-      const int worker = launched++;
-      queue_.push_back([&f, begin, end, worker] { f(begin, end, worker); });
-    }
-  }
-  // Wake exactly as many workers as there are chunks; a full broadcast is
-  // only worth it when every worker has one.
-  if (launched >= p) {
-    cv_job_.notify_all();
-  } else {
-    for (int i = 0; i < launched; ++i) cv_job_.notify_one();
-  }
-  wait_idle();
-}
-
-void ThreadPool::parallel_chunks(
-    std::int64_t count,
-    const std::function<void(std::int64_t, std::int64_t, int)>& f) {
-  submit_range(0, count, f);
 }
 
 void ThreadPool::parallel_for(std::int64_t count,
                               const std::function<void(std::int64_t)>& f) {
-  parallel_chunks(count, [&f](std::int64_t begin, std::int64_t end, int) {
-    for (std::int64_t i = begin; i < end; ++i) f(i);
-  });
+  if (count <= 0) return;
+  // Per-call state on the caller's stack: the tasks reference it, and the
+  // caller does not return before the last task has released it (under
+  // mutex_), so concurrent calls never see each other's indices or errors.
+  struct Dispatch {
+    std::atomic<std::int64_t> next{0};
+    std::atomic<bool> failed{false};
+    int tasks_left = 0;        ///< guarded by mutex_
+    std::exception_ptr error;  ///< first exception; guarded by mutex_
+  } d;
+  const int tasks = static_cast<int>(
+      std::min<std::int64_t>(count, static_cast<std::int64_t>(num_threads())));
+  d.tasks_left = tasks;
+  const auto task = [this, &d, &f, count] {
+    std::exception_ptr error;
+    try {
+      for (std::int64_t i = d.next++; i < count && !d.failed; i = d.next++) {
+        f(i);
+      }
+    } catch (...) {
+      d.failed = true;
+      error = std::current_exception();
+    }
+    std::lock_guard lock(mutex_);
+    if (error && !d.error) d.error = error;
+    if (--d.tasks_left == 0) cv_done_.notify_all();
+  };
+  {
+    std::lock_guard lock(mutex_);
+    for (int i = 0; i < tasks; ++i) queue_.emplace_back(task);
+  }
+  // Wake exactly as many workers as there are tasks; a full broadcast is
+  // only worth it when every worker has one.
+  if (tasks >= num_threads()) {
+    cv_job_.notify_all();
+  } else {
+    for (int i = 0; i < tasks; ++i) cv_job_.notify_one();
+  }
+  std::unique_lock lock(mutex_);
+  cv_done_.wait(lock, [&d] { return d.tasks_left == 0; });
+  if (d.error) std::rethrow_exception(d.error);
 }
 
 }  // namespace te

@@ -58,7 +58,7 @@ template <Real T>
   kernels::BoundKernels<T> k(a, kernels::Tier::kGeneral);
 
   AdaptiveResult<T> r;
-  detail::Run<T> run(r, opt.tolerance, false);
+  detail::Run<T> run(r, opt.tolerance, nullptr);
   if (!run.start(x0)) return r;
   const std::span<const T> x(r.x.data(), r.x.size());
   if (!run.accept_first(k.ttsv0(x, ops))) return r;

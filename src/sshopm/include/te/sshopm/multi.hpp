@@ -16,8 +16,8 @@
 //
 // Semantics contract (the differential tests assert this): each lane is
 // one detail::Run, the state machine solve() drives, so normalization,
-// trace points, FailureReason classification and iteration counts are
-// solve()'s by construction. The lane iterate lives contiguously in
+// FailureReason classification and iteration counts are solve()'s by
+// construction (lanes keep no lambda trace; only solve() hands one out). The lane iterate lives contiguously in
 // Result::x and every solver-level step runs on that span, so the only
 // value drift the scalar path can see comes from the kernels' vector
 // routes themselves (FMA contraction inside the vectorized class walk,
@@ -100,7 +100,7 @@ template <Real T>
       return results[base + static_cast<std::size_t>(w)];
     };
     const auto run = [&](int w) {
-      return detail::Run<T>(result(w), opt.tolerance, opt.record_trace);
+      return detail::Run<T>(result(w), opt.tolerance, nullptr);
     };
     // A lane retires (and is recorded) the moment its run stops; it keeps
     // riding along in the kernel calls, but its row is never updated again.

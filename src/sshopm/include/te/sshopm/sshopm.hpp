@@ -35,7 +35,6 @@ struct Options {
   double alpha = 0.0;      ///< shift (paper uses 0 for the DW-MRI set)
   int max_iterations = 200;
   double tolerance = 1e-7;  ///< |lambda_{k+1} - lambda_k| convergence bound
-  bool record_trace = false;  ///< keep the per-iteration lambda sequence
 };
 
 /// Why a run stopped without converging. Degenerate inputs (zero starts,
@@ -65,16 +64,14 @@ enum class FailureReason {
 }
 
 /// Outcome of one SS-HOPM run.
-/// Members are ordered widest first so Result<float> packs into 64 bytes:
-/// a volume-scale batch holds one Result per (tensor, start).
+/// Members are ordered widest first so Result<float> packs into 40 bytes
+/// (plus the heap iterate): a volume-scale batch holds one Result per
+/// (tensor, start). The per-iteration lambda sequence is not kept here;
+/// solve() hands it out through its optional `lambda_trace` argument.
 template <Real T>
 struct Result {
   std::vector<T> x;         ///< final unit iterate (on kDegenerateIterate:
                             ///< the last pre-normalization iterate)
-  /// lambda_0, lambda_1, ... (only when Options::record_trace). Kolda &
-  /// Mayo prove this sequence is monotone when |alpha| dominates the
-  /// curvature bound -- a property the tests check directly.
-  std::vector<T> lambda_trace;
   T lambda = T(0);          ///< final Rayleigh quotient A x^m
   int iterations = 0;       ///< iterations actually performed
   /// kNone iff converged; otherwise why the run stopped.
@@ -85,20 +82,22 @@ struct Result {
 namespace detail {
 /// One SS-HOPM run (paper Fig. 1) as a state machine over its Result: the
 /// callers run the kernels and feed the values in, and these steps alone
-/// decide when the run stops and what lambda, x, iterations, failure and
-/// trace it reports. A run is live while it has neither converged nor
+/// decide when the run stops and what lambda, x, iterations and failure
+/// it reports, and append every accepted lambda to `lambda_trace` when
+/// one is given. A run is live while it has neither converged nor
 /// failed; each step returns whether it still is. r.lambda always holds the
 /// last accepted Rayleigh quotient and r.x the iterate (on
 /// kDegenerateIterate: the one that could not be normalized).
 ///
-/// All run state lives in the Result (Run adds only the two settings), so
-/// a caller may rebuild a Run per step, as solve_multi does per lane. The
-/// steps are inline and allocate nothing past start() but the trace.
+/// All run state lives in the Result (Run adds only the tolerance and the
+/// trace sink), so a caller may rebuild a Run per step, as solve_multi
+/// does per lane. The steps are inline and allocate nothing past start()
+/// but the trace.
 template <Real T>
 class Run {
  public:
-  Run(Result<T>& r, double tolerance, bool record_trace)
-      : r_(r), tolerance_(tolerance), record_trace_(record_trace) {}
+  Run(Result<T>& r, double tolerance, std::vector<T>* lambda_trace)
+      : r_(r), tolerance_(tolerance), trace_(lambda_trace) {}
 
   [[nodiscard]] bool live() const {
     return !r_.converged && r_.failure == FailureReason::kNone;
@@ -114,7 +113,7 @@ class Run {
 
   /// Accept lambda_0 = A x_0^m.
   bool accept_first(T lambda0) {
-    if (record_trace_) r_.lambda_trace.push_back(lambda0);
+    if (trace_ != nullptr) trace_->push_back(lambda0);
     r_.lambda = lambda0;
     // |next - lambda| <= tol is always false for NaN; without this check a
     // poisoned run would silently burn the whole iteration budget.
@@ -148,7 +147,7 @@ class Run {
   /// Accept lambda_{k+1} = A x_{k+1}^m: the run stops on a non-finite
   /// value or when |lambda_{k+1} - lambda_k| <= tolerance.
   bool accept(T next) {
-    if (record_trace_) r_.lambda_trace.push_back(next);
+    if (trace_ != nullptr) trace_->push_back(next);
     const T prev = r_.lambda;
     r_.lambda = next;
     if (!std::isfinite(static_cast<double>(next))) {
@@ -175,7 +174,7 @@ class Run {
 
   Result<T>& r_;
   double tolerance_;
-  bool record_trace_;
+  std::vector<T>* trace_;  ///< accepted lambdas, when the caller asked
 };
 }  // namespace detail
 
@@ -229,10 +228,11 @@ struct SolveMetrics {
 };
 
 /// One post-run accounting pass: outcome counters, the iteration and
-/// final-lambda distributions, and (when a trace was kept) the monotonicity
-/// summary Kolda & Mayo's convergence theory predicts.
+/// final-lambda distributions, and (when the caller kept a trace) the
+/// monotonicity summary Kolda & Mayo's convergence theory predicts.
 template <Real T>
-inline void record_solve(const Result<T>& r, const Options& opt) {
+inline void record_solve(const Result<T>& r, const Options& opt,
+                         const std::vector<T>* lambda_trace = nullptr) {
   SolveMetrics& m = SolveMetrics::get();
   m.runs.inc();
   switch (r.failure) {
@@ -253,11 +253,12 @@ inline void record_solve(const Result<T>& r, const Options& opt) {
   if (std::isfinite(static_cast<double>(r.lambda))) {
     m.lambda_final.record(static_cast<double>(r.lambda));
   }
-  if (opt.record_trace && r.lambda_trace.size() >= 2) {
+  if (lambda_trace != nullptr && lambda_trace->size() >= 2) {
+    const std::vector<T>& trace = *lambda_trace;
     std::int64_t bad = 0;
-    for (std::size_t i = 1; i < r.lambda_trace.size(); ++i) {
-      const double step = static_cast<double>(r.lambda_trace[i]) -
-                          static_cast<double>(r.lambda_trace[i - 1]);
+    for (std::size_t i = 1; i < trace.size(); ++i) {
+      const double step = static_cast<double>(trace[i]) -
+                          static_cast<double>(trace[i - 1]);
       // alpha >= 0 drives lambda up (maxima), alpha < 0 down (minima).
       if (opt.alpha >= 0 ? step < 0 : step > 0) ++bad;
     }
@@ -270,7 +271,10 @@ inline void record_solve(const Result<T>& r, const Options& opt) {
 /// One SS-HOPM run from a single start (paper Fig. 1).
 ///
 /// `x0` need not be normalized. Optional OpCounts tallies the floating-point
-/// work actually performed (used for measured-GFLOPS reports).
+/// work actually performed (used for measured-GFLOPS reports). Optional
+/// `lambda_trace` receives lambda_0, lambda_1, ...: Kolda & Mayo prove this
+/// sequence is monotone when |alpha| dominates the curvature bound -- a
+/// property the tests check directly.
 ///
 /// Never throws on degenerate *values* (zero/NaN/Inf starts or tensor
 /// entries): such runs come back with converged == false and
@@ -279,13 +283,15 @@ inline void record_solve(const Result<T>& r, const Options& opt) {
 template <Real T>
 [[nodiscard]] Result<T> solve(const kernels::BoundKernels<T>& k,
                               std::span<const T> x0, const Options& opt,
-                              OpCounts* ops = nullptr) {
+                              OpCounts* ops = nullptr,
+                              std::vector<T>* lambda_trace = nullptr) {
   const int n = k.tensor().dim();
   TE_REQUIRE(static_cast<int>(x0.size()) == n, "start vector length mismatch");
   TE_REQUIRE(opt.max_iterations >= 1, "max_iterations must be positive");
 
+  if (lambda_trace != nullptr) lambda_trace->clear();
   Result<T> r;
-  detail::Run<T> run(r, opt.tolerance, opt.record_trace);
+  detail::Run<T> run(r, opt.tolerance, lambda_trace);
   if (run.start(x0)) {
     const std::span<const T> x(r.x.data(), r.x.size());
     if (run.accept_first(k.ttsv0(x, ops))) {
@@ -303,7 +309,7 @@ template <Real T>
     }
   }
   run.finish();
-  TE_OBS_ONLY(detail::record_solve(r, opt));
+  TE_OBS_ONLY(detail::record_solve(r, opt, lambda_trace));
   return r;
 }
 

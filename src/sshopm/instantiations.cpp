@@ -9,10 +9,10 @@ namespace te::sshopm {
 
 template Result<float> solve(const kernels::BoundKernels<float>&,
                              std::span<const float>, const Options&,
-                             OpCounts*);
+                             OpCounts*, std::vector<float>*);
 template Result<double> solve(const kernels::BoundKernels<double>&,
                               std::span<const double>, const Options&,
-                              OpCounts*);
+                              OpCounts*, std::vector<double>*);
 
 template std::vector<Result<float>> solve_multi(
     const kernels::BoundKernels<float>&, std::span<const std::vector<float>>,

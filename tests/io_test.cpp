@@ -60,7 +60,6 @@ void expect_results_bitwise(const std::vector<sshopm::Result<T>>& a,
     EXPECT_EQ(a[i].iterations, b[i].iterations) << "slot " << i;
     EXPECT_EQ(a[i].converged, b[i].converged) << "slot " << i;
     EXPECT_EQ(a[i].failure, b[i].failure) << "slot " << i;
-    EXPECT_EQ(a[i].lambda_trace, b[i].lambda_trace) << "slot " << i;
   }
 }
 
@@ -450,10 +449,9 @@ TEST(IoKernelTables, TryLoadFiltersByShapeAndSurvivesMissingFiles) {
 // Batch results.
 
 TEST(IoBatchResult, RoundTripsBitwiseOnBothReadPaths) {
-  // A real solve, so the records carry genuine traces/failure codes.
+  // A real solve, so the records carry genuine failure codes.
   auto p = batch::BatchProblem<double>::random(21, 4, 3, 4, 3);
   p.options.alpha = 1.0;
-  p.options.record_trace = true;
   const auto result =
       batch::solve_cpu_sequential(p, kernels::Tier::kPrecomputed);
 
@@ -473,6 +471,96 @@ TEST(IoBatchResult, RoundTripsBitwiseOnBothReadPaths) {
   const auto mapped = read_batch_result<double>(
       find_section(m, SectionType::kBatchResult), f.path);
   expect_results_bitwise(result.results, mapped.results);
+}
+
+/// Dyadic value in [-1, 1) from the seeded counter stream: exact in any
+/// float type and under any compiler flags, so the golden bytes below do
+/// not depend on FMA contraction or -march.
+template <Real T>
+T dyadic(const CounterRng& rng, std::uint64_t stream, std::uint64_t i) {
+  const auto q = static_cast<std::int32_t>(rng.at(stream, i) >> 44);  // 20 bits
+  return static_cast<T>(q - (1 << 19)) / static_cast<T>(1 << 19);
+}
+
+TEST(IoBatchResult, FileBytesMatchGoldenHash) {
+  // A fixed seeded 6-tensor x 5-start (3, 3) float result with every
+  // failure class, written with pinned timing fields. The CRC-32 and size
+  // were taken from the file this test wrote before Result dropped its
+  // lambda trace; the record still carries a zero trace count, so the
+  // bytes must not move.
+  const CounterRng rng(2011);
+  batch::BatchResult<float> r;
+  r.num_tensors = 6;
+  r.num_starts = 5;
+  r.wall_seconds = 0.5;
+  r.modeled_seconds = 0.25;
+  r.transfer_seconds = 0.125;
+  r.useful_flops = 987654321;
+  for (int i = 0; i < r.num_tensors * r.num_starts; ++i) {
+    const auto u = static_cast<std::uint64_t>(i);
+    sshopm::Result<float> res;
+    res.lambda = 4 * dyadic<float>(rng, 1, u);
+    res.iterations = static_cast<int>(rng.at(2, u) % 200);
+    res.failure = static_cast<sshopm::FailureReason>(i % 4);
+    res.converged = res.failure == sshopm::FailureReason::kNone;
+    res.x.resize(3);
+    for (std::size_t k = 0; k < res.x.size(); ++k) {
+      res.x[k] = dyadic<float>(rng, 3, u * 3 + k);
+    }
+    r.results.push_back(std::move(res));
+  }
+  TmpFile f("golden_result.tetc");
+  save_batch_result(f.path, r);
+  const auto bytes = read_file(f.path);
+  EXPECT_EQ(bytes.size(), 1500u);
+  EXPECT_EQ(crc32(bytes), 0x7094ceedu);
+  expect_results_bitwise(r.results, load_batch_result<float>(f.path).results);
+}
+
+TEST(IoBatchResult, OlderRecordWithTraceLoadsAndDropsIt) {
+  // Files written while Result kept its lambda trace carry the trace
+  // scalars after the iterate. The reader skips them: the record loads,
+  // and so does the record after it.
+  PayloadBuilder b;
+  b.put_u32(dtype_code<double>());
+  b.put_i32(1);  // num_tensors
+  b.put_i32(2);  // num_starts
+  b.put_u64(2);
+  b.put_f64(0.5);
+  b.put_f64(0.5);
+  b.put_f64(0);
+  b.put_i64(42);
+  const std::vector<double> x0 = {0.6, 0.8};
+  const std::vector<double> trace = {1.0, 1.5, 1.75};
+  b.put_scalar(1.75);
+  b.put_i32(2);
+  b.put_u32(1);
+  b.put_u32(0);
+  b.put_u64(x0.size());
+  b.put_u64(trace.size());
+  b.put_array(std::span<const double>(x0));
+  b.put_array(std::span<const double>(trace));
+  sshopm::Result<double> second;
+  second.lambda = -0.25;
+  second.iterations = 200;
+  second.failure = sshopm::FailureReason::kMaxIterations;
+  second.x = {0.0, -1.0};
+  put_result_record(b, second);
+
+  TmpFile f("traced_result.tetc");
+  {
+    Writer w(f.path);
+    w.add_section(SectionType::kBatchResult, kBatchResultVersion, b.bytes());
+    w.flush();
+  }
+  const auto back = load_batch_result<double>(f.path);
+  ASSERT_EQ(back.results.size(), 2u);
+  EXPECT_EQ(back.results[0].lambda, 1.75);
+  EXPECT_EQ(back.results[0].iterations, 2);
+  EXPECT_TRUE(back.results[0].converged);
+  EXPECT_EQ(back.results[0].x, x0);
+  expect_results_bitwise(std::vector<sshopm::Result<double>>{second},
+                         std::vector<sshopm::Result<double>>{back.results[1]});
 }
 
 // ---------------------------------------------------------------------------
@@ -500,8 +588,8 @@ TEST(IoStreamedSection, SpanPayloadsAtChunkBoundariesMatchTheSpec) {
 }
 
 TEST(IoStreamedSection, BatchResultLargerThanOneChunkIsByteIdentical) {
-  // Mixed iterate lengths and some recorded traces, so records straddle
-  // chunk boundaries at every alignment.
+  // Mixed iterate lengths, so records straddle chunk boundaries at every
+  // alignment.
   batch::BatchResult<double> r;
   r.num_tensors = 64;
   r.num_starts = 40;
@@ -521,12 +609,6 @@ TEST(IoStreamedSection, BatchResultLargerThanOneChunkIsByteIdentical) {
     res.x.resize(static_cast<std::size_t>(1 + i % 6));
     for (std::size_t k = 0; k < res.x.size(); ++k) {
       res.x[k] = rng.in(2, u * 8 + k, -1.0, 1.0);
-    }
-    if (i % 5 == 0) {
-      res.lambda_trace.resize(static_cast<std::size_t>(i % 11));
-      for (std::size_t k = 0; k < res.lambda_trace.size(); ++k) {
-        res.lambda_trace[k] = rng.in(3, u * 16 + k, -5.0, 5.0);
-      }
     }
     r.results.push_back(std::move(res));
   }

@@ -3,12 +3,11 @@
 // slot-for-slot in classification (values within the documented
 // contraction tolerance, DESIGN.md section 11), and the batch scheduler
 // must keep that parity end to end. Plus the satellites that ride along:
-// ThreadPool::submit_range, the reusable ttsv workspace, the width
-// autotuner, and the te-obs-v1 gauge reader.
+// the reusable ttsv workspace, the width autotuner, and the te-obs-v1
+// gauge reader.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -20,7 +19,6 @@
 #include "te/kernels/multi.hpp"
 #include "te/kernels/ttsv.hpp"
 #include "te/obs/export.hpp"
-#include "te/parallel/thread_pool.hpp"
 #include "te/sshopm/multi.hpp"
 #include "te/sshopm/sshopm.hpp"
 #include "te/tensor/generators.hpp"
@@ -278,8 +276,7 @@ TEST(MultiKernels, WidthResolutionAndValidation) {
   // Width 0 resolves to the tier's autopick; width 1 is the scalar route.
   BoundKernels<double> autow(a, Tier::kGeneral, nullptr, 0);
   EXPECT_TRUE(kernels::is_multi_width(autow.width()));
-  EXPECT_EQ(autow.width(),
-            kernels::pick_simd_width<double>(3, 4, Tier::kGeneral));
+  EXPECT_EQ(autow.width(), kernels::pick_simd_width<double>());
   BoundKernels<double> one(a, Tier::kGeneral, nullptr, 1);
   EXPECT_EQ(one.width(), 1);
   EXPECT_FALSE(one.vectorized());
@@ -289,8 +286,8 @@ TEST(MultiKernels, WidthResolutionAndValidation) {
   EXPECT_THROW(BoundKernels<double>(a, Tier::kGeneral, nullptr, 64),
                InvalidArgument);
   // Every host tier has a vectorized route, so the autopick is one rule.
-  EXPECT_EQ(kernels::pick_simd_width<double>(3, 4, Tier::kUnrolled),
-            kernels::pick_simd_width<double>(3, 4, Tier::kGeneral));
+  EXPECT_EQ(BoundKernels<double>(a, Tier::kUnrolled, nullptr, 0).width(),
+            kernels::pick_simd_width<double>());
 }
 
 TEST(MultiKernels, BatchShapeMismatchThrows) {
@@ -345,14 +342,12 @@ void expect_slot_parity(const std::vector<sshopm::Result<T>>& multi,
   for (std::size_t i = 0; i < multi.size(); ++i) {
     const auto& a = multi[i];
     const auto& b = scalar[i];
-    // Classification is exact: converged flag, failure reason, iteration
-    // count and trace length must match slot-for-slot.
+    // Classification is exact: converged flag, failure reason and
+    // iteration count must match slot-for-slot.
     EXPECT_EQ(a.converged, b.converged) << what << " slot " << i;
     EXPECT_EQ(static_cast<int>(a.failure), static_cast<int>(b.failure))
         << what << " slot " << i;
     EXPECT_EQ(a.iterations, b.iterations) << what << " slot " << i;
-    EXPECT_EQ(a.lambda_trace.size(), b.lambda_trace.size())
-        << what << " slot " << i;
     // Values match within the documented tolerance (exactly, for routes
     // that are bitwise by construction -- tol == 0 asserts that).
     if (std::isfinite(static_cast<double>(b.lambda))) {
@@ -382,7 +377,6 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
   sshopm::Options opt;
   opt.alpha = 2.0;
   opt.max_iterations = 60;
-  opt.record_trace = true;
   // width + 3 starts: the final block is partial unless width divides it.
   const auto starts = random_starts<double>(width + 3, n, 211);
 
@@ -613,74 +607,6 @@ TEST(MultiKernels, BatchCallsCountOncePerCallOnTheTierCounter) {
 #else
   GTEST_SKIP() << "te::obs compiled out";
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool::submit_range (satellite): bulk chunk dispatch.
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolRange, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(103);
-  pool.submit_range(3, 103, [&](std::int64_t b, std::int64_t e, int worker) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, 4);
-    EXPECT_LT(b, e);
-    for (std::int64_t i = b; i < e; ++i) {
-      hits[static_cast<std::size_t>(i)].fetch_add(1);
-    }
-  });
-  for (std::int64_t i = 0; i < 103; ++i) {
-    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), i < 3 ? 0 : 1)
-        << "index " << i;
-  }
-}
-
-TEST(ThreadPoolRange, EmptyAndSingletonRanges) {
-  ThreadPool pool(3);
-  int calls = 0;
-  pool.submit_range(5, 5, [&](std::int64_t, std::int64_t, int) { ++calls; });
-  pool.submit_range(7, 5, [&](std::int64_t, std::int64_t, int) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::atomic<int> total{0};
-  pool.submit_range(41, 42, [&](std::int64_t b, std::int64_t e, int) {
-    total.fetch_add(static_cast<int>(e - b));
-    EXPECT_EQ(b, 41);
-    EXPECT_EQ(e, 42);
-  });
-  EXPECT_EQ(total.load(), 1);
-}
-
-TEST(ThreadPoolRange, PropagatesFirstException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.submit_range(0, 10,
-                        [&](std::int64_t b, std::int64_t, int) {
-                          if (b == 0) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-  // The pool stays usable afterwards.
-  std::atomic<int> n{0};
-  pool.submit_range(0, 4, [&](std::int64_t b, std::int64_t e, int) {
-    n.fetch_add(static_cast<int>(e - b));
-  });
-  EXPECT_EQ(n.load(), 4);
-}
-
-TEST(ThreadPoolRange, EmptyRangeIsCompleteNoOp) {
-  ThreadPool pool(3);
-  int calls = 0;
-  pool.submit_range(5, 5, [&](std::int64_t, std::int64_t, int) { ++calls; });
-  pool.submit_range(7, 3, [&](std::int64_t, std::int64_t, int) { ++calls; });
-  pool.parallel_chunks(0, [&](std::int64_t, std::int64_t, int) { ++calls; });
-  pool.parallel_for(0, [&](std::int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  // The pool still works afterwards.
-  std::atomic<int> sum{0};
-  pool.parallel_for(10, [&](std::int64_t i) {
-    sum += static_cast<int>(i);
-  });
-  EXPECT_EQ(sum.load(), 45);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 // Thread-pool and CPU-model tests: functional correctness at several thread
-// counts, exception propagation, chunking, and the documented shape of the
-// multicore timing model.
+// counts, exception propagation, index claiming, and the documented shape
+// of the multicore timing model.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -36,24 +41,53 @@ TEST(ThreadPool, HandlesEmptyAndTinyRanges) {
   EXPECT_EQ(calls2.load(), 2);
 }
 
-TEST(ThreadPool, ChunksAreContiguousAndCoverRange) {
+TEST(ThreadPool, ClaimedIndicesRiseWithinEachWorker) {
+  // Workers claim indices from one shared counter, so each worker sees a
+  // strictly increasing sequence and together they cover the range.
   ThreadPool pool(3);
   std::mutex mu;
-  std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
-  pool.parallel_chunks(10, [&](std::int64_t b, std::int64_t e, int) {
+  std::map<std::thread::id, std::vector<std::int64_t>> claimed;
+  pool.parallel_for(200, [&](std::int64_t i) {
     std::lock_guard lock(mu);
-    chunks.emplace_back(b, e);
+    claimed[std::this_thread::get_id()].push_back(i);
   });
-  std::sort(chunks.begin(), chunks.end());
-  std::int64_t covered = 0;
-  std::int64_t expect_begin = 0;
-  for (const auto& [b, e] : chunks) {
-    EXPECT_EQ(b, expect_begin);
-    EXPECT_GT(e, b);
-    covered += e - b;
-    expect_begin = e;
+  EXPECT_LE(claimed.size(), 3u);
+  std::vector<std::int64_t> all;
+  for (const auto& [id, seq] : claimed) {
+    EXPECT_TRUE(std::is_sorted(seq.begin(), seq.end()));
+    EXPECT_EQ(std::adjacent_find(seq.begin(), seq.end()), seq.end());
+    all.insert(all.end(), seq.begin(), seq.end());
   }
-  EXPECT_EQ(covered, 10);
+  std::sort(all.begin(), all.end());
+  std::vector<std::int64_t> expect(200);
+  std::iota(expect.begin(), expect.end(), 0);
+  EXPECT_EQ(all, expect);
+}
+
+TEST(ThreadPool, UnevenWorkIsClaimedNotPartitioned) {
+  // Index 0 does not finish until every other index has run. Under a fixed
+  // contiguous share per worker, 0's worker would still own 1..31 and wait
+  // out the deadline; with claiming, the other worker takes them all.
+  ThreadPool pool(2);
+  std::atomic<int> others{0};
+  std::atomic<bool> starved{false};
+  pool.parallel_for(64, [&](std::int64_t i) {
+    if (i != 0) {
+      others.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others.load() < 63) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        starved = true;
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  EXPECT_FALSE(starved.load());
+  EXPECT_EQ(others.load(), 63);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
@@ -112,6 +146,77 @@ TEST(ThreadPool, ConcurrentParallelForCallsAllComplete) {
     EXPECT_EQ(a[static_cast<std::size_t>(i)].load(), 1) << i;
     EXPECT_EQ(b[static_cast<std::size_t>(i)].load(), 1) << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// parallel_for over index ranges: the contract the scheduler's claimed
+// dispatch relies on.
+
+TEST(ThreadPoolRange, CoversEveryIndexExactlyOnce) {
+  for (int threads : {1, 3, 4, 8}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(103);
+    pool.parallel_for(103, [&](std::int64_t i) {
+      EXPECT_GE(i, 0);
+      EXPECT_LT(i, 103);
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << ", " << threads
+                                   << " threads";
+    }
+  }
+}
+
+TEST(ThreadPoolRange, EmptyAndSingletonRanges) {
+  ThreadPool pool(3);
+  int calls = 0;
+  pool.parallel_for(0, [&](std::int64_t) { ++calls; });
+  pool.parallel_for(-2, [&](std::int64_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  std::atomic<int> total{0};
+  pool.parallel_for(1, [&](std::int64_t i) {
+    EXPECT_EQ(i, 0);
+    total.fetch_add(1);
+  });
+  EXPECT_EQ(total.load(), 1);
+}
+
+TEST(ThreadPoolRange, PropagatesFirstException) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  try {
+    pool.parallel_for(1000, [&](std::int64_t i) {
+      ran.fetch_add(1);
+      if (i == 0) throw std::runtime_error("first");
+      if (i == 1) throw std::logic_error("second");
+    });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error&) {
+    // index 0 or 1 threw first: either type is a valid winner, but only
+    // one surfaces.
+  } catch (const std::logic_error&) {
+  }
+  // Indices not yet claimed when the first exception landed are skipped.
+  EXPECT_LT(ran.load(), 1000);
+  // The pool stays usable afterwards.
+  std::atomic<int> n{0};
+  pool.parallel_for(4, [&](std::int64_t) { n.fetch_add(1); });
+  EXPECT_EQ(n.load(), 4);
+}
+
+TEST(ThreadPoolRange, EmptyRangeIsCompleteNoOp) {
+  ThreadPool pool(3);
+  int calls = 0;
+  pool.parallel_for(0, [&](std::int64_t) { ++calls; });
+  pool.parallel_for(-7, [&](std::int64_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  // The pool still works afterwards.
+  std::atomic<int> sum{0};
+  pool.parallel_for(10, [&](std::int64_t i) {
+    sum += static_cast<int>(i);
+  });
+  EXPECT_EQ(sum.load(), 45);
 }
 
 // ---------------------------------------------------------------------------

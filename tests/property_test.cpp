@@ -133,21 +133,24 @@ TEST_P(SeedSweep, ShiftedIterationIsMonotone) {
   opt.alpha = sshopm::suggest_shift(a);
   opt.tolerance = 1e-12;
   opt.max_iterations = 50000;
-  opt.record_trace = true;
-  const auto r = sshopm::solve(k, {x0.data(), x0.size()}, opt);
+  std::vector<double> trace;
+  const auto r = sshopm::solve(k, {x0.data(), x0.size()}, opt, nullptr, &trace);
   ASSERT_TRUE(r.converged);
-  ASSERT_GE(r.lambda_trace.size(), 2u);
-  for (std::size_t i = 1; i < r.lambda_trace.size(); ++i) {
-    EXPECT_GE(r.lambda_trace[i], r.lambda_trace[i - 1] - 1e-12)
-        << "iteration " << i;
+  // lambda_0 plus one accepted lambda per iteration.
+  ASSERT_EQ(trace.size(), static_cast<std::size_t>(r.iterations) + 1);
+  ASSERT_GE(trace.size(), 2u);
+  EXPECT_EQ(trace.back(), r.lambda);
+  for (std::size_t i = 1; i < trace.size(); ++i) {
+    EXPECT_GE(trace[i], trace[i - 1] - 1e-12) << "iteration " << i;
   }
 
   opt.alpha = -opt.alpha;
-  const auto rneg = sshopm::solve(k, {x0.data(), x0.size()}, opt);
+  const auto rneg =
+      sshopm::solve(k, {x0.data(), x0.size()}, opt, nullptr, &trace);
   ASSERT_TRUE(rneg.converged);
-  for (std::size_t i = 1; i < rneg.lambda_trace.size(); ++i) {
-    EXPECT_LE(rneg.lambda_trace[i], rneg.lambda_trace[i - 1] + 1e-12)
-        << "iteration " << i;
+  ASSERT_EQ(trace.size(), static_cast<std::size_t>(rneg.iterations) + 1);
+  for (std::size_t i = 1; i < trace.size(); ++i) {
+    EXPECT_LE(trace[i], trace[i - 1] + 1e-12) << "iteration " << i;
   }
 }
 

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "te/batch/scheduler.hpp"
+#include "te/io/checkpoint.hpp"
 
 namespace te::batch {
 namespace {
@@ -397,6 +401,160 @@ TEST(SchedulerPool, TwoSchedulersCanShareOneExternalPool) {
                  s1.result(j1).results, "shared pool s1");
   expect_bitwise(solve_cpu_sequential(p, Tier::kPrecomputed).results,
                  s2.result(j2).results, "shared pool s2");
+}
+
+// ---------------------------------------------------------------------------
+// kCpuParallel claimed dispatch: one parallel_for per run()/run_job() over
+// the tensors of every chunk it executes.
+
+struct MixedJobs {
+  BatchProblem<float> p1 = BatchProblem<float>::random(51, 20, 5, 4, 3);
+  BatchProblem<float> p2 = BatchProblem<float>::random(52, 9, 4, 3, 6);
+  BatchProblem<float> p3 = BatchProblem<float>::random(53, 11, 3, 6, 2);
+  /// One job per problem, each on its own tier. Points into this object,
+  /// which is never copied.
+  std::vector<std::pair<const BatchProblem<float>*, Tier>> jobs = {
+      {&p1, Tier::kUnrolled}, {&p2, Tier::kPrecomputed}, {&p3, Tier::kGeneral}};
+};
+
+std::int64_t counter_value([[maybe_unused]] const char* name) {
+#if TE_OBS_ENABLED
+  return obs::global().counter(name).value();
+#else
+  return 0;
+#endif
+}
+
+TEST(SchedulerClaimed, MixedJobsMatchSequentialAtEveryChunkAndPoolSize) {
+  MixedJobs mix;
+  mix.p1.options.alpha = 1.0;
+  for (int chunk : {1, 7, 32}) {
+    SchedulerOptions opt;
+    opt.chunk_tensors = chunk;
+    // The sequential scheduler's cache counts are the reference: the
+    // claimed dispatch still fetches tables once per chunk.
+    Scheduler<float> seq(Backend::kCpuSequential, opt);
+    for (const auto& [p, tier] : mix.jobs) (void)seq.submit(*p, tier);
+    seq.run();
+    for (int workers : {1, 3, 8}) {
+      ThreadPool pool(workers);
+      Scheduler<float> sched(Backend::kCpuParallel, opt, &pool);
+      std::vector<JobId> ids;
+      for (const auto& [p, tier] : mix.jobs) {
+        ids.push_back(sched.submit(*p, tier));
+      }
+      const int total = sched.pending_chunks();
+      EXPECT_EQ(sched.run(), total);
+      EXPECT_EQ(sched.pending_chunks(), 0);
+      for (std::size_t j = 0; j < ids.size(); ++j) {
+        const auto& [p, tier] = mix.jobs[j];
+        const auto ref = solve_cpu_sequential(*p, tier);
+        const BatchResult<float>& got = sched.result(ids[j]);
+        expect_bitwise(ref.results, got.results,
+                       kernels::tier_name(tier).data());
+        for (std::size_t s = 0; s < ref.results.size(); ++s) {
+          EXPECT_EQ(ref.results[s].failure, got.results[s].failure) << s;
+        }
+        EXPECT_EQ(ref.useful_flops, got.useful_flops);
+        EXPECT_EQ(sched.chunks_done(ids[j]), sched.chunks_total(ids[j]));
+        EXPECT_GT(got.wall_seconds, 0.0);
+      }
+      EXPECT_EQ(sched.cache_stats().hits, seq.cache_stats().hits)
+          << "chunk " << chunk << " workers " << workers;
+      EXPECT_EQ(sched.cache_stats().misses, seq.cache_stats().misses)
+          << "chunk " << chunk << " workers " << workers;
+    }
+  }
+}
+
+TEST(SchedulerClaimed, BoundedRunExecutesExactlyThatManyChunks) {
+  MixedJobs mix;
+  SchedulerOptions opt;
+  opt.chunk_tensors = 4;
+  opt.cpu_threads = 3;
+  Scheduler<float> sched(Backend::kCpuParallel, opt);
+  std::vector<JobId> ids;
+  for (const auto& [p, tier] : mix.jobs) ids.push_back(sched.submit(*p, tier));
+  ASSERT_EQ(sched.pending_chunks(), 5 + 3 + 3);
+  const std::int64_t executed0 =
+      counter_value("batch.scheduler.chunks_executed");
+  EXPECT_EQ(sched.run(3), 3);
+  EXPECT_EQ(sched.pending_chunks(), 8);
+  EXPECT_EQ(sched.chunks_done(ids[0]), 3);  // FIFO: the first job's chunks
+  EXPECT_EQ(sched.chunks_done(ids[1]), 0);
+  EXPECT_FALSE(sched.is_done(ids[0]));
+  // A bounded run that crosses a job boundary.
+  EXPECT_EQ(sched.run(4), 4);
+  EXPECT_EQ(sched.pending_chunks(), 4);
+  EXPECT_TRUE(sched.is_done(ids[0]));
+  EXPECT_EQ(sched.chunks_done(ids[1]), 2);
+  // run_job drains one job's chunks and leaves the others queued.
+  EXPECT_EQ(sched.run_job(ids[2], 2), 2);
+  EXPECT_EQ(sched.chunks_done(ids[2]), 2);
+  EXPECT_EQ(sched.pending_chunks(), 2);
+  EXPECT_EQ(sched.run(), 2);
+  EXPECT_EQ(sched.run(), 0);
+#if TE_OBS_ENABLED
+  EXPECT_EQ(counter_value("batch.scheduler.chunks_executed") - executed0, 11);
+#else
+  (void)executed0;
+#endif
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    const auto& [p, tier] = mix.jobs[j];
+    expect_bitwise(solve_cpu_sequential(*p, tier).results,
+                   sched.result(ids[j]).results,
+                   kernels::tier_name(tier).data());
+  }
+}
+
+TEST(SchedulerClaimed, CheckpointAppendsOneRecordPerExecutedChunk) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "te_sched_test_claimed.tetc")
+          .string();
+  std::filesystem::remove(path);
+  MixedJobs mix;
+  SchedulerOptions opt;
+  opt.chunk_tensors = 4;
+  opt.cpu_threads = 3;
+  opt.checkpoint_path = path;
+  std::vector<JobId> ids;
+  {
+    Scheduler<float> sched(Backend::kCpuParallel, opt);
+    for (const auto& [p, tier] : mix.jobs) {
+      ids.push_back(sched.submit(*p, tier));
+    }
+    const std::int64_t appended0 =
+        counter_value("io.checkpoint.chunks_appended");
+    EXPECT_EQ(sched.run(5), 5);
+#if TE_OBS_ENABLED
+    EXPECT_EQ(counter_value("io.checkpoint.chunks_appended") - appended0, 5);
+#else
+    (void)appended0;
+#endif
+  }
+  // The log holds exactly the executed chunks; a resumed scheduler restores
+  // them and executes (and appends) only the rest.
+  EXPECT_EQ(io::load_checkpoint<float>(path).chunks.size(), 5u);
+  {
+    Scheduler<float> sched(Backend::kCpuParallel, opt);
+    for (const auto& [p, tier] : mix.jobs) (void)sched.submit(*p, tier);
+    const std::int64_t appended0 =
+        counter_value("io.checkpoint.chunks_appended");
+    EXPECT_EQ(sched.run(), 6);
+#if TE_OBS_ENABLED
+    EXPECT_EQ(counter_value("io.checkpoint.chunks_appended") - appended0, 6);
+#else
+    (void)appended0;
+#endif
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      const auto& [p, tier] = mix.jobs[j];
+      expect_bitwise(solve_cpu_sequential(*p, tier).results,
+                     sched.result(ids[j]).results,
+                     kernels::tier_name(tier).data());
+    }
+  }
+  EXPECT_EQ(io::load_checkpoint<float>(path).chunks.size(), 11u);
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------

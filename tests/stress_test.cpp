@@ -43,21 +43,13 @@ TEST(ThreadPoolStress, EmptySingletonAndChunkEdgeCases) {
   });
   EXPECT_EQ(one.load(), 1);
 
-  // parallel_chunks with fewer items than workers: chunks stay non-empty.
-  std::atomic<int> covered{0};
-  pool.parallel_chunks(3, [&](std::int64_t b, std::int64_t e, int worker) {
-    EXPECT_LT(b, e);
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, 16);
-    covered.fetch_add(static_cast<int>(e - b));
+  // Fewer items than workers: only that many tasks are enqueued, and
+  // every index still runs exactly once.
+  std::vector<std::atomic<int>> covered(3);
+  pool.parallel_for(3, [&](std::int64_t i) {
+    covered[static_cast<std::size_t>(i)].fetch_add(1);
   });
-  EXPECT_EQ(covered.load(), 3);
-
-  std::atomic<int> zero_chunks{0};
-  pool.parallel_chunks(0, [&](std::int64_t, std::int64_t, int) {
-    zero_chunks.fetch_add(1);
-  });
-  EXPECT_EQ(zero_chunks.load(), 0);
+  for (const auto& c : covered) EXPECT_EQ(c.load(), 1);
 }
 
 TEST(ThreadPoolStress, ExceptionStormPropagatesOnePerCall) {
@@ -101,8 +93,8 @@ TEST(ThreadPoolStress, MixedThrowingAndCleanWorkInterleaved) {
 
 TEST(ThreadPoolStress, ConcurrentCallersShareOnePool) {
   // Several host threads drive the same pool at once. Every caller's
-  // iteration space must execute exactly once, even though wait_idle is
-  // global (a caller may also wait out its rivals' work).
+  // iteration space must execute exactly once, and each caller waits for
+  // its own indices only.
   ThreadPool pool(8);
   constexpr int kCallers = 6;
   constexpr int kIterations = 400;
