@@ -5,11 +5,11 @@
 #      then the labeled subsets explicitly so the label wiring itself is
 #      gated (tier1 = fast correctness, slow = randomized property sweeps,
 #      stress = concurrency stress, fuzz = the fixed-budget mutational fuzz
-#      driver over the JSON reader and the serve wire).
+#      drivers over the JSON reader, the serve wire and TETC payloads).
 #   2. ASan+UBSan over the whole suite (-DTE_SANITIZE=address,undefined):
 #      every simulated GPU kernel runs natively under host sanitizers, the
 #      simulator's own MemSanitizer tests run instrumented, and the fuzz
-#      driver runs its full budget instrumented.
+#      drivers run their full budget instrumented.
 #   3. TSan (-DTE_SANITIZE=thread) over the concurrency surface only --
 #      the thread pool, the batch backends, the streaming scheduler (shared
 #      table cache + lent pools), the stress suite, the te::serve layer,
@@ -242,6 +242,11 @@ done
   --backend cpu --tier unrolled --save-results build/ci_results.tetc
 ./build/tools/tetc_check build/ci_batch.tetc build/ci_voxels.tetc \
   build/ci_tables.tetc build/ci_results.tetc --quiet
+# tetc_pack info decodes each section's preamble through the same reader
+# the load_* helpers use.
+for f in ci_batch ci_tables ci_results; do
+  ./build/tools/tetc_pack info --input "build/${f}.tetc"
+done
 ./build/bench/bench_kernels --tables build/ci_tables.tetc \
   --require-warm-start --benchmark_min_time=0.01
 
@@ -253,6 +258,7 @@ rm -f build/ci_sched.tetc
 ./build/examples/streaming_scheduler --tensors 8 --starts 8 --chunk 3 \
   --checkpoint build/ci_sched.tetc --kill-after 4 && exit 1 || [ "$?" -eq 3 ]
 ./build/tools/tetc_check build/ci_sched.tetc --torn-ok --quiet
+./build/tools/tetc_pack info --input build/ci_sched.tetc
 ./build/examples/streaming_scheduler --tensors 8 --starts 8 --chunk 3 \
   --checkpoint build/ci_sched.tetc --resume
 ./build/tools/tetc_check build/ci_sched.tetc --quiet

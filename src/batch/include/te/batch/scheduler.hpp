@@ -70,6 +70,10 @@ enum class Backend {
   return "?";
 }
 
+/// Staging-buffer depth of the modeled GPU copy/compute pipeline: classic
+/// double buffering, chunk i's upload waits for chunk i - 2's kernel.
+inline constexpr int kPipelineBuffers = 2;
+
 /// Scheduler construction knobs.
 struct SchedulerOptions {
   /// Upper bound on tensors per sub-batch. Small chunks pipeline better
@@ -83,9 +87,6 @@ struct SchedulerOptions {
   /// Worker count for the kCpuParallel backend's owned pool (ignored when
   /// an external pool is lent).
   int cpu_threads = 4;
-  /// Staging-buffer depth of the modeled GPU copy/compute pipeline
-  /// (2 = classic double buffering).
-  int pipeline_buffers = 2;
   /// Device model for the kGpuSim backend.
   gpusim::DeviceSpec device = gpusim::DeviceSpec::tesla_c2050();
   /// Sanitizer knobs forwarded to every GPU chunk launch.
@@ -197,11 +198,8 @@ class Scheduler {
                    ? std::move(shared_cache)
                    : std::make_shared<TableCache<T>>(opt.cache_capacity,
                                                      opt.cache_max_bytes)),
-        external_pool_(external_pool),
-        pipeline_(opt.pipeline_buffers) {
+        external_pool_(external_pool) {
     TE_REQUIRE(opt_.chunk_tensors >= 1, "chunk size must be positive");
-    TE_REQUIRE(opt_.pipeline_buffers >= 1,
-               "pipeline needs at least one buffer");
     TE_REQUIRE(opt_.cpu_threads >= 1, "cpu_threads must be positive");
     TE_REQUIRE(opt_.simd_width == 0 || kernels::is_multi_width(opt_.simd_width),
                "unsupported simd_width " << opt_.simd_width);
@@ -231,7 +229,6 @@ class Scheduler {
     Job& job = jobs_.back();
     job.problem = std::move(problem);
     job.tier = tier;
-    job.pipeline = gpusim::StreamPipeline(opt_.pipeline_buffers);
     job.result.num_tensors = job.problem.num_tensors();
     job.result.num_starts = job.problem.num_starts();
     job.result.results.resize(
@@ -438,7 +435,7 @@ class Scheduler {
     BatchProblem<T> problem;
     kernels::Tier tier = kernels::Tier::kGeneral;
     BatchResult<T> result;
-    gpusim::StreamPipeline pipeline{2};
+    gpusim::StreamPipeline pipeline{kPipelineBuffers};
     double wall_seconds = 0;
     int chunks_done = 0;      ///< executed here + restored from checkpoint
     int chunks_total = 0;     ///< set at submit(); done when equal
@@ -752,7 +749,7 @@ class Scheduler {
   std::optional<ThreadPool> owned_pool_;
   std::deque<Job> jobs_;
   std::deque<Chunk> queue_;
-  gpusim::StreamPipeline pipeline_{2};
+  gpusim::StreamPipeline pipeline_{kPipelineBuffers};
   io::CheckpointReplay<T> replay_;   ///< log contents found at construction
   std::optional<io::Writer> ckpt_;  ///< open append handle when enabled
 };

@@ -45,15 +45,13 @@ void add_batch_result_section(Writer& w, const batch::BatchResult<T>& r) {
       });
 }
 
-namespace detail {
-
+/// Owned result set from a batch-result section.
 template <Real T>
-batch::BatchResult<T> decode_batch_result(std::span<const std::byte> payload,
-                                          const SectionInfo& info,
-                                          const std::string& container) {
-  require_version(info, container, kBatchResultVersion);
-  PayloadCursor c(payload, container, info.payload_offset);
-  require_dtype<T>(c.u32(), container, c.offset());
+[[nodiscard]] batch::BatchResult<T> read_batch_result(
+    const SectionData& s, const std::string& container) {
+  detail::require_version(s.info, container, kBatchResultVersion);
+  PayloadCursor c(s.payload, container, s.info.payload_offset);
+  detail::require_dtype<T>(c.u32(), container, c.offset());
   batch::BatchResult<T> r;
   r.num_tensors = c.i32();
   r.num_starts = c.i32();
@@ -62,7 +60,7 @@ batch::BatchResult<T> decode_batch_result(std::span<const std::byte> payload,
                     num_results ==
                         static_cast<std::uint64_t>(r.num_tensors) *
                             static_cast<std::uint64_t>(r.num_starts),
-                container, info.payload_offset,
+                container, s.info.payload_offset,
                 "batch-result count mismatch: " << num_results
                                                 << " results for "
                                                 << r.num_tensors << " x "
@@ -71,25 +69,12 @@ batch::BatchResult<T> decode_batch_result(std::span<const std::byte> payload,
   r.modeled_seconds = c.f64();
   r.transfer_seconds = c.f64();
   r.useful_flops = c.i64();
+  c.require_fits(num_results, kResultRecordMinBytes<T>);
   r.results.reserve(static_cast<std::size_t>(num_results));
   for (std::uint64_t i = 0; i < num_results; ++i) {
     r.results.push_back(get_result_record<T>(c));
   }
   return r;
-}
-
-}  // namespace detail
-
-template <Real T>
-[[nodiscard]] batch::BatchResult<T> read_batch_result(
-    const SectionData& s, const std::string& container) {
-  return detail::decode_batch_result<T>(s.payload, s.info, container);
-}
-
-template <Real T>
-[[nodiscard]] batch::BatchResult<T> read_batch_result(
-    const SectionView& s, const std::string& container) {
-  return detail::decode_batch_result<T>(s.payload, s.info, container);
 }
 
 /// Write a fresh container holding one batch-result section.

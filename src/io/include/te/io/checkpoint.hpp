@@ -118,13 +118,10 @@ void add_checkpoint_chunk_section(Writer& w, const CheckpointChunk<T>& c) {
   w.add_section(SectionType::kChunkResult, kChunkResultVersion, b.bytes());
 }
 
-namespace detail {
-
-inline CheckpointJob decode_checkpoint_job(std::span<const std::byte> payload,
-                                           const SectionInfo& info,
-                                           const std::string& container) {
-  require_version(info, container, kCheckpointManifestVersion);
-  PayloadCursor c(payload, container, info.payload_offset);
+[[nodiscard]] inline CheckpointJob read_checkpoint_job(
+    const SectionData& s, const std::string& container) {
+  detail::require_version(s.info, container, kCheckpointManifestVersion);
+  PayloadCursor c(s.payload, container, s.info.payload_offset);
   CheckpointJob j;
   j.job = c.u32();
   j.fingerprint = c.u32();
@@ -138,29 +135,27 @@ inline CheckpointJob decode_checkpoint_job(std::span<const std::byte> payload,
 }
 
 template <Real T>
-CheckpointChunk<T> decode_checkpoint_chunk(std::span<const std::byte> payload,
-                                           const SectionInfo& info,
-                                           const std::string& container) {
-  require_version(info, container, kChunkResultVersion);
-  PayloadCursor c(payload, container, info.payload_offset);
-  require_dtype<T>(c.u32(), container, c.offset());
+[[nodiscard]] CheckpointChunk<T> read_checkpoint_chunk(
+    const SectionData& s, const std::string& container) {
+  detail::require_version(s.info, container, kChunkResultVersion);
+  PayloadCursor c(s.payload, container, s.info.payload_offset);
+  detail::require_dtype<T>(c.u32(), container, c.offset());
   CheckpointChunk<T> chunk;
   chunk.job = c.u32();
   chunk.begin = c.i32();
   chunk.end = c.i32();
   const std::uint64_t n = c.u64();
   TE_IO_REQUIRE(chunk.begin >= 0 && chunk.end > chunk.begin, container,
-                info.payload_offset,
+                s.info.payload_offset,
                 "corrupt chunk range [" << chunk.begin << ", " << chunk.end
                                         << ')');
+  c.require_fits(n, kResultRecordMinBytes<T>);
   chunk.results.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     chunk.results.push_back(get_result_record<T>(c));
   }
   return chunk;
 }
-
-}  // namespace detail
 
 /// Replay a checkpoint log with torn-tail tolerance. A missing, empty or
 /// header-corrupt file yields `present = false` (a fresh run); an intact
@@ -181,12 +176,10 @@ template <Real T>
     replay.valid_end = s->info.payload_offset + s->info.payload_bytes;
     switch (static_cast<SectionType>(s->info.type)) {
       case SectionType::kCheckpointManifest:
-        replay.jobs.push_back(
-            detail::decode_checkpoint_job(s->payload, s->info, path));
+        replay.jobs.push_back(read_checkpoint_job(*s, path));
         break;
       case SectionType::kChunkResult:
-        replay.chunks.push_back(
-            detail::decode_checkpoint_chunk<T>(s->payload, s->info, path));
+        replay.chunks.push_back(read_checkpoint_chunk<T>(*s, path));
         break;
       default:
         break;  // foreign section in the log: skip

@@ -7,13 +7,8 @@
 // rejected with a precise IoError -- forward compatibility is *skipping
 // unknown section types*, never guessing at unknown layouts), the dtype
 // code against the requested scalar type, and every count against the
-// payload size before touching bytes.
-//
-// Large arrays inside a payload start at kAlign boundaries. Because section
-// payloads themselves start at kAlign file offsets, an mmap'ed array is
-// correctly aligned for its element type, which is what makes the `view_*`
-// zero-copy paths legal: they hand out borrowed SymmetricTensor /
-// KernelTables objects whose spans alias the container pages directly.
+// payload bytes left before allocating from it. Decoders copy each array
+// out of the StreamReader payload into the owned object they return.
 
 #include <cstddef>
 #include <cstring>
@@ -55,24 +50,13 @@ void require_dtype(std::uint32_t code, const std::string& container,
                     << dtype_name(dtype_code<T>()));
 }
 
+/// Plausible and countable: the shape's class count is exact in 64 bits.
 inline void require_shape(int order, int dim, const std::string& container,
                           std::uint64_t offset) {
-  TE_IO_REQUIRE(order >= 1 && order <= 32 && dim >= 1 && dim <= 4096,
+  TE_IO_REQUIRE(order >= 1 && order <= 32 && dim >= 1 && dim <= 4096 &&
+                    comb::shape_fits_offset(order, dim),
                 container, offset,
                 "implausible tensor shape (" << order << ", " << dim << ')');
-}
-
-/// Reinterpret an aligned payload slice as a typed array (mmap path).
-template <typename U>
-std::span<const U> typed_view(std::span<const std::byte> bytes,
-                              std::uint64_t count,
-                              const std::string& container,
-                              std::uint64_t offset) {
-  TE_IO_REQUIRE(
-      reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(U) == 0,
-      container, offset, "misaligned array for zero-copy view");
-  return {reinterpret_cast<const U*>(bytes.data()),
-          static_cast<std::size_t>(count)};
 }
 
 }  // namespace detail
@@ -110,18 +94,16 @@ void add_tensor_batch_section(Writer& w,
   w.add_section(SectionType::kTensorBatch, kTensorBatchVersion, b.bytes());
 }
 
-namespace detail {
-
+/// Owned tensors from a tensor-batch section.
 template <Real T>
-std::vector<SymmetricTensor<T>> decode_tensor_batch(
-    std::span<const std::byte> payload, const SectionInfo& info,
-    const std::string& container, bool borrow_storage) {
-  require_version(info, container, kTensorBatchVersion);
-  PayloadCursor c(payload, container, info.payload_offset);
-  require_dtype<T>(c.u32(), container, c.offset());
+[[nodiscard]] std::vector<SymmetricTensor<T>> read_tensor_batch(
+    const SectionData& s, const std::string& container) {
+  detail::require_version(s.info, container, kTensorBatchVersion);
+  PayloadCursor c(s.payload, container, s.info.payload_offset);
+  detail::require_dtype<T>(c.u32(), container, c.offset());
   const int order = c.i32();
   const int dim = c.i32();
-  require_shape(order, dim, container, info.payload_offset);
+  detail::require_shape(order, dim, container, s.info.payload_offset);
   const std::uint64_t num_tensors = c.u64();
   const std::uint64_t per_tensor = c.u64();
   TE_IO_REQUIRE(per_tensor == static_cast<std::uint64_t>(
@@ -130,38 +112,13 @@ std::vector<SymmetricTensor<T>> decode_tensor_batch(
                 "values-per-tensor " << per_tensor << " does not match shape ("
                                      << order << ", " << dim << ')');
   c.seek(align_up(c.pos()));
+  c.require_fits(num_tensors, c.require_fits(per_tensor, sizeof(T)));
   std::vector<SymmetricTensor<T>> out;
   out.reserve(static_cast<std::size_t>(num_tensors));
   for (std::uint64_t t = 0; t < num_tensors; ++t) {
-    const std::uint64_t off = c.offset();
-    const auto raw = c.bytes(per_tensor * sizeof(T));
-    if (borrow_storage) {
-      out.emplace_back(borrow, order, dim,
-                       typed_view<T>(raw, per_tensor, container, off));
-    } else {
-      std::vector<T> vals(static_cast<std::size_t>(per_tensor));
-      std::memcpy(vals.data(), raw.data(), raw.size());
-      out.emplace_back(order, dim, std::move(vals));
-    }
+    out.emplace_back(order, dim, c.copy_array<T>(per_tensor));
   }
   return out;
-}
-
-}  // namespace detail
-
-/// Owned tensors from a streamed section.
-template <Real T>
-[[nodiscard]] std::vector<SymmetricTensor<T>> read_tensor_batch(
-    const SectionData& s, const std::string& container) {
-  return detail::decode_tensor_batch<T>(s.payload, s.info, container, false);
-}
-
-/// Zero-copy borrowed views aliasing a mapped section; the MappedFile the
-/// view came from must outlive every returned tensor.
-template <Real T>
-[[nodiscard]] std::vector<SymmetricTensor<T>> view_tensor_batch(
-    const SectionView& s, const std::string& container) {
-  return detail::decode_tensor_batch<T>(s.payload, s.info, container, true);
 }
 
 /// One-call convenience: write a fresh container holding one tensor batch.
@@ -246,19 +203,18 @@ void add_kernel_tables_section(Writer& w,
   w.add_section(SectionType::kKernelTables, kKernelTablesVersion, b.bytes());
 }
 
-namespace detail {
-
+/// Owned tables from a kernel-tables section (no combinatorial rebuild).
+/// The KernelTables constructor range-checks every entry it will index by.
 template <Real T>
-kernels::KernelTables<T> decode_kernel_tables(
-    std::span<const std::byte> payload, const SectionInfo& info,
-    const std::string& container, bool borrow_storage) {
+[[nodiscard]] kernels::KernelTables<T> read_kernel_tables(
+    const SectionData& s, const std::string& container) {
   using C = typename kernels::KernelTables<T>::Contribution;
-  require_version(info, container, kKernelTablesVersion);
-  PayloadCursor c(payload, container, info.payload_offset);
-  require_dtype<T>(c.u32(), container, c.offset());
+  detail::require_version(s.info, container, kKernelTablesVersion);
+  PayloadCursor c(s.payload, container, s.info.payload_offset);
+  detail::require_dtype<T>(c.u32(), container, c.offset());
   const int order = c.i32();
   const int dim = c.i32();
-  require_shape(order, dim, container, info.payload_offset);
+  detail::require_shape(order, dim, container, s.info.payload_offset);
   const std::uint64_t num_classes = c.u64();
   const std::uint64_t num_contribs = c.u64();
   const std::uint32_t index_bytes = c.u32();
@@ -267,7 +223,7 @@ kernels::KernelTables<T> decode_kernel_tables(
   TE_IO_REQUIRE(index_bytes == sizeof(index_t) &&
                     offset_bytes == sizeof(offset_t) &&
                     contrib_stride == sizeof(C),
-                container, info.payload_offset,
+                container, s.info.payload_offset,
                 "kernel-table ABI mismatch: file has index/offset/contrib "
                 "sizes "
                     << index_bytes << '/' << offset_bytes << '/'
@@ -275,59 +231,21 @@ kernels::KernelTables<T> decode_kernel_tables(
                     << '/' << sizeof(offset_t) << '/' << sizeof(C));
   TE_IO_REQUIRE(num_classes == static_cast<std::uint64_t>(
                                    comb::num_unique_entries(order, dim)),
-                container, info.payload_offset,
+                container, s.info.payload_offset,
                 "class count " << num_classes << " does not match shape ("
                                << order << ", " << dim << ')');
 
   c.seek(align_up(c.pos()));
-  std::uint64_t off = c.offset();
-  const auto index_raw =
-      c.bytes(num_classes * static_cast<std::uint64_t>(order) *
-              sizeof(index_t));
-  const auto index_view = detail::typed_view<index_t>(
-      index_raw, num_classes * static_cast<std::uint64_t>(order), container,
-      off);
-
+  c.require_fits(num_classes, static_cast<std::uint64_t>(order) *
+                                  sizeof(index_t));
+  auto index_table = c.copy_array<index_t>(
+      num_classes * static_cast<std::uint64_t>(order));
   c.seek(align_up(c.pos()));
-  off = c.offset();
-  const auto coeff_raw = c.bytes(num_classes * sizeof(T));
-  const auto coeff_view =
-      detail::typed_view<T>(coeff_raw, num_classes, container, off);
-
+  auto coeff0 = c.copy_array<T>(num_classes);
   c.seek(align_up(c.pos()));
-  off = c.offset();
-  const auto contrib_raw = c.bytes(num_contribs * sizeof(C));
-
-  if (borrow_storage) {
-    const auto contrib_view =
-        detail::typed_view<C>(contrib_raw, num_contribs, container, off);
-    return kernels::KernelTables<T>(borrow, order, dim, index_view,
-                                    coeff_view, contrib_view);
-  }
-  std::vector<index_t> index_table(index_view.begin(), index_view.end());
-  std::vector<T> coeff0(coeff_view.begin(), coeff_view.end());
-  std::vector<C> contribs(static_cast<std::size_t>(num_contribs));
-  if (!contribs.empty()) {
-    std::memcpy(contribs.data(), contrib_raw.data(), contrib_raw.size());
-  }
+  auto contribs = c.copy_array<C>(num_contribs);
   return kernels::KernelTables<T>(order, dim, std::move(index_table),
                                   std::move(coeff0), std::move(contribs));
-}
-
-}  // namespace detail
-
-/// Owned tables from a streamed section (no combinatorial rebuild).
-template <Real T>
-[[nodiscard]] kernels::KernelTables<T> read_kernel_tables(
-    const SectionData& s, const std::string& container) {
-  return detail::decode_kernel_tables<T>(s.payload, s.info, container, false);
-}
-
-/// Zero-copy borrowed tables aliasing a mapped section.
-template <Real T>
-[[nodiscard]] kernels::KernelTables<T> view_kernel_tables(
-    const SectionView& s, const std::string& container) {
-  return detail::decode_kernel_tables<T>(s.payload, s.info, container, true);
 }
 
 /// Write a fresh container holding one kernel-tables section.
@@ -360,7 +278,8 @@ template <Real T>
           return tab;
         }
       } catch (const InvalidArgument&) {
-        // wrong dtype/ABI in this section; keep scanning the rest
+        // wrong dtype/ABI or out-of-range entries in this section; keep
+        // scanning the rest
       }
     }
   } catch (const InvalidArgument&) {
@@ -391,6 +310,12 @@ void put_result_record(PayloadBuilder& b, const sshopm::Result<T>& r) {
   b.put_array(std::span<const T>(r.x));
 }
 
+/// Smallest encoding of one result record (empty iterate, no trace): the
+/// per-element bound record counts are fit-checked against.
+template <Real T>
+inline constexpr std::uint64_t kResultRecordMinBytes =
+    sizeof(T) + 3 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
+
 template <Real T>
 [[nodiscard]] sshopm::Result<T> get_result_record(PayloadCursor& c) {
   sshopm::Result<T> r;
@@ -410,13 +335,9 @@ template <Real T>
   const std::uint64_t trace_size = c.u64();
   TE_IO_REQUIRE(x_size <= 4096, c.container(), c.offset(),
                 "implausible iterate length " << x_size);
-  TE_IO_REQUIRE(trace_size * sizeof(T) <= c.remaining(), c.container(),
-                c.offset(),
-                "trace length " << trace_size << " overruns payload");
-  r.x.resize(static_cast<std::size_t>(x_size));
-  const auto xb = c.bytes(x_size * sizeof(T));
-  if (!r.x.empty()) std::memcpy(r.x.data(), xb.data(), xb.size());
-  (void)c.bytes(trace_size * sizeof(T));  // an older file's trace: dropped
+  r.x = c.copy_array<T>(x_size);
+  // An older file's trace: skipped, after the same fit check.
+  (void)c.bytes(c.require_fits(trace_size, sizeof(T)));
   return r;
 }
 
@@ -456,21 +377,22 @@ void add_dataset_section(Writer& w, const dwmri::Dataset<T>& ds) {
   w.add_section(SectionType::kDataset, kDatasetVersion, b.bytes());
 }
 
-namespace detail {
-
+/// Owned dataset from a dataset section.
 template <Real T>
-dwmri::Dataset<T> decode_dataset(std::span<const std::byte> payload,
-                                 const SectionInfo& info,
-                                 const std::string& container) {
-  require_version(info, container, kDatasetVersion);
-  PayloadCursor c(payload, container, info.payload_offset);
-  require_dtype<T>(c.u32(), container, c.offset());
+[[nodiscard]] dwmri::Dataset<T> read_dataset(const SectionData& s,
+                                             const std::string& container) {
+  detail::require_version(s.info, container, kDatasetVersion);
+  PayloadCursor c(s.payload, container, s.info.payload_offset);
+  detail::require_dtype<T>(c.u32(), container, c.offset());
   const int order = c.i32();
   const int dim = c.i32();
-  require_shape(order, dim, container, info.payload_offset);
+  detail::require_shape(order, dim, container, s.info.payload_offset);
   const std::uint64_t num_voxels = c.u64();
   const std::uint64_t per_tensor =
       static_cast<std::uint64_t>(comb::num_unique_entries(order, dim));
+  // A voxel is at least its fiber count and its tensor values.
+  c.require_fits(num_voxels, sizeof(std::uint64_t) +
+                                 c.require_fits(per_tensor, sizeof(T)));
   dwmri::Dataset<T> ds;
   ds.voxels.reserve(static_cast<std::size_t>(num_voxels));
   for (std::uint64_t i = 0; i < num_voxels; ++i) {
@@ -485,27 +407,10 @@ dwmri::Dataset<T> decode_dataset(std::span<const std::byte> payload,
       f.direction[2] = c.f64();
       f.weight = c.f64();
     }
-    std::vector<T> vals(static_cast<std::size_t>(per_tensor));
-    const auto raw = c.bytes(per_tensor * sizeof(T));
-    std::memcpy(vals.data(), raw.data(), raw.size());
-    v.tensor = SymmetricTensor<T>(order, dim, std::move(vals));
+    v.tensor = SymmetricTensor<T>(order, dim, c.copy_array<T>(per_tensor));
     ds.voxels.push_back(std::move(v));
   }
   return ds;
-}
-
-}  // namespace detail
-
-template <Real T>
-[[nodiscard]] dwmri::Dataset<T> read_dataset(const SectionData& s,
-                                             const std::string& container) {
-  return detail::decode_dataset<T>(s.payload, s.info, container);
-}
-
-template <Real T>
-[[nodiscard]] dwmri::Dataset<T> read_dataset(const SectionView& s,
-                                             const std::string& container) {
-  return detail::decode_dataset<T>(s.payload, s.info, container);
 }
 
 /// Write a fresh container holding one dataset section.

@@ -8,8 +8,10 @@
 // only in process memory, so every CLI/bench/scheduler run paid full
 // rebuild cost and a killed batch lost all completed work. TETC-v1 is the
 // storage layer: one container file holds any mix of typed sections, each
-// independently CRC-guarded, 64-byte aligned for mmap zero-copy reads, and
-// skippable by readers that do not know its type (forward compatibility).
+// independently CRC-guarded, 64-byte aligned, and skippable by readers that
+// do not know its type (forward compatibility). The library reads every
+// section through one path, StreamReader (reader.hpp), which copies the
+// payload and decodes it into owned objects.
 //
 // File layout (all integers little-endian; big-endian hosts are rejected
 // by the endianness tag):
@@ -33,10 +35,12 @@
 //
 // Corruption detection is total: magic and endian tags are checked, both
 // CRCs are verified, and padding bytes must read back zero -- flipping any
-// byte of a well-formed file is detected (the corruption fuzz suite flips
-// every byte and asserts a precise IoError). Unknown section *types* are
-// skipped; known types with a newer *version* are rejected by their codec
-// with a precise error.
+// byte of a well-formed file is detected (the corruption suite flips every
+// byte and asserts a precise IoError). Unknown section *types* are skipped;
+// known types with a newer *version* are rejected by their codec with a
+// precise error. Inside a CRC-valid payload, every decoded count is checked
+// against the bytes left (PayloadCursor::require_fits) before anything is
+// allocated from it, so a lying count is an IoError too.
 
 #include <algorithm>
 #include <array>
@@ -49,6 +53,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "te/util/assert.hpp"
@@ -102,8 +107,8 @@ inline constexpr std::array<char, 4> kSectionMagic = {'T', 'S', 'E', 'C'};
 inline constexpr std::size_t kFileHeaderBytes = 16;
 inline constexpr std::size_t kSectionHeaderBytes = 32;
 /// Alignment of section headers and payloads within the file, and of large
-/// arrays within a payload -- chosen so mmap'ed value arrays land on cache
-/// lines and satisfy any scalar alignment requirement.
+/// arrays within a payload: every array starts on a cache line and at a
+/// file offset that satisfies any scalar alignment requirement.
 inline constexpr std::size_t kAlign = 64;
 
 [[nodiscard]] constexpr std::uint64_t align_up(std::uint64_t off) {
@@ -283,6 +288,31 @@ class PayloadCursor {
     const auto out = payload_.subspan(static_cast<std::size_t>(pos_),
                                       static_cast<std::size_t>(n));
     pos_ += n;
+    return out;
+  }
+
+  /// Bytes taken by `n` elements of `each` bytes, after checking that they
+  /// fit in the rest of the payload. The check divides instead of
+  /// multiplying, so a lying count cannot wrap it; decoders call this
+  /// before sizing any allocation from a count read out of the file (with
+  /// `each` the smallest encoding of one element for variable-size
+  /// records).
+  std::uint64_t require_fits(std::uint64_t n, std::uint64_t each) const {
+    TE_IO_REQUIRE(each == 0 || n <= remaining() / each, container_, offset(),
+                  "count " << n << " of " << each
+                           << "-byte elements overruns payload: "
+                           << remaining() << " bytes left");
+    return n * each;
+  }
+
+  /// Copy of the next `n` elements of a trivially copyable type (scalars,
+  /// index entries, table records), fit-checked before the vector is sized.
+  template <typename U>
+  [[nodiscard]] std::vector<U> copy_array(std::uint64_t n) {
+    static_assert(std::is_trivially_copyable_v<U>);
+    const auto raw = bytes(require_fits(n, sizeof(U)));
+    std::vector<U> out(static_cast<std::size_t>(n));
+    if (!out.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 

@@ -1,14 +1,12 @@
 #pragma once
-// TETC-v1 readers.
+// TETC-v1 reader.
 //
-// Two paths share one section-walking core:
-//   * StreamReader -- sequential ifstream reads; each section's payload is
-//     copied into a per-section buffer. Used by the CLI/tools and the
-//     checkpoint replay (which wants torn-tail tolerance, see below).
-//   * MappedFile + SectionWalker -- the whole container is mmap'ed and
-//     sections are returned as zero-copy spans into the mapping; the object
-//     codecs (container.hpp) can then hand out SymmetricTensor /
-//     KernelTables views that alias the file pages directly.
+// StreamReader is the one read path: sequential ifstream reads, each
+// section's payload copied into an owned buffer that the object codecs
+// (container.hpp, batch_codec.hpp, checkpoint.hpp) decode into owned
+// objects. The load_* helpers, the checkpoint replay, the table spill tier
+// and the tools all go through it, so it is the one parser of untrusted
+// container bytes (tests/tetc_fuzz_test.cpp drives it with mutated files).
 //
 // Strict mode (the default) throws IoError, with the file offset, on any
 // malformed byte: bad magic, bad CRC, nonzero padding, truncation.
@@ -20,7 +18,6 @@
 #include <cstdint>
 #include <fstream>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -37,35 +34,10 @@ struct SectionInfo {
   std::uint64_t payload_bytes = 0;
 };
 
-/// Zero-copy section: payload aliases the caller's file span (MappedFile).
-struct SectionView {
-  SectionInfo info;
-  std::span<const std::byte> payload;
-};
-
-/// Owning section: payload copied out of the stream.
+/// One section: header fields plus the payload copied out of the file.
 struct SectionData {
   SectionInfo info;
   std::vector<std::byte> payload;
-};
-
-/// Walks sections of an in-memory (typically mmap'ed) container image.
-/// Validates the file header on construction and every section on next().
-class SectionWalker {
- public:
-  SectionWalker(std::span<const std::byte> file, std::string container,
-                bool tolerate_torn_tail = false);
-
-  /// Next section, or nullopt at end-of-file (or at the torn tail in
-  /// tolerant mode). Strict mode throws IoError on any malformed content.
-  [[nodiscard]] std::optional<SectionView> next();
-
- private:
-  std::span<const std::byte> file_;
-  std::string container_;
-  bool tolerant_;
-  std::uint64_t pos_;
-  bool stopped_ = false;
 };
 
 /// Sequential reader over an on-disk container.
@@ -80,6 +52,8 @@ class StreamReader {
   [[nodiscard]] std::optional<SectionData> next();
 
   [[nodiscard]] const std::string& path() const { return path_; }
+  /// Size of the container file when it was opened.
+  [[nodiscard]] std::uint64_t file_bytes() const { return file_bytes_; }
 
  private:
   std::string path_;
@@ -90,44 +64,9 @@ class StreamReader {
   bool stopped_ = false;
 };
 
-/// Read-only mmap of a container file; the mapping outlives every view and
-/// zero-copy object handed out of it, so keep the MappedFile alive while
-/// borrowed tensors/tables are in use.
-class MappedFile {
- public:
-  explicit MappedFile(std::string path);
-  ~MappedFile();
-
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
-
-  [[nodiscard]] std::span<const std::byte> bytes() const {
-    return {static_cast<const std::byte*>(data_), size_};
-  }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
-  /// Section walker over the mapping (validates the file header).
-  [[nodiscard]] SectionWalker sections(bool tolerate_torn_tail = false) const {
-    return SectionWalker(bytes(), path_, tolerate_torn_tail);
-  }
-
- private:
-  void unmap() noexcept;
-
-  std::string path_;
-  void* data_ = nullptr;
-  std::size_t size_ = 0;
-};
-
-/// First section of the given type in a mapped container, as a zero-copy
-/// view. Unknown sections are skipped (forward compatibility); a missing
-/// section is a precise IoError naming the type.
-[[nodiscard]] SectionView find_section(const MappedFile& file,
-                                       SectionType type);
-
-/// First section of the given type read from disk (payload copied).
+/// First section of the given type read from disk. Unknown sections are
+/// skipped (forward compatibility); a missing section is a precise IoError
+/// naming the type.
 [[nodiscard]] SectionData find_section(const std::string& path,
                                        SectionType type);
 

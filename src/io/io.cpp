@@ -1,5 +1,5 @@
-// TETC-v1 container implementation: CRC32, Writer, section walking,
-// StreamReader, MappedFile. See format.hpp for the layout contract.
+// TETC-v1 container implementation: CRC32, Writer, StreamReader. See
+// format.hpp for the layout contract.
 
 #include <algorithm>
 #include <array>
@@ -10,15 +10,6 @@
 #include "te/io/reader.hpp"
 #include "te/io/writer.hpp"
 #include "te/obs/obs.hpp"
-
-#if defined(_WIN32)
-#include <cstdio>
-#else
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace te::io {
 
@@ -293,85 +284,6 @@ void Writer::flush() {
 }
 
 // ---------------------------------------------------------------------------
-// SectionWalker (in-memory image).
-// ---------------------------------------------------------------------------
-
-SectionWalker::SectionWalker(std::span<const std::byte> file,
-                             std::string container, bool tolerate_torn_tail)
-    : file_(file),
-      container_(std::move(container)),
-      tolerant_(tolerate_torn_tail),
-      pos_(kFileHeaderBytes) {
-  // The header is the one part that must be intact even in tolerant mode:
-  // without it the bytes are not a container at all.
-  check_file_header(file_, container_);
-}
-
-std::optional<SectionView> SectionWalker::next() {
-  if (stopped_) return std::nullopt;
-  const auto fail = [this]() -> std::optional<SectionView> {
-    stopped_ = true;
-    return std::nullopt;
-  };
-  try {
-    const std::uint64_t header_off = align_up(pos_);
-    if (header_off >= file_.size()) {
-      // A well-formed container ends exactly at the last payload byte; any
-      // leftover tail (too short to even hold the next section header) is
-      // corruption, not slack.
-      TE_IO_REQUIRE(pos_ == file_.size(), container_, pos_,
-                    "trailing bytes after final section: "
-                        << (file_.size() - pos_) << " bytes");
-      return std::nullopt;
-    }
-    // Inter-section padding must be zero.
-    check_padding(file_.subspan(static_cast<std::size_t>(pos_),
-                                static_cast<std::size_t>(header_off - pos_)),
-                  pos_, container_);
-    TE_IO_REQUIRE(file_.size() - header_off >= kSectionHeaderBytes, container_,
-                  header_off,
-                  "truncated section header: "
-                      << (file_.size() - header_off) << " of "
-                      << kSectionHeaderBytes << " bytes");
-    const auto info = check_section_header(
-        file_.subspan(static_cast<std::size_t>(header_off),
-                      kSectionHeaderBytes),
-        header_off, container_);
-    check_padding(
-        file_.subspan(
-            static_cast<std::size_t>(header_off + kSectionHeaderBytes),
-            static_cast<std::size_t>(info.payload_offset -
-                                     (header_off + kSectionHeaderBytes))),
-        header_off + kSectionHeaderBytes, container_);
-    TE_IO_REQUIRE(
-        info.payload_offset + info.payload_bytes <= file_.size(), container_,
-        info.payload_offset,
-        "truncated payload: section wants "
-            << info.payload_bytes << " bytes, file has only "
-            << (file_.size() - info.payload_offset) << " left");
-    const auto payload =
-        file_.subspan(static_cast<std::size_t>(info.payload_offset),
-                      static_cast<std::size_t>(info.payload_bytes));
-    const std::uint32_t stored = stored_payload_crc(file_.subspan(
-        static_cast<std::size_t>(info.header_offset), kSectionHeaderBytes));
-    const std::uint32_t computed = crc32(payload);
-    TE_IO_REQUIRE(stored == computed, container_, info.payload_offset,
-                  "payload CRC mismatch: stored " << stored << ", computed "
-                                                  << computed);
-    pos_ = info.payload_offset + info.payload_bytes;
-    TE_OBS_ONLY({
-      IoMetrics::get().sections_read.inc();
-      IoMetrics::get().bytes_read.add(
-          static_cast<std::int64_t>(kSectionHeaderBytes + payload.size()));
-    });
-    return SectionView{info, payload};
-  } catch (const IoError&) {
-    if (tolerant_) return fail();  // torn tail: end of replayable log
-    throw;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // StreamReader.
 // ---------------------------------------------------------------------------
 
@@ -393,6 +305,9 @@ std::optional<SectionData> StreamReader::next() {
   try {
     const std::uint64_t header_off = align_up(pos_);
     if (header_off >= file_bytes_) {
+      // A well-formed container ends exactly at the last payload byte; any
+      // leftover tail (too short to even hold the next section header) is
+      // corruption, not slack.
       TE_IO_REQUIRE(pos_ == file_bytes_, path_, pos_,
                     "trailing bytes after final section: "
                         << (file_bytes_ - pos_) << " bytes");
@@ -428,6 +343,14 @@ std::optional<SectionData> StreamReader::next() {
                     "truncated pre-payload padding");
       check_padding(pre, header_off + kSectionHeaderBytes, path_);
     }
+    // Checked before the payload buffer is sized: a CRC-valid header may
+    // still declare more bytes than the file holds. (The padding reads
+    // above put payload_offset within the file.)
+    TE_IO_REQUIRE(info.payload_bytes <= file_bytes_ - info.payload_offset,
+                  path_, info.payload_offset,
+                  "truncated payload: section wants "
+                      << info.payload_bytes << " bytes, file has only "
+                      << (file_bytes_ - info.payload_offset) << " left");
     SectionData out;
     out.info = info;
     out.payload.resize(static_cast<std::size_t>(info.payload_bytes));
@@ -462,94 +385,8 @@ std::optional<SectionData> StreamReader::next() {
 }
 
 // ---------------------------------------------------------------------------
-// MappedFile.
+// Lookup helper.
 // ---------------------------------------------------------------------------
-
-MappedFile::MappedFile(std::string path) : path_(std::move(path)) {
-#if defined(_WIN32)
-  // Portability fallback: load into heap memory (same API, no zero-copy
-  // page sharing). The POSIX branch below is the real mmap path.
-  std::ifstream is(path_, std::ios::binary | std::ios::ate);
-  TE_IO_REQUIRE(is.good(), path_, 0, "cannot open container for mapping");
-  size_ = static_cast<std::size_t>(is.tellg());
-  is.seekg(0);
-  data_ = new std::byte[size_];
-  is.read(static_cast<char*>(data_), static_cast<std::streamsize>(size_));
-  TE_IO_REQUIRE(is.gcount() == static_cast<std::streamsize>(size_), path_, 0,
-                "short read while loading container");
-#else
-  const int fd = ::open(path_.c_str(), O_RDONLY);
-  TE_IO_REQUIRE(fd >= 0, path_, 0, "cannot open container for mapping");
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    TE_IO_REQUIRE(false, path_, 0, "fstat failed");
-  }
-  size_ = static_cast<std::size_t>(st.st_size);
-  if (size_ > 0) {
-    void* p = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (p == MAP_FAILED) {
-      ::close(fd);
-      TE_IO_REQUIRE(false, path_, 0, "mmap failed");
-    }
-    data_ = p;
-  }
-  ::close(fd);
-#endif
-  // Reject non-containers up front: mapping succeeds on any readable file,
-  // so validate the file header here rather than at first section access.
-  // (Unmap manually on failure -- a throwing constructor skips ~MappedFile.)
-  try {
-    check_file_header(bytes(), path_);
-  } catch (...) {
-    unmap();
-    throw;
-  }
-  TE_OBS_ONLY(IoMetrics::get().bytes_read.add(
-      static_cast<std::int64_t>(size_)));
-}
-
-void MappedFile::unmap() noexcept {
-#if defined(_WIN32)
-  delete[] static_cast<std::byte*>(data_);
-#else
-  if (data_ != nullptr) ::munmap(data_, size_);
-#endif
-  data_ = nullptr;
-  size_ = 0;
-}
-
-MappedFile::~MappedFile() { unmap(); }
-
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : path_(std::move(other.path_)),
-      data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    unmap();
-    path_ = std::move(other.path_);
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-  }
-  return *this;
-}
-
-// ---------------------------------------------------------------------------
-// Lookup helpers.
-// ---------------------------------------------------------------------------
-
-SectionView find_section(const MappedFile& file, SectionType type) {
-  SectionWalker walker = file.sections();
-  while (auto s = walker.next()) {
-    if (s->info.type == static_cast<std::uint32_t>(type)) return *s;
-  }
-  TE_IO_REQUIRE(false, file.path(), file.bytes().size(),
-                "no '" << section_type_name(static_cast<std::uint32_t>(type))
-                       << "' section in container");
-  return {};  // unreachable
-}
 
 SectionData find_section(const std::string& path, SectionType type) {
   StreamReader reader(path);

@@ -49,7 +49,11 @@ class KernelTables {
   }
 
   /// Rehydrate tables from serialized arrays (te::io warm-start path): no
-  /// combinatorial rebuild happens. Sizes are validated against the shape.
+  /// combinatorial rebuild happens. The arrays come from a file, so every
+  /// entry the kernels use as an array index is range-checked here: index
+  /// entries and out_index against dim, cls against num_classes, skip_pos
+  /// against order. A CRC-valid but wrong table throws instead of letting
+  /// ttsv1_precomputed read or write out of bounds.
   KernelTables(int order, int dim, std::vector<index_t> index_table,
                std::vector<T> coeff0, std::vector<Contribution> contribs)
       : order_(order),
@@ -58,41 +62,20 @@ class KernelTables {
         index_table_(std::move(index_table)),
         coeff0_(std::move(coeff0)),
         contribs_(std::move(contribs)) {
-    check_table_sizes(index_table_.size(), coeff0_.size());
-  }
-
-  /// Borrowed (zero-copy) tables over caller-owned arrays -- the te::io
-  /// mmap path aliases container pages through this. The arrays must
-  /// outlive the view (keep the io::MappedFile alive).
-  KernelTables(borrow_t, int order, int dim,
-               std::span<const index_t> index_table, std::span<const T> coeff0,
-               std::span<const Contribution> contribs)
-      : order_(order),
-        dim_(dim),
-        num_classes_(comb::num_unique_entries(order, dim)),
-        borrowed_(true),
-        index_view_(index_table),
-        coeff0_view_(coeff0),
-        contrib_view_(contribs) {
-    check_table_sizes(index_view_.size(), coeff0_view_.size());
+    check_tables();
   }
 
   [[nodiscard]] int order() const { return order_; }
   [[nodiscard]] int dim() const { return dim_; }
   [[nodiscard]] offset_t num_classes() const { return num_classes_; }
 
-  /// True when the tables alias external storage (mmap'ed container).
-  [[nodiscard]] bool is_borrowed() const { return borrowed_; }
-
   /// The full U x m index table, row-major (serialization + GPU upload).
   [[nodiscard]] std::span<const index_t> index_table() const {
-    return borrowed_ ? index_view_ : std::span<const index_t>(index_table_);
+    return index_table_;
   }
 
   /// All Eq. 4 coefficients, one per class (serialization + GPU upload).
-  [[nodiscard]] std::span<const T> coeff0_table() const {
-    return borrowed_ ? coeff0_view_ : std::span<const T>(coeff0_);
-  }
+  [[nodiscard]] std::span<const T> coeff0_table() const { return coeff0_; }
 
   /// Index representation of class r: row r of the U x m table.
   [[nodiscard]] std::span<const index_t> class_index(offset_t r) const {
@@ -108,7 +91,7 @@ class KernelTables {
 
   /// All Eq. 6 contributions, grouped by class (ascending cls).
   [[nodiscard]] std::span<const Contribution> contributions() const {
-    return borrowed_ ? contrib_view_ : std::span<const Contribution>(contribs_);
+    return contribs_;
   }
 
   /// Bytes of table storage (the "(m + 2) x" overhead the paper quotes).
@@ -119,15 +102,31 @@ class KernelTables {
   }
 
  private:
-  void check_table_sizes(std::size_t index_entries,
-                         std::size_t coeff_entries) const {
-    TE_REQUIRE(index_entries == static_cast<std::size_t>(num_classes_) *
-                                    static_cast<std::size_t>(order_),
+  void check_tables() const {
+    TE_REQUIRE(index_table_.size() == static_cast<std::size_t>(num_classes_) *
+                                          static_cast<std::size_t>(order_),
                "index table size mismatch for (" << order_ << ", " << dim_
                                                  << ")");
-    TE_REQUIRE(coeff_entries == static_cast<std::size_t>(num_classes_),
+    TE_REQUIRE(coeff0_.size() == static_cast<std::size_t>(num_classes_),
                "coefficient table size mismatch for (" << order_ << ", "
                                                        << dim_ << ")");
+    for (const index_t i : index_table_) {
+      TE_REQUIRE(i >= 0 && i < dim_, "index table entry " << i
+                                         << " out of range for dim " << dim_);
+    }
+    for (const Contribution& c : contribs_) {
+      TE_REQUIRE(c.cls >= 0 && c.cls < num_classes_,
+                 "contribution class " << c.cls << " out of range ("
+                                       << num_classes_ << " classes)");
+      TE_REQUIRE(c.out_index >= 0 && c.out_index < dim_,
+                 "contribution out_index " << c.out_index
+                                           << " out of range for dim "
+                                           << dim_);
+      TE_REQUIRE(c.skip_pos >= 0 && c.skip_pos < order_,
+                 "contribution skip_pos " << c.skip_pos
+                                          << " out of range for order "
+                                          << order_);
+    }
   }
 
   void build() {
@@ -154,13 +153,6 @@ class KernelTables {
   std::vector<index_t> index_table_;
   std::vector<T> coeff0_;
   std::vector<Contribution> contribs_;
-  /// Borrowed mode: accessors read the spans below instead of the vectors.
-  /// The spans never alias this object's own vectors, so default copy/move
-  /// stay safe.
-  bool borrowed_ = false;
-  std::span<const index_t> index_view_;
-  std::span<const T> coeff0_view_;
-  std::span<const Contribution> contrib_view_;
 };
 
 /// A x^m with precomputed tables: the loop body is pure floating point --

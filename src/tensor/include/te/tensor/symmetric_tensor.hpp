@@ -63,26 +63,8 @@ class SymmetricTensor {
                    << comb::num_unique_entries(order, dim));
   }
 
-  /// Borrowed (zero-copy) view over caller-owned packed values -- the
-  /// te::io mmap path hands out tensors aliasing container pages through
-  /// this. The tensor is read-only: every mutating accessor TE_REQUIREs
-  /// ownership. The borrowed memory must outlive the view (keep the
-  /// io::MappedFile alive).
-  SymmetricTensor(borrow_t, int order, int dim,
-                  std::span<const T> packed_values)
-      : order_(order), dim_(dim), borrowed_(packed_values) {
-    TE_REQUIRE(static_cast<offset_t>(packed_values.size()) ==
-                   checked_unique_count(order, dim),
-               "packed value count mismatch: got "
-                   << packed_values.size() << ", expected "
-                   << comb::num_unique_entries(order, dim));
-  }
-
   [[nodiscard]] int order() const { return order_; }
   [[nodiscard]] int dim() const { return dim_; }
-
-  /// True when this tensor is a read-only view over external storage.
-  [[nodiscard]] bool is_borrowed() const { return borrowed_.data() != nullptr; }
 
   /// Number of stored (unique) values: C(m + n - 1, m).
   [[nodiscard]] offset_t num_unique() const {
@@ -97,13 +79,8 @@ class SymmetricTensor {
   }
 
   /// Packed unique values in lexicographic index-class order.
-  [[nodiscard]] std::span<const T> values() const {
-    return is_borrowed() ? borrowed_ : std::span<const T>(values_);
-  }
-  [[nodiscard]] std::span<T> values() {
-    TE_REQUIRE(!is_borrowed(), "cannot mutate a borrowed tensor view");
-    return values_;
-  }
+  [[nodiscard]] std::span<const T> values() const { return values_; }
+  [[nodiscard]] std::span<T> values() { return values_; }
 
   /// Value by storage offset (== index-class rank).
   [[nodiscard]] T value(offset_t off) const {
@@ -111,7 +88,6 @@ class SymmetricTensor {
     return values()[static_cast<std::size_t>(off)];
   }
   T& value(offset_t off) {
-    TE_REQUIRE(!is_borrowed(), "cannot mutate a borrowed tensor view");
     TE_ASSERT(off >= 0 && off < num_unique());
     return values_[static_cast<std::size_t>(off)];
   }
@@ -131,7 +107,6 @@ class SymmetricTensor {
     return values()[static_cast<std::size_t>(offset_of(tensor_index))];
   }
   T& operator()(std::span<const index_t> tensor_index) {
-    TE_REQUIRE(!is_borrowed(), "cannot mutate a borrowed tensor view");
     return values_[static_cast<std::size_t>(offset_of(tensor_index))];
   }
 
@@ -161,13 +136,11 @@ class SymmetricTensor {
 
   /// Elementwise in-place scale.
   void scale(T a) {
-    TE_REQUIRE(!is_borrowed(), "cannot mutate a borrowed tensor view");
     for (auto& v : values_) v *= a;
   }
 
   /// this += a * other (same shape required).
   void add_scaled(const SymmetricTensor& other, T a) {
-    TE_REQUIRE(!is_borrowed(), "cannot mutate a borrowed tensor view");
     TE_REQUIRE(order_ == other.order_ && dim_ == other.dim_,
                "shape mismatch in add_scaled");
     const auto ov = other.values();
@@ -175,21 +148,14 @@ class SymmetricTensor {
       values_[i] += a * ov[i];
   }
 
-  /// Value equality over shape and packed contents; a borrowed view and an
-  /// owned tensor holding the same values compare equal.
-  friend bool operator==(const SymmetricTensor& a, const SymmetricTensor& b) {
-    if (a.order_ != b.order_ || a.dim_ != b.dim_) return false;
-    const auto av = a.values();
-    const auto bv = b.values();
-    return std::equal(av.begin(), av.end(), bv.begin(), bv.end());
-  }
+  /// Value equality over shape and packed contents.
+  friend bool operator==(const SymmetricTensor& a,
+                         const SymmetricTensor& b) = default;
 
  private:
   int order_;
   int dim_;
   std::vector<T> values_;
-  /// Non-null only in borrowed mode (tag constructor).
-  std::span<const T> borrowed_;
 };
 
 }  // namespace te

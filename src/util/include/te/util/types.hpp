@@ -18,12 +18,4 @@ using offset_t = std::int64_t;
 template <typename T>
 concept Real = std::floating_point<T>;
 
-/// Tag selecting a borrowed (non-owning) storage constructor: the object
-/// becomes a read-only view over caller-owned memory -- typically an
-/// mmap'ed te::io container -- and the caller must keep that memory alive.
-struct borrow_t {
-  explicit borrow_t() = default;
-};
-inline constexpr borrow_t borrow{};
-
 }  // namespace te

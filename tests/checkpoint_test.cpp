@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -345,6 +347,43 @@ TEST(TableSpill, CorruptSpillFileFallsBackToBuilding) {
   EXPECT_EQ(s.cache_stats().disk_hits, 0);
   expect_bitwise(solve_cpu_sequential(p, Tier::kPrecomputed).results,
                  s.result(id).results, "fallback build");
+}
+
+TEST(TableSpill, OutOfRangeSpillTableFallsBackToBuilding) {
+  // A CRC-valid spill file whose tables would make ttsv1_precomputed write
+  // past its accumulator: one contribution's out_index equals dim. The
+  // rehydrating KernelTables constructor must refuse it, so the cache
+  // builds cold instead of solving with it.
+  using Contribution = kernels::KernelTables<float>::Contribution;
+  TmpDir spill("spill_range");
+  const std::string file =
+      (std::filesystem::path(spill.path) / "tables_m4_n3_float32.tetc")
+          .string();
+  const kernels::KernelTables<float> built(4, 3);
+  io::save_kernel_tables(file, built);
+  auto payload = io::find_section(file, io::SectionType::kKernelTables).payload;
+  // Contributions are the payload's tail, one record each.
+  const std::size_t first = payload.size() - built.contributions().size() *
+                                                 sizeof(Contribution);
+  const index_t bad = 3;  // == dim
+  std::memcpy(payload.data() + first + offsetof(Contribution, out_index), &bad,
+              sizeof(bad));
+  {
+    io::Writer w(file);
+    w.add_section(io::SectionType::kKernelTables, io::kKernelTablesVersion,
+                  payload);
+    w.flush();
+  }
+
+  auto p = BatchProblem<float>::random(71, 2, 2, 4, 3);
+  SchedulerOptions opt;
+  opt.table_spill_dir = spill.path;
+  Scheduler<float> s(Backend::kCpuSequential, opt);
+  const JobId id = s.submit(p, Tier::kPrecomputed);
+  s.run();
+  EXPECT_EQ(s.cache_stats().disk_hits, 0);
+  expect_bitwise(solve_cpu_sequential(p, Tier::kPrecomputed).results,
+                 s.result(id).results, "out-of-range spill");
 }
 
 TEST(TableSpill, UnwritableSpillDirIsSilentlyIgnored) {

@@ -1,5 +1,5 @@
 // te::io round-trip tests: every object codec must survive write -> read
-// bitwise, on BOTH read paths (streaming copy and zero-copy mmap view).
+// (StreamReader, the one container reader) bitwise.
 // Framing behaviors (alignment, append mode, unknown-section skip, torn
 // tails) are covered here too; byte-level corruption is io_corruption_test.
 
@@ -177,11 +177,8 @@ TEST(IoFraming, EmptyContainerIsJustTheHeader) {
     EXPECT_EQ(w.sections_added(), 0);
   }
   StreamReader r(f.path);
+  EXPECT_EQ(r.file_bytes(), kFileHeaderBytes);
   EXPECT_FALSE(r.next().has_value());
-  MappedFile m(f.path);
-  EXPECT_EQ(m.bytes().size(), kFileHeaderBytes);
-  auto walker = m.sections();
-  EXPECT_FALSE(walker.next().has_value());
 }
 
 TEST(IoFraming, SectionsAreAlignedAndTyped) {
@@ -299,7 +296,7 @@ TEST(IoFraming, IoErrorCarriesContainerAndOffsetContext) {
     EXPECT_NE(what.find("offset"), std::string::npos) << what;
   }
   // IoError is part of the library-wide exception family.
-  EXPECT_THROW((void)MappedFile(tmp_path("does_not_exist.tetc")),
+  EXPECT_THROW(StreamReader{tmp_path("does_not_exist.tetc")},
                InvalidArgument);
 }
 
@@ -344,16 +341,6 @@ TEST(IoTensorBatch, RoundTripsBitwiseOnBothReadPaths) {
     ASSERT_EQ(streamed.size(), tensors.size());
     for (std::size_t i = 0; i < tensors.size(); ++i) {
       EXPECT_EQ(streamed[i], tensors[i]) << "streamed " << i;
-      EXPECT_FALSE(streamed[i].is_borrowed());
-    }
-
-    MappedFile m(f.path);
-    const auto views = view_tensor_batch<float>(
-        find_section(m, SectionType::kTensorBatch), f.path);
-    ASSERT_EQ(views.size(), tensors.size());
-    for (std::size_t i = 0; i < tensors.size(); ++i) {
-      EXPECT_EQ(views[i], tensors[i]) << "view " << i;
-      EXPECT_TRUE(views[i].is_borrowed());
     }
   }
 }
@@ -372,21 +359,6 @@ TEST(IoTensorBatch, DoubleBatchRoundTripsAndDtypeIsChecked) {
   EXPECT_THROW((void)load_tensors<float>(f.path), IoError);
 }
 
-TEST(IoTensorBatch, BorrowedViewsRejectMutation) {
-  TmpFile f("borrowed.tetc");
-  const auto tensors = random_batch<float>(10, 1, 4, 3);
-  save_tensors<float>(f.path,
-                      std::span<const SymmetricTensor<float>>(tensors));
-  MappedFile m(f.path);
-  auto views = view_tensor_batch<float>(
-      find_section(m, SectionType::kTensorBatch), f.path);
-  ASSERT_EQ(views.size(), 1u);
-  EXPECT_THROW(views[0].scale(2.0f), InvalidArgument);
-  EXPECT_THROW((void)views[0].value(0), InvalidArgument);  // mutable access
-  // Read-only interfaces stay fully usable on a view.
-  EXPECT_EQ(views[0].frobenius_norm(), tensors[0].frobenius_norm());
-}
-
 // ---------------------------------------------------------------------------
 // Kernel tables.
 
@@ -398,16 +370,14 @@ TEST(IoKernelTables, RoundTripsBitwiseOnBothReadPaths) {
 
     const auto streamed = read_kernel_tables<float>(
         find_section(f.path, SectionType::kKernelTables), f.path);
-    EXPECT_FALSE(streamed.is_borrowed());
     EXPECT_EQ(streamed.order(), built.order());
     EXPECT_EQ(streamed.dim(), built.dim());
     EXPECT_EQ(streamed.num_classes(), built.num_classes());
+    EXPECT_TRUE(std::ranges::equal(streamed.index_table(),
+                                   built.index_table()));
+    EXPECT_TRUE(std::ranges::equal(streamed.coeff0_table(),
+                                   built.coeff0_table()));
     ASSERT_EQ(streamed.contributions().size(), built.contributions().size());
-
-    MappedFile m(f.path);
-    const auto view = view_kernel_tables<float>(
-        find_section(m, SectionType::kKernelTables), f.path);
-    EXPECT_TRUE(view.is_borrowed());
 
     // The loaded tables must produce bitwise-identical kernel results.
     CounterRng rng(3);
@@ -419,9 +389,13 @@ TEST(IoKernelTables, RoundTripsBitwiseOnBothReadPaths) {
     const auto a = random_batch<float>(
         static_cast<std::uint64_t>(order + dim), 1, order, dim)[0];
     const std::span<const float> xs(x.data(), x.size());
-    const float ref = kernels::ttsv0_precomputed(a, built, xs);
-    EXPECT_EQ(kernels::ttsv0_precomputed(a, streamed, xs), ref);
-    EXPECT_EQ(kernels::ttsv0_precomputed(a, view, xs), ref);
+    EXPECT_EQ(kernels::ttsv0_precomputed(a, streamed, xs),
+              kernels::ttsv0_precomputed(a, built, xs));
+    std::vector<float> y_ref(x.size());
+    std::vector<float> y(x.size());
+    kernels::ttsv1_precomputed(a, built, xs, std::span<float>(y_ref));
+    kernels::ttsv1_precomputed(a, streamed, xs, std::span<float>(y));
+    EXPECT_EQ(y, y_ref);
   }
 }
 
@@ -466,11 +440,6 @@ TEST(IoBatchResult, RoundTripsBitwiseOnBothReadPaths) {
   EXPECT_EQ(streamed.modeled_seconds, result.modeled_seconds);
   EXPECT_EQ(streamed.transfer_seconds, result.transfer_seconds);
   expect_results_bitwise(result.results, streamed.results);
-
-  MappedFile m(f.path);
-  const auto mapped = read_batch_result<double>(
-      find_section(m, SectionType::kBatchResult), f.path);
-  expect_results_bitwise(result.results, mapped.results);
 }
 
 /// Dyadic value in [-1, 1) from the seeded counter stream: exact in any

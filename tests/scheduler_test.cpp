@@ -566,9 +566,6 @@ TEST(SchedulerValidation, RejectsBadOptions) {
   EXPECT_THROW(Scheduler<float>(Backend::kCpuSequential, opt),
                InvalidArgument);
   opt = {};
-  opt.pipeline_buffers = 0;
-  EXPECT_THROW(Scheduler<float>(Backend::kGpuSim, opt), InvalidArgument);
-  opt = {};
   opt.cpu_threads = 0;
   EXPECT_THROW(Scheduler<float>(Backend::kCpuParallel, opt),
                InvalidArgument);

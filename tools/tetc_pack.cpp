@@ -77,10 +77,9 @@ int pack_tables(int order, int dim, const std::string& output, bool append) {
 /// Decoded per-section metadata: the details tetc_check's framing pass
 /// doesn't look inside for.
 int info(const std::string& input) {
-  te::io::MappedFile file(input);
-  auto walker = file.sections();
+  te::io::StreamReader reader(input);
   int n = 0;
-  while (auto s = walker.next()) {
+  while (auto s = reader.next()) {
     ++n;
     std::cout << "section " << n << " @" << s->info.header_offset << ": "
               << te::io::section_type_name(s->info.type) << " v"
@@ -102,7 +101,7 @@ int info(const std::string& input) {
     std::cout << '\n';
   }
   std::cout << input << ": " << n << " section" << (n == 1 ? "" : "s")
-            << ", " << file.bytes().size() << " file bytes\n";
+            << ", " << reader.file_bytes() << " file bytes\n";
   return 0;
 }
 
