@@ -177,11 +177,12 @@ run_pass build-asan \
 
 # Pass 3: TSan over the concurrency surface (thread pool, batch backends,
 # streaming scheduler, stress suite, the serve layer -- background pump
-# thread, shared cross-shard cache, socket front-end -- and te::obs, whose
-# per-thread shard assignment and merge-on-read every worker shares).
+# thread, shared cross-shard cache, socket front-end -- te::obs, whose
+# per-thread shard assignment and merge-on-read every worker shares, and
+# the DW-MRI fit, whose per-thread scheme memo pool workers fill at once).
 # Building only these binaries keeps the pass affordable.
 TSAN_TARGETS=(parallel_test batch_test scheduler_test stress_test serve_test
-  obs_test)
+  obs_test dwmri_test)
 echo "=== build-tsan: configure ==="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

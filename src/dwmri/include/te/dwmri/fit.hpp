@@ -7,7 +7,10 @@
 // linear in the packed unique values a_class. Each measurement contributes
 // one row of the design matrix; the system is solved by regularized normal
 // equations (the small, well-conditioned setting of this application).
+// All voxels of an acquisition share one gradient scheme, so each thread
+// factors a scheme once and reuses the factor (detail::fit_coefficients).
 
+#include <span>
 #include <vector>
 
 #include "te/comb/index_class.hpp"
@@ -28,6 +31,19 @@ struct AdcSample {
 [[nodiscard]] std::vector<double> design_row(int order,
                                              std::span<const double> g);
 
+namespace detail {
+/// The double-precision coefficients fit_tensor() converts: the solution of
+/// least_squares(design matrix, adc, ridge), bit for bit. Each thread keeps
+/// a one-entry memo keyed on the exact order, ridge and gradient bits,
+/// holding that scheme's design matrix and the Cholesky factor of its
+/// normal equations, so a volume that shares one scheme factors once per
+/// thread and pays A^T b plus two triangular solves per voxel. A scheme
+/// whose normal equations are not SPD throws and is never memoised. The
+/// returned span is the calling thread's scratch, valid until its next call.
+[[nodiscard]] std::span<const double> fit_coefficients(
+    int order, std::span<const AdcSample> samples, double ridge);
+}  // namespace detail
+
 /// Fit the packed unique values of an order-`order` symmetric tensor in R^3
 /// from >= num_unique samples. `ridge` regularizes the normal equations.
 template <Real T>
@@ -39,21 +55,8 @@ template <Real T>
   TE_REQUIRE(static_cast<offset_t>(samples.size()) >= u,
              "need at least " << u << " samples to determine an order-"
                               << order << " tensor, got " << samples.size());
-
-  Matrix<double> a(static_cast<int>(samples.size()), static_cast<int>(u));
-  std::vector<double> b(samples.size());
-  for (std::size_t s = 0; s < samples.size(); ++s) {
-    const auto row = design_row(
-        order, std::span<const double>(samples[s].gradient.data(), 3));
-    for (offset_t j = 0; j < u; ++j) {
-      a(static_cast<int>(s), static_cast<int>(j)) =
-          row[static_cast<std::size_t>(j)];
-    }
-    b[s] = samples[s].adc;
-  }
-  const auto coeffs =
-      least_squares(a, std::span<const double>(b.data(), b.size()), ridge);
-
+  const std::span<const double> coeffs =
+      detail::fit_coefficients(order, samples, ridge);
   SymmetricTensor<T> out(order, dim);
   for (offset_t j = 0; j < u; ++j) {
     out.value(j) = static_cast<T>(coeffs[static_cast<std::size_t>(j)]);

@@ -335,7 +335,9 @@ template <Real T>
   const std::uint64_t trace_size = c.u64();
   TE_IO_REQUIRE(x_size <= 4096, c.container(), c.offset(),
                 "implausible iterate length " << x_size);
-  r.x = c.copy_array<T>(x_size);
+  const auto x_bytes = c.bytes(c.require_fits(x_size, sizeof(T)));
+  r.x.resize(static_cast<std::size_t>(x_size));
+  if (x_size != 0) std::memcpy(r.x.data(), x_bytes.data(), x_bytes.size());
   // An older file's trace: skipped, after the same fit check.
   (void)c.bytes(c.require_fits(trace_size, sizeof(T)));
   return r;

@@ -286,17 +286,76 @@ class BoundKernels {
            multi_unrolled_ != nullptr || multi_jit_ != nullptr;
   }
 
+  /// Span calls count once per call under kernels.ttsv{0,1}.calls.<tier>.
   [[nodiscard]] T ttsv0(std::span<const T> x, OpCounts* ops = nullptr) const {
     TE_OBS_ONLY(
         detail::DispatchMetrics::get().ttsv0_calls[tier_index(tier_)]->inc());
-    return scalar_ttsv0(x, ops);
+    return ttsv0_uncounted(x, ops);
   }
 
   void ttsv1(std::span<const T> x, std::span<T> y,
              OpCounts* ops = nullptr) const {
     TE_OBS_ONLY(
         detail::DispatchMetrics::get().ttsv1_calls[tier_index(tier_)]->inc());
-    scalar_ttsv1(x, y, ops);
+    ttsv1_uncounted(x, y, ops);
+  }
+
+  /// The span calls without their counter increment, for a loop that
+  /// tallies its calls itself and publishes them once through
+  /// count_calls() (sshopm's width-1 start sweep). Same arithmetic.
+  [[nodiscard]] T ttsv0_uncounted(std::span<const T> x, OpCounts* ops) const {
+    switch (tier_) {
+      case Tier::kGeneral:
+        return ttsv0_general(*a_, x, ops);
+      case Tier::kPrecomputed:
+        return ttsv0_precomputed(*a_, *tables_, x, ops);
+      case Tier::kBlocked:  // device-only: refused at bind
+        break;
+      case Tier::kUnrolled: {
+        if (ops) *ops += unrolled_->ops0;
+        return unrolled_->ttsv0(a_->values().data(), x.data());
+      }
+      case Tier::kJit: {
+        if (ops) *ops += jit_->ops0;
+        return jit_->ttsv0(a_->values().data(), x.data());
+      }
+    }
+    TE_REQUIRE(false, "unreachable");
+    return T(0);
+  }
+
+  void ttsv1_uncounted(std::span<const T> x, std::span<T> y,
+                       OpCounts* ops) const {
+    switch (tier_) {
+      case Tier::kGeneral:
+        ttsv1_general(*a_, x, y, ops);
+        return;
+      case Tier::kPrecomputed:
+        ttsv1_precomputed(*a_, *tables_, x, y, ops);
+        return;
+      case Tier::kBlocked:  // device-only: refused at bind
+        break;
+      case Tier::kUnrolled:
+        if (ops) *ops += unrolled_->ops1;
+        unrolled_->ttsv1(a_->values().data(), x.data(), y.data());
+        return;
+      case Tier::kJit:
+        if (ops) *ops += jit_->ops1;
+        jit_->ttsv1(a_->values().data(), x.data(), y.data());
+        return;
+    }
+    TE_REQUIRE(false, "unreachable");
+  }
+
+  /// Add calls made through the *_uncounted entry points to this tier's
+  /// kernels.ttsv{0,1}.calls counters (a no-op under TE_OBS=OFF).
+  void count_calls([[maybe_unused]] std::int64_t ttsv0_calls,
+                   [[maybe_unused]] std::int64_t ttsv1_calls) const {
+    TE_OBS_ONLY({
+      auto& m = detail::DispatchMetrics::get();
+      if (ttsv0_calls != 0) m.ttsv0_calls[tier_index(tier_)]->add(ttsv0_calls);
+      if (ttsv1_calls != 0) m.ttsv1_calls[tier_index(tier_)]->add(ttsv1_calls);
+    });
   }
 
   /// out[w] = A x_w^m for every lane w; out.size() == width().
@@ -324,7 +383,7 @@ class BoundKernels {
       const auto n = static_cast<std::size_t>(a_->dim());
       for (int w = 0; w < width_; ++w) {
         x.store_lane(w, {sx, n});
-        out[static_cast<std::size_t>(w)] = scalar_ttsv0({sx, n}, ops);
+        out[static_cast<std::size_t>(w)] = ttsv0_uncounted({sx, n}, ops);
       }
     }
   }
@@ -354,7 +413,7 @@ class BoundKernels {
       const auto n = static_cast<std::size_t>(a_->dim());
       for (int w = 0; w < width_; ++w) {
         x.store_lane(w, {sx, n});
-        scalar_ttsv1({sx, n}, {sy, n}, ops);
+        ttsv1_uncounted({sx, n}, {sy, n}, ops);
         y.load_lane(w, {sy, n});
       }
     }
@@ -399,50 +458,6 @@ class BoundKernels {
                "batch shape (" << b.dim() << " x " << b.width()
                                << ") does not match kernels (" << a_->dim()
                                << " x " << width_ << ")");
-  }
-
-  [[nodiscard]] T scalar_ttsv0(std::span<const T> x, OpCounts* ops) const {
-    switch (tier_) {
-      case Tier::kGeneral:
-        return ttsv0_general(*a_, x, ops);
-      case Tier::kPrecomputed:
-        return ttsv0_precomputed(*a_, *tables_, x, ops);
-      case Tier::kBlocked:  // device-only: refused at bind
-        break;
-      case Tier::kUnrolled: {
-        if (ops) *ops += unrolled_->ops0;
-        return unrolled_->ttsv0(a_->values().data(), x.data());
-      }
-      case Tier::kJit: {
-        if (ops) *ops += jit_->ops0;
-        return jit_->ttsv0(a_->values().data(), x.data());
-      }
-    }
-    TE_REQUIRE(false, "unreachable");
-    return T(0);
-  }
-
-  void scalar_ttsv1(std::span<const T> x, std::span<T> y,
-                    OpCounts* ops) const {
-    switch (tier_) {
-      case Tier::kGeneral:
-        ttsv1_general(*a_, x, y, ops);
-        return;
-      case Tier::kPrecomputed:
-        ttsv1_precomputed(*a_, *tables_, x, y, ops);
-        return;
-      case Tier::kBlocked:  // device-only: refused at bind
-        break;
-      case Tier::kUnrolled:
-        if (ops) *ops += unrolled_->ops1;
-        unrolled_->ttsv1(a_->values().data(), x.data(), y.data());
-        return;
-      case Tier::kJit:
-        if (ops) *ops += jit_->ops1;
-        jit_->ttsv1(a_->values().data(), x.data(), y.data());
-        return;
-    }
-    TE_REQUIRE(false, "unreachable");
   }
 
   const SymmetricTensor<T>* a_;

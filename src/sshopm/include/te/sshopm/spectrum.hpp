@@ -207,7 +207,7 @@ template <Real T>
     if (!merged) {
       Eigenpair<T> p;
       p.lambda = r.lambda;
-      p.x = r.x;
+      p.x.assign(r.x.begin(), r.x.end());
       p.basin_count = 1;
       p.worst_residual = res;
       pairs.push_back(std::move(p));

@@ -295,24 +295,46 @@ void cholesky_solve(const Matrix<T>& l, std::span<T> b) {
   }
 }
 
-/// Minimum-norm least squares via regularized normal equations:
-/// x = argmin ||A x - b||; suitable for the small, well-conditioned systems
-/// in the DW-MRI fit. `ridge` adds ridge regularization (0 = none).
+/// Cholesky factor of the regularized normal equations A^T A + ridge I,
+/// in place in `l` (resized as needed). Returns false when they are not
+/// numerically SPD.
 template <Real T>
-[[nodiscard]] std::vector<T> least_squares(const Matrix<T>& a,
-                                           std::span<const T> b,
-                                           T ridge = T(0)) {
-  TE_REQUIRE(static_cast<int>(b.size()) == a.rows(), "rhs size mismatch");
-  Matrix<T> g = a.gram();
-  for (int i = 0; i < g.rows(); ++i) g(i, i) += ridge;
-  std::vector<T> rhs(a.cols(), T(0));
+[[nodiscard]] bool normal_factor(const Matrix<T>& a, T ridge, Matrix<T>& l) {
+  l = a.gram();
+  for (int i = 0; i < l.rows(); ++i) l(i, i) += ridge;
+  return cholesky(l);
+}
+
+/// rhs = A^T b, the right-hand side of the normal equations.
+template <Real T>
+void normal_rhs(const Matrix<T>& a, std::span<const T> b, std::span<T> rhs) {
+  TE_REQUIRE(static_cast<int>(b.size()) == a.rows() &&
+                 static_cast<int>(rhs.size()) == a.cols(),
+             "rhs size mismatch");
   for (int j = 0; j < a.cols(); ++j) {
     T s = T(0);
     for (int i = 0; i < a.rows(); ++i) s += a(i, j) * b[i];
     rhs[j] = s;
   }
-  TE_REQUIRE(cholesky(g), "normal equations not SPD; increase ridge or add rows");
-  cholesky_solve(g, std::span<T>(rhs));
+}
+
+/// Minimum-norm least squares via regularized normal equations:
+/// x = argmin ||A x - b||; suitable for the small, well-conditioned systems
+/// in the DW-MRI fit. `ridge` adds ridge regularization (0 = none). A caller
+/// solving many right-hand sides against one A may keep normal_factor()'s
+/// factor and run normal_rhs() + cholesky_solve() per b: the same
+/// operations in the same order, so the same bits.
+template <Real T>
+[[nodiscard]] std::vector<T> least_squares(const Matrix<T>& a,
+                                           std::span<const T> b,
+                                           T ridge = T(0)) {
+  TE_REQUIRE(static_cast<int>(b.size()) == a.rows(), "rhs size mismatch");
+  Matrix<T> l;
+  const bool spd = normal_factor(a, ridge, l);
+  std::vector<T> rhs(a.cols(), T(0));
+  normal_rhs(a, b, std::span<T>(rhs));
+  TE_REQUIRE(spd, "normal equations not SPD; increase ridge or add rows");
+  cholesky_solve(l, std::span<T>(rhs));
   return rhs;
 }
 

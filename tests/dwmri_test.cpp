@@ -6,11 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "te/dwmri/dataset.hpp"
 #include "te/dwmri/fiber_model.hpp"
 #include "te/dwmri/fit.hpp"
 #include "te/dwmri/grid_search.hpp"
+#include "te/parallel/thread_pool.hpp"
 #include "te/sshopm/spectrum.hpp"
 #include "te/util/sphere.hpp"
 
@@ -214,6 +220,187 @@ TEST(Fit, NoiseRobustWithRidge) {
       fit_tensor<double>(4, {samples.data(), samples.size()}, 1e-6);
   for (offset_t j = 0; j < truth.num_unique(); ++j) {
     EXPECT_NEAR(fitted.value(j), truth.value(j), 0.05) << "coeff " << j;
+  }
+}
+
+// fit_tensor keeps a per-thread memo of each gradient scheme's design
+// matrix and Cholesky factor. Its oracle is the arithmetic it replaced: a
+// design matrix from design_row and one least_squares call per voxel.
+template <Real T>
+SymmetricTensor<T> reference_fit(int order, std::span<const AdcSample> samples,
+                                 double ridge) {
+  const offset_t u = comb::num_unique_entries(order, 3);
+  TE_REQUIRE(static_cast<offset_t>(samples.size()) >= u, "under-determined");
+  Matrix<double> a(static_cast<int>(samples.size()), static_cast<int>(u));
+  std::vector<double> b(samples.size());
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    const auto row = design_row(
+        order, std::span<const double>(samples[s].gradient.data(), 3));
+    for (offset_t j = 0; j < u; ++j) {
+      a(static_cast<int>(s), static_cast<int>(j)) =
+          row[static_cast<std::size_t>(j)];
+    }
+    b[s] = samples[s].adc;
+  }
+  const auto coeffs =
+      least_squares(a, std::span<const double>(b.data(), b.size()), ridge);
+  SymmetricTensor<T> out(order, 3);
+  for (offset_t j = 0; j < u; ++j) {
+    out.value(j) = static_cast<T>(coeffs[static_cast<std::size_t>(j)]);
+  }
+  return out;
+}
+
+/// `dirs` hemisphere directions with pseudo-random ADC values (`salt`
+/// varies the voxel, not the scheme). `swap_xy` gives a second scheme of
+/// the same size: the directions with x and y exchanged.
+std::vector<AdcSample> scheme_samples(int dirs, std::uint64_t salt,
+                                      bool swap_xy = false) {
+  CounterRng rng(41);
+  std::vector<AdcSample> samples;
+  int i = 0;
+  for (const auto& g : fibonacci_hemisphere<double>(dirs)) {
+    AdcSample s;
+    s.gradient = {g[0], g[1], g[2]};
+    if (swap_xy) std::swap(s.gradient[0], s.gradient[1]);
+    s.adc = rng.in(salt, static_cast<std::uint64_t>(i++), 0.1, 2.0);
+    samples.push_back(s);
+  }
+  return samples;
+}
+
+template <Real T>
+bool bitwise_equal(const SymmetricTensor<T>& a, const SymmetricTensor<T>& b) {
+  const auto va = a.values();
+  const auto vb = b.values();
+  return a.order() == b.order() && va.size() == vb.size() &&
+         std::memcmp(va.data(), vb.data(), va.size() * sizeof(T)) == 0;
+}
+
+/// fit_tensor<T> on `samples` is the reference bit for bit, or both throw.
+template <Real T>
+void expect_fit_matches_reference(int order,
+                                  const std::vector<AdcSample>& samples,
+                                  double ridge, const std::string& what) {
+  const std::span<const AdcSample> span(samples.data(), samples.size());
+  std::optional<SymmetricTensor<T>> want;
+  try {
+    want = reference_fit<T>(order, span, ridge);
+  } catch (const InvalidArgument&) {
+  }
+  if (!want) {
+    EXPECT_THROW((void)fit_tensor<T>(order, span, ridge), InvalidArgument)
+        << what;
+    return;
+  }
+  EXPECT_TRUE(bitwise_equal(fit_tensor<T>(order, span, ridge), *want)) << what;
+}
+
+TEST(FitMemo, BitwiseTheReferenceAcrossOrdersRidgesAndSchemes) {
+  for (const int order : {2, 4, 6}) {
+    for (const double ridge : {0.0, 1e-8, 1e-6}) {
+      for (const int dirs : {15, 30, 64}) {
+        const std::string what = "order " + std::to_string(order) +
+                                 " ridge " + std::to_string(ridge) +
+                                 " dirs " + std::to_string(dirs);
+        // Several voxels per scheme: the first call fills the memo, the
+        // rest hit it.
+        for (std::uint64_t voxel = 0; voxel < 3; ++voxel) {
+          const auto samples = scheme_samples(dirs, voxel);
+          expect_fit_matches_reference<double>(order, samples, ridge, what);
+          expect_fit_matches_reference<float>(order, samples, ridge, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(FitMemo, AlternatingSchemesStayBitwise) {
+  for (std::uint64_t voxel = 0; voxel < 6; ++voxel) {
+    expect_fit_matches_reference<float>(4, scheme_samples(30, voxel), 0.0,
+                                        "30 dirs");
+    expect_fit_matches_reference<float>(4, scheme_samples(30, voxel, true),
+                                        0.0, "30 dirs, x and y swapped");
+    expect_fit_matches_reference<float>(4, scheme_samples(64, voxel), 0.0,
+                                        "64 dirs");
+  }
+}
+
+TEST(FitMemo, OneUlpSchemeChangeMissesTheMemo) {
+  const auto base = scheme_samples(30, 1);
+  expect_fit_matches_reference<double>(4, base, 0.0, "base");  // memoised
+  auto nudged = base;
+  nudged[7].gradient[1] = std::nextafter(nudged[7].gradient[1], 2.0);
+  const std::span<const AdcSample> b(base.data(), base.size());
+  const std::span<const AdcSample> n(nudged.data(), nudged.size());
+  // The nudge changes the answer, so a stale hit would be visible.
+  ASSERT_FALSE(bitwise_equal(reference_fit<double>(4, b, 0.0),
+                             reference_fit<double>(4, n, 0.0)));
+  EXPECT_TRUE(
+      bitwise_equal(fit_tensor<double>(4, n), reference_fit<double>(4, n, 0.0)));
+  // Another ridge on the memoised scheme is another key too.
+  EXPECT_TRUE(bitwise_equal(fit_tensor<double>(4, b, 1e-8),
+                            reference_fit<double>(4, b, 1e-8)));
+}
+
+TEST(FitMemo, UnderDeterminedThrowsAndLeavesTheMemoUsable) {
+  const auto samples = scheme_samples(30, 2);
+  expect_fit_matches_reference<double>(4, samples, 0.0, "before");
+  const std::vector<AdcSample> short_scheme(samples.begin(),
+                                            samples.begin() + 14);
+  EXPECT_THROW(
+      (void)fit_tensor<double>(4, {short_scheme.data(), short_scheme.size()}),
+      InvalidArgument);
+  expect_fit_matches_reference<double>(4, scheme_samples(30, 3), 0.0,
+                                       "after");
+}
+
+TEST(FitMemo, NonSpdSchemeThrowsEveryCallAndIsNotKept) {
+  // Every gradient along x: the normal equations have rank one.
+  std::vector<AdcSample> flat(30);
+  for (auto& s : flat) {
+    s.gradient = {1.0, 0.0, 0.0};
+    s.adc = 1.0;
+  }
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_THROW((void)fit_tensor<double>(4, {flat.data(), flat.size()}),
+                 InvalidArgument);
+  }
+  expect_fit_matches_reference<double>(4, scheme_samples(30, 4), 0.0,
+                                       "good scheme after");
+  EXPECT_THROW((void)fit_tensor<double>(4, {flat.data(), flat.size()}),
+               InvalidArgument);
+  expect_fit_matches_reference<double>(4, scheme_samples(30, 5), 0.0,
+                                       "good scheme again");
+}
+
+TEST(FitMemo, PoolWorkersFitDifferentSchemesAtOnce) {
+  // Each worker thread has its own memo; indices alternate schemes, so
+  // every worker misses and refills it while the others do the same.
+  constexpr int kSchemes = 4;
+  constexpr int kFits = 256;
+  const int dirs[kSchemes] = {30, 30, 40, 64};
+  std::vector<std::vector<AdcSample>> inputs;
+  std::vector<SymmetricTensor<float>> want;
+  for (int i = 0; i < kFits; ++i) {
+    inputs.push_back(scheme_samples(dirs[i % kSchemes],
+                                    static_cast<std::uint64_t>(i / kSchemes),
+                                    i % kSchemes == 1));
+    const auto& s = inputs.back();
+    want.push_back(reference_fit<float>(4, {s.data(), s.size()}, 1e-8));
+  }
+  std::vector<std::optional<SymmetricTensor<float>>> got(kFits);
+  ThreadPool pool(4);
+  pool.parallel_for(kFits, [&](std::int64_t i) {
+    const auto& s = inputs[static_cast<std::size_t>(i)];
+    got[static_cast<std::size_t>(i)] =
+        fit_tensor<float>(4, {s.data(), s.size()}, 1e-8);
+  });
+  for (int i = 0; i < kFits; ++i) {
+    ASSERT_TRUE(got[static_cast<std::size_t>(i)].has_value()) << i;
+    EXPECT_TRUE(bitwise_equal(*got[static_cast<std::size_t>(i)],
+                              want[static_cast<std::size_t>(i)]))
+        << "fit " << i;
   }
 }
 

@@ -8,12 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "te/batch/scheduler.hpp"
+#include "te/jit/cache_dir.hpp"
+#include "te/jit/engine.hpp"
 #include "te/kernels/autotune.hpp"
 #include "te/kernels/dispatch.hpp"
 #include "te/kernels/multi.hpp"
@@ -23,6 +33,10 @@
 #include "te/sshopm/sshopm.hpp"
 #include "te/tensor/generators.hpp"
 #include "te/util/rng.hpp"
+
+#ifndef TE_TEST_HOST_CXX
+#define TE_TEST_HOST_CXX ""
+#endif
 
 namespace te {
 namespace {
@@ -578,6 +592,239 @@ TEST(SolveStarts, WidthOneIsPerStartSolveAndWiderIsSolveMulti) {
                    scalar, span, opt,
                    std::span<sshopm::Result<double>>(short_out)),
                InvalidArgument);
+}
+
+// The width-1 sweep keeps detail::kRunsInFlight runs in flight and
+// publishes its kernel-call counts once per sweep. Its oracle is the
+// one-run-at-a-time loop solve() ran before the sweep existed, kept here
+// verbatim (solve() itself now runs the sweep): every slot, the OpCounts
+// totals and every counter delta must match it exactly.
+template <Real T>
+sshopm::Result<T> reference_solve(const BoundKernels<T>& k,
+                                  std::span<const T> x0,
+                                  const sshopm::Options& opt, OpCounts* ops) {
+  sshopm::Result<T> r;
+  sshopm::detail::Run<T> run(r, opt.tolerance, nullptr);
+  if (run.start(x0)) {
+    const std::span<const T> x(r.x.data(), r.x.size());
+    if (run.accept_first(k.ttsv0(x, ops))) {
+      const T alpha = static_cast<T>(opt.alpha);
+      const T sign = opt.alpha >= 0 ? T(1) : T(-1);
+      std::vector<T> y(x.size());
+      for (int it = 0; it < opt.max_iterations; ++it) {
+        k.ttsv1(x, std::span<T>(y.data(), y.size()), ops);
+        if (!run.update(std::span<const T>(y.data(), y.size()), alpha, sign,
+                        ops) ||
+            !run.accept(k.ttsv0(x, ops))) {
+          break;
+        }
+      }
+    }
+  }
+  run.finish();
+  TE_OBS_ONLY(sshopm::detail::record_solve(r, opt));
+  return r;
+}
+
+/// The counters a sweep moves: kernel calls on its tier, the run outcomes,
+/// and the iteration histogram's count.
+struct SweepCounters {
+  std::int64_t v[9] = {};
+  static SweepCounters read([[maybe_unused]] Tier tier) {
+    SweepCounters c;
+#if TE_OBS_ENABLED
+    const std::string base(kernels::tier_name(tier));
+    auto& g = obs::global();
+    const std::int64_t now[9] = {
+        g.counter("kernels.ttsv0.calls." + base).value(),
+        g.counter("kernels.ttsv1.calls." + base).value(),
+        g.counter("sshopm.solve.runs").value(),
+        g.counter("sshopm.solve.converged").value(),
+        g.counter("sshopm.solve.failures.max_iterations").value(),
+        g.counter("sshopm.solve.failures.degenerate_iterate").value(),
+        g.counter("sshopm.solve.failures.non_finite_lambda").value(),
+        g.counter("sshopm.solve.trace.non_monotone_steps").value(),
+        g.histogram("sshopm.solve.iterations").count(),
+    };
+    std::copy(std::begin(now), std::end(now), std::begin(c.v));
+#endif
+    return c;
+  }
+  friend SweepCounters operator-(SweepCounters a, const SweepCounters& b) {
+    for (int i = 0; i < 9; ++i) a.v[i] -= b.v[i];
+    return a;
+  }
+};
+
+template <Real T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <Real T>
+void expect_bitwise_slots(std::span<const sshopm::Result<T>> got,
+                          std::span<const sshopm::Result<T>> ref,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), ref.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto& a = got[i];
+    const auto& b = ref[i];
+    EXPECT_TRUE(same_bits(a.lambda, b.lambda)) << what << " slot " << i;
+    EXPECT_EQ(a.iterations, b.iterations) << what << " slot " << i;
+    EXPECT_EQ(a.failure, b.failure) << what << " slot " << i;
+    EXPECT_EQ(a.converged, b.converged) << what << " slot " << i;
+    ASSERT_EQ(a.x.size(), b.x.size()) << what << " slot " << i;
+    for (std::size_t j = 0; j < a.x.size(); ++j) {
+      EXPECT_TRUE(same_bits(a.x[j], b.x[j]))
+          << what << " slot " << i << " entry " << j;
+    }
+  }
+}
+
+/// Sweep `starts` against the oracle at every (alpha, max_iterations) the
+/// contract names: slots bitwise, OpCounts and counter deltas exact.
+template <Real T>
+void expect_sweep_matches_reference(const BoundKernels<T>& k,
+                                    const std::vector<std::vector<T>>& starts,
+                                    const std::string& what) {
+  const std::span<const std::vector<T>> span(starts.data(), starts.size());
+  for (const double alpha : {0.0, 1.0, -1.0}) {
+    for (const int max_iterations : {1, 200}) {
+      sshopm::Options opt;
+      opt.alpha = alpha;
+      opt.max_iterations = max_iterations;
+      const std::string tag = what + " starts=" +
+                              std::to_string(starts.size()) + " alpha=" +
+                              std::to_string(alpha) +
+                              " max_it=" + std::to_string(max_iterations);
+
+      const auto c0 = SweepCounters::read(k.tier());
+      OpCounts ref_ops;
+      std::vector<sshopm::Result<T>> ref;
+      for (const auto& x0 : starts) {
+        ref.push_back(
+            reference_solve(k, {x0.data(), x0.size()}, opt, &ref_ops));
+      }
+      const auto c1 = SweepCounters::read(k.tier());
+      OpCounts got_ops;
+      // Stale slots: the sweep must overwrite every field.
+      std::vector<sshopm::Result<T>> got(starts.size());
+      for (auto& r : got) {
+        r.lambda = T(7);
+        r.iterations = 99;
+        r.failure = sshopm::FailureReason::kNonFiniteLambda;
+        r.x = {T(1), T(2), T(3), T(4), T(5), T(6)};
+      }
+      sshopm::solve_starts(k, span, opt, std::span<sshopm::Result<T>>(got),
+                           &got_ops);
+      const auto c2 = SweepCounters::read(k.tier());
+
+      expect_bitwise_slots<T>(got, ref, tag);
+      EXPECT_EQ(got_ops, ref_ops) << tag;
+      const auto want = c1 - c0;
+      const auto have = c2 - c1;
+      for (int i = 0; i < 9; ++i) {
+        EXPECT_EQ(have.v[i], want.v[i]) << tag << " counter " << i;
+      }
+    }
+  }
+}
+
+/// Random starts plus the degenerate ones: a zero start, a NaN start.
+template <Real T>
+std::vector<std::vector<T>> sweep_starts(int count, int n,
+                                         std::uint64_t seed) {
+  auto starts = random_starts<T>(count, n, seed);
+  if (count >= 3) {
+    std::fill(starts[1].begin(), starts[1].end(), T(0));
+    starts[2][0] = std::numeric_limits<T>::quiet_NaN();
+  }
+  return starts;
+}
+
+template <Real T>
+void expect_sweep_parity_on_tier(Tier tier, int m, int n) {
+  CounterRng rng(231);
+  auto a = random_symmetric_tensor<T>(rng, 0, m, n);
+  auto poisoned = a;
+  poisoned.value(1) = std::numeric_limits<T>::quiet_NaN();
+  std::optional<kernels::KernelTables<T>> tables;
+  if (kernels::uses_tables(tier)) tables.emplace(m, n);
+  const std::string tier_tag(kernels::tier_name(tier));
+  for (const auto* tensor : {&a, &poisoned}) {
+    const BoundKernels<T> k(*tensor, tier, tables ? &*tables : nullptr);
+    const std::string what =
+        tier_tag + (tensor == &poisoned ? " NaN-entry" : "");
+    for (const int count : {1, 3, 4, 5, 11, 128}) {
+      expect_sweep_matches_reference<T>(
+          k, sweep_starts<T>(count, n, 232 + static_cast<std::uint64_t>(count)),
+          what);
+    }
+  }
+}
+
+TEST(SolveStarts, WidthOneSweepIsBitwiseTheReferenceLoopOnEveryHostTier) {
+  for (const Tier tier :
+       {Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled}) {
+    expect_sweep_parity_on_tier<float>(tier, 4, 3);
+    expect_sweep_parity_on_tier<double>(tier, 4, 3);
+  }
+  // A shape with a longer iterate than Result keeps inline, and a general
+  // shape past kMaxBatchDim, where the sweep's y scratch moves to the heap.
+  expect_sweep_parity_on_tier<double>(Tier::kPrecomputed, 3, 7);
+  expect_sweep_parity_on_tier<float>(Tier::kGeneral, 2,
+                                     kernels::kMaxBatchDim + 3);
+}
+
+TEST(SolveStarts, WidthOneSweepIsBitwiseTheReferenceLoopOnJit) {
+  if (!std::filesystem::exists(TE_TEST_HOST_CXX)) {
+    GTEST_SKIP() << "no host compiler";
+  }
+  ::setenv(jit::kCompilerEnv, TE_TEST_HOST_CXX, 1);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("te_multi_test_jit_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  jit::set_cache_dir(dir.string());
+  // (3, 7) is outside the compile-time unrolled registry: only the JIT
+  // serves it as generated straight-line code.
+  const bool admitted = jit::acquire<float>(3, 7).available &&
+                        jit::acquire<double>(3, 7).available;
+  ::unsetenv(jit::kCompilerEnv);
+  ASSERT_TRUE(admitted);
+  expect_sweep_parity_on_tier<float>(Tier::kJit, 3, 7);
+  expect_sweep_parity_on_tier<double>(Tier::kJit, 3, 7);
+  std::filesystem::remove_all(dir);
+}
+
+// solve() is the one-start sweep: the trace it hands out and the counters
+// it moves are the reference loop's.
+TEST(SolveStarts, SolveIsTheOneStartSweepWithItsTrace) {
+  CounterRng rng(235);
+  const auto a = random_symmetric_tensor<double>(rng, 0, 4, 3);
+  const BoundKernels<double> k(a, Tier::kUnrolled);
+  const auto starts = random_starts<double>(1, 3, 236);
+  sshopm::Options opt;
+  opt.alpha = 2.0;
+  std::vector<double> trace{42.0};
+  const auto c0 = SweepCounters::read(Tier::kUnrolled);
+  const auto r =
+      sshopm::solve(k, {starts[0].data(), starts[0].size()}, opt, nullptr,
+                    &trace);
+  const auto c1 = SweepCounters::read(Tier::kUnrolled);
+  const auto ref = reference_solve<double>(
+      k, {starts[0].data(), starts[0].size()}, opt, nullptr);
+  const auto c2 = SweepCounters::read(Tier::kUnrolled);
+  expect_bitwise_slots<double>({&r, 1}, {&ref, 1}, "solve");
+  ASSERT_EQ(trace.size(), static_cast<std::size_t>(r.iterations) + 1);
+  EXPECT_TRUE(same_bits(trace.back(), r.lambda));
+  const auto have = c1 - c0;
+  const auto want = c2 - c1;
+  // The reference records no trace, so it never counts non-monotone steps.
+  for (int i = 0; i < 9; ++i) {
+    if (i != 7) {
+      EXPECT_EQ(have.v[i], want.v[i]) << "counter " << i;
+    }
+  }
 }
 
 // VectorBatch calls count once per call on the tier's own counter, on the

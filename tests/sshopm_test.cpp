@@ -126,14 +126,21 @@ TEST(Sshopm, IterateStaysUnitNorm) {
 TEST(Sshopm, FloatResultIsFortyBytes) {
   // A batch holds one Result per (tensor, start), 524,288 of them in a
   // 4096-voxel x 128-start volume: with the lambda trace gone and the
-  // widest-first member order, the float record is the iterate's vector
-  // plus 16 bytes where std::vector is three pointers.
-  if constexpr (sizeof(std::vector<float>) == 24) {
-    EXPECT_EQ(sizeof(Result<float>), 40u);
-  } else {
-    GTEST_SKIP() << "std::vector<float> is " << sizeof(std::vector<float>)
-                 << " bytes here";
-  }
+  // widest-first member order, the float record is a 24-byte iterate
+  // (four floats inline, or a heap pointer) plus 16 bytes, and an n = 3
+  // run's iterate lives inside it.
+  EXPECT_EQ(sizeof(Result<float>), 40u);
+  CounterRng rng(140);
+  const auto a = random_symmetric_tensor<float>(rng, 0, 4, 3);
+  const BoundKernels<float> k(a, Tier::kUnrolled);
+  const std::vector<float> x0 = {0.3f, -0.4f, 0.8f};
+  const auto r = solve(k, {x0.data(), x0.size()}, Options{});
+  EXPECT_EQ(r.x.size(), 3u);
+  EXPECT_EQ(r.x.capacity(), kInlineIterate);
+  EXPECT_GE(reinterpret_cast<const char*>(r.x.data()),
+            reinterpret_cast<const char*>(&r));
+  EXPECT_LT(reinterpret_cast<const char*>(r.x.data()),
+            reinterpret_cast<const char*>(&r + 1));
 }
 
 TEST(Sshopm, NegativeShiftFindsMinima) {

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "te/util/assert.hpp"
 #include "te/util/cli.hpp"
@@ -18,6 +21,7 @@
 #include "te/util/linalg.hpp"
 #include "te/util/op_counter.hpp"
 #include "te/util/rng.hpp"
+#include "te/util/small_vector.hpp"
 #include "te/util/sphere.hpp"
 #include "te/util/table.hpp"
 
@@ -281,6 +285,108 @@ TEST(Linalg, CholeskyDetectsNonSpd) {
   a(1, 0) = 2;
   a(1, 1) = 1;  // eigenvalues 3, -1
   EXPECT_FALSE(cholesky(a));
+}
+
+// SmallVector: the inline/heap boundary for every operation (N = 4, the
+// SS-HOPM iterate's inline capacity), run under the ASan/UBSan pass.
+using Small = SmallVector<float, 4>;
+
+Small filled(std::size_t n, float base) {
+  Small v;
+  v.resize(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = base + static_cast<float>(i);
+  return v;
+}
+
+bool holds(const Small& v, std::size_t n, float base) {
+  if (v.size() != n) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (v[i] != base + static_cast<float>(i)) return false;
+  }
+  return true;
+}
+
+constexpr std::size_t kBoundarySizes[] = {0, 1, 3, 4, 5, 40};
+
+TEST(SmallVector, InlineUpToCapacityHeapAbove) {
+  for (const std::size_t n : kBoundarySizes) {
+    const Small v = filled(n, 1.0f);
+    EXPECT_TRUE(holds(v, n, 1.0f)) << n;
+    EXPECT_EQ(v.empty(), n == 0);
+    const auto* self = reinterpret_cast<const char*>(&v);
+    const auto* data = reinterpret_cast<const char*>(v.data());
+    const bool inside = data >= self && data < self + sizeof(Small);
+    EXPECT_EQ(inside, n <= 4) << n;
+    EXPECT_EQ(v.capacity(), std::max<std::size_t>(n, 4)) << n;
+  }
+  EXPECT_EQ(sizeof(Small), 24u);
+}
+
+TEST(SmallVector, CopyAndMoveAcrossTheBoundary) {
+  for (const std::size_t from : kBoundarySizes) {
+    for (const std::size_t to : kBoundarySizes) {
+      const Small src = filled(from, 10.0f);
+      Small copy(src);
+      EXPECT_TRUE(holds(copy, from, 10.0f)) << from;
+      Small assigned = filled(to, 20.0f);
+      assigned = src;
+      EXPECT_TRUE(holds(assigned, from, 10.0f)) << from << " <- " << to;
+      EXPECT_TRUE(assigned == src);
+
+      Small moved_from = filled(from, 30.0f);
+      Small moved(std::move(moved_from));
+      EXPECT_TRUE(holds(moved, from, 30.0f)) << from;
+      // The moved-from vector is empty, inline and reusable.
+      EXPECT_TRUE(moved_from.empty());  // NOLINT(bugprone-use-after-move)
+      EXPECT_EQ(moved_from.capacity(), 4u);
+      moved_from = filled(to, 40.0f);
+      EXPECT_TRUE(holds(moved_from, to, 40.0f));
+
+      Small target = filled(to, 50.0f);
+      Small source = filled(from, 60.0f);
+      target = std::move(source);
+      EXPECT_TRUE(holds(target, from, 60.0f)) << from << " <- " << to;
+      EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+    }
+  }
+}
+
+TEST(SmallVector, SelfAssignmentKeepsTheContents) {
+  for (const std::size_t n : kBoundarySizes) {
+    Small v = filled(n, 5.0f);
+    Small& alias = v;
+    v = alias;
+    EXPECT_TRUE(holds(v, n, 5.0f)) << n;
+    v = std::move(alias);
+    EXPECT_TRUE(holds(v, n, 5.0f)) << n;
+    v.assign(v.begin(), v.end());
+    EXPECT_TRUE(holds(v, n, 5.0f)) << n;
+  }
+}
+
+TEST(SmallVector, AssignAndResizeAcrossTheBoundary) {
+  for (const std::size_t from : kBoundarySizes) {
+    for (const std::size_t to : kBoundarySizes) {
+      Small v = filled(from, 1.0f);
+      const Small src = filled(to, 7.0f);
+      v.assign(src.begin(), src.end());
+      EXPECT_TRUE(holds(v, to, 7.0f)) << from << " -> " << to;
+
+      Small r = filled(from, 2.0f);
+      r.resize(to);
+      ASSERT_EQ(r.size(), to);
+      for (std::size_t i = 0; i < to; ++i) {
+        EXPECT_EQ(r[i], i < from ? 2.0f + static_cast<float>(i) : 0.0f)
+            << from << " -> " << to << " entry " << i;
+      }
+    }
+  }
+  Small v;
+  v = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f};
+  EXPECT_EQ(v.size(), 5u);
+  v = {9.0f};
+  EXPECT_TRUE(v == std::vector<float>{9.0f});
+  EXPECT_FALSE(v == std::vector<float>({9.0f, 0.0f}));
 }
 
 TEST(Linalg, LeastSquaresRecoversExactSolution) {
