@@ -11,10 +11,12 @@
 //
 // Flags: --tensors N --starts V --alpha A --csv
 //        --metrics-json PATH --metrics-csv PATH
-//        --multi  run the lane-blocked multi-start sweep (m=4, n=10,
-//                 64 starts) per tier across every registered lane width
-//                 against the per-vector baseline, asserting slot-for-slot
-//                 FailureReason parity and reporting the speedup table.
+//        --multi  run the start sweep (sshopm::solve_starts, kSweepLanes
+//                 runs in SIMD lanes) per host tier against one solve()
+//                 per start -- m=4 n=10 with 64 starts on general and
+//                 precomputed, m=4 n=3 with 1024 starts on unrolled --
+//                 exiting nonzero on any slot that is not bitwise equal
+//                 and reporting the speedup table.
 //        --adaptive  rerun the workload with the GEAP adaptive shift
 //                 against the conservative suggest_shift baseline from
 //                 identical starts, reporting the kMaxIterations
@@ -27,7 +29,10 @@
 //                 unmatched converged pair.
 
 #include <array>
+#include <bit>
 #include <cinttypes>
+#include <cstring>
+#include <optional>
 
 #include "bench_common.hpp"
 #include "te/batch/scheduler.hpp"
@@ -117,92 +122,99 @@ int main(int argc, char** argv) {
         rep.overlapped_seconds * 1e3, rep.hidden_seconds() * 1e3);
   }
 
-  // Multi-vector sweep: the index-class walk amortized across SIMD lanes.
-  // Baseline is the exact per-vector loop the scalar backends run; every
-  // width must keep slot-for-slot FailureReason parity, and the acceptance
-  // workload (m=4, n=10, 64 starts) is where the general tier's class walk
-  // dominates enough for the amortization to pay off.
+  // Start sweep: kSweepLanes SS-HOPM runs stepped together in SIMD lanes,
+  // so one index-class walk serves every live lane. The baseline is one
+  // solve() per start; every slot must be bitwise equal to it. On general
+  // and precomputed the acceptance workload (m=4, n=10, 64 starts) is where
+  // the class walk dominates; the unrolled row runs the paper's DW-MRI
+  // shape.
   if (args.has("multi")) {
-    const int mm = 4;
-    const int mn = 10;
-    const int ms = 64;
-    CounterRng rng(0xb57a);
-    const auto a = random_symmetric_tensor<float>(rng, 0, mm, mn);
-    std::vector<std::vector<float>> starts;
-    starts.reserve(static_cast<std::size_t>(ms));
-    for (int v = 0; v < ms; ++v) {
-      std::vector<float> x0(static_cast<std::size_t>(mn));
-      for (int i = 0; i < mn; ++i) {
-        x0[static_cast<std::size_t>(i)] = static_cast<float>(
-            rng.in(1, static_cast<std::uint64_t>(v * mn + i), -1, 1));
-      }
-      starts.push_back(std::move(x0));
-    }
+    struct Case {
+      Tier tier;
+      int order;
+      int dim;
+      int starts;
+    };
+    const Case cases[] = {{Tier::kGeneral, 4, 10, 64},
+                          {Tier::kPrecomputed, 4, 10, 64},
+                          {Tier::kUnrolled, 4, 3, 1024}};
     sshopm::Options sopt;
     sopt.alpha = 1.0;
     sopt.tolerance = 1e-6;
 
-    bench::banner("Multi-vector SS-HOPM sweep",
-                  "m=4 n=10, 64 starts per tier; lane widths vs the "
-                  "per-vector baseline (parity-checked)");
+    bench::banner("Start sweep (SIMD lanes)",
+                  "kSweepLanes = " + std::to_string(kernels::kSweepLanes) +
+                      " runs in flight vs one solve() per start "
+                      "(bitwise parity-checked)");
     TextTable mt;
-    mt.set_header({"tier", "width", "wall ms", "speedup", "conv", "parity"});
-    kernels::KernelTables<float> tables(mm, mn);
-    for (const Tier tier : {Tier::kGeneral, Tier::kPrecomputed}) {
-      const kernels::KernelTables<float>* tab =
-          tier == Tier::kPrecomputed ? &tables : nullptr;
-      kernels::BoundKernels<float> sk(a, tier, tab);
+    mt.set_header({"tier", "shape", "starts", "solve ms", "sweep ms",
+                   "speedup", "conv", "parity"});
+    for (const Case& c : cases) {
+      CounterRng rng(0xb57a);
+      const auto a = random_symmetric_tensor<float>(rng, 0, c.order, c.dim);
+      std::vector<std::vector<float>> starts;
+      starts.reserve(static_cast<std::size_t>(c.starts));
+      for (int v = 0; v < c.starts; ++v) {
+        std::vector<float> x0(static_cast<std::size_t>(c.dim));
+        for (int i = 0; i < c.dim; ++i) {
+          x0[static_cast<std::size_t>(i)] = static_cast<float>(
+              rng.in(1, static_cast<std::uint64_t>(v * c.dim + i), -1, 1));
+        }
+        starts.push_back(std::move(x0));
+      }
+      std::optional<kernels::KernelTables<float>> tables;
+      if (kernels::uses_tables(c.tier)) tables.emplace(c.order, c.dim);
+      const kernels::BoundKernels<float> k(a, c.tier,
+                                           tables ? &*tables : nullptr);
+
       std::vector<sshopm::Result<float>> ref;
       WallTimer base_timer;
       for (const auto& x0 : starts) {
-        ref.push_back(sshopm::solve(sk, {x0.data(), x0.size()}, sopt));
+        ref.push_back(sshopm::solve(k, {x0.data(), x0.size()}, sopt));
       }
       const double base_s = base_timer.seconds();
-      std::int64_t base_conv = 0;
-      for (const auto& r : ref) base_conv += r.converged ? 1 : 0;
-      char basems[32];
-      std::snprintf(basems, sizeof basems, "%.2f", base_s * 1e3);
-      mt.add_row({std::string(kernels::tier_name(tier)), "1", basems,
-                  "1.00x", std::to_string(base_conv), "ref"});
+      std::vector<sshopm::Result<float>> got(starts.size());
+      WallTimer timer;
+      sshopm::solve_starts(
+          k, std::span<const std::vector<float>>(starts.data(), starts.size()),
+          sopt, std::span<sshopm::Result<float>>(got));
+      const double s = timer.seconds();
 
-      double best_speedup = 0;
-      for (const int width : kernels::multi_widths()) {
-        kernels::BoundKernels<float> mk(a, tier, tab, width);
-        WallTimer timer;
-        const auto got = sshopm::solve_multi(
-            mk,
-            std::span<const std::vector<float>>(starts.data(),
-                                                starts.size()),
-            sopt);
-        const double s = timer.seconds();
-        bool parity = got.size() == ref.size();
-        std::int64_t conv = 0;
-        for (std::size_t i = 0; i < got.size() && parity; ++i) {
-          conv += got[i].converged ? 1 : 0;
-          parity = got[i].failure == ref[i].failure &&
-                   got[i].converged == ref[i].converged;
-        }
-        const double speedup = s > 0 ? base_s / s : 0;
-        best_speedup = std::max(best_speedup, speedup);
-        char ms_buf[32], sp[32];
-        std::snprintf(ms_buf, sizeof ms_buf, "%.2f", s * 1e3);
-        std::snprintf(sp, sizeof sp, "%.2fx", speedup);
-        mt.add_row({std::string(kernels::tier_name(tier)),
-                    std::to_string(width), ms_buf, sp, std::to_string(conv),
-                    parity ? "ok" : "MISMATCH"});
-        if (!parity) {
-          std::fprintf(stderr,
-                       "bench_sshopm: FailureReason parity violated "
-                       "(tier %s width %d)\n",
-                       kernels::tier_name(tier).data(), width);
-          return 1;
-        }
+      std::int64_t conv = 0;
+      std::size_t mismatched = 0;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        conv += got[i].converged ? 1 : 0;
+        const bool same =
+            std::bit_cast<std::uint32_t>(got[i].lambda) ==
+                std::bit_cast<std::uint32_t>(ref[i].lambda) &&
+            got[i].iterations == ref[i].iterations &&
+            got[i].failure == ref[i].failure &&
+            got[i].converged == ref[i].converged &&
+            got[i].x.size() == ref[i].x.size() &&
+            std::memcmp(got[i].x.data(), ref[i].x.data(),
+                        got[i].x.size() * sizeof(float)) == 0;
+        if (!same) ++mismatched;
+      }
+      const double speedup = s > 0 ? base_s / s : 0;
+      char base_ms[32], sweep_ms[32], sp[32];
+      std::snprintf(base_ms, sizeof base_ms, "%.2f", base_s * 1e3);
+      std::snprintf(sweep_ms, sizeof sweep_ms, "%.2f", s * 1e3);
+      std::snprintf(sp, sizeof sp, "%.2fx", speedup);
+      const std::string tier_name(kernels::tier_name(c.tier));
+      mt.add_row({tier_name,
+                  "m" + std::to_string(c.order) + "n" + std::to_string(c.dim),
+                  std::to_string(c.starts), base_ms, sweep_ms, sp,
+                  std::to_string(conv), mismatched == 0 ? "ok" : "MISMATCH"});
+      if (mismatched != 0) {
+        std::fprintf(stderr,
+                     "bench_sshopm: %zu of %zu sweep slots differ from "
+                     "solve() (tier %s)\n",
+                     mismatched, got.size(), tier_name.c_str());
+        return 1;
       }
       TE_OBS_ONLY(obs::global()
-                      .gauge("bench.sshopm.multi_speedup." +
-                             std::string(kernels::tier_name(tier)))
-                      .set(best_speedup));
-      (void)best_speedup;
+                      .gauge("bench.sshopm.multi_speedup." + tier_name)
+                      .set(speedup));
     }
     bench::emit(mt, csv);
   }

@@ -118,11 +118,17 @@ int main(int argc, char** argv) {
         best = std::min(best, std::acos(std::min(1.0, std::abs(dp))) * 180 /
                                   3.14159265358979);
       }
+      // Appended in place: GCC 12 reports a false -Wrestrict on the
+      // inlined concatenation of chained std::string temporaries.
+      std::string direction = "(";
+      for (int i = 0; i < 3; ++i) {
+        if (i > 0) direction += ", ";
+        direction += fmt_fixed(xd[static_cast<std::size_t>(i)], 3);
+      }
+      direction += ")";
       t.add_row({std::to_string(r),
                  fmt_fixed(cp.terms[static_cast<std::size_t>(r)].weight, 4),
-                 "(" + fmt_fixed(xd[0], 3) + ", " + fmt_fixed(xd[1], 3) +
-                     ", " + fmt_fixed(xd[2], 3) + ")",
-                 fmt_fixed(best, 2)});
+                 direction, fmt_fixed(best, 2)});
     }
     t.print(std::cout);
     std::cout << "(the two dominant terms align with the two fibers; the\n"

@@ -143,10 +143,10 @@ namespace detail {
 /// the one-shot call by construction.
 template <Real T>
 void solve_tensor(const BatchProblem<T>& p, int t, kernels::Tier tier,
-                  const kernels::KernelTables<T>* tables, int width,
+                  const kernels::KernelTables<T>* tables,
                   std::span<sshopm::Result<T>> results) {
   const kernels::BoundKernels<T> k(p.tensors[static_cast<std::size_t>(t)],
-                                   tier, tables, width);
+                                   tier, tables);
   const auto nv = static_cast<std::size_t>(p.num_starts());
   sshopm::solve_starts(k, std::span<const std::vector<T>>(p.starts),
                        p.options,
@@ -173,7 +173,7 @@ template <Real T>
   if (kernels::uses_tables(tier)) tables.emplace(p.order, p.dim);
   WallTimer timer;
   for (int t = 0; t < p.num_tensors(); ++t) {
-    detail::solve_tensor(p, t, tier, tables ? &*tables : nullptr, 1,
+    detail::solve_tensor(p, t, tier, tables ? &*tables : nullptr,
                          std::span<sshopm::Result<T>>(out.results));
   }
   out.wall_seconds = timer.seconds();
@@ -204,7 +204,7 @@ template <Real T>
   WallTimer timer;
   pool.parallel_for(p.num_tensors(), [&](std::int64_t t) {
     detail::solve_tensor(p, static_cast<int>(t), tier,
-                         tables ? &*tables : nullptr, 1,
+                         tables ? &*tables : nullptr,
                          std::span<sshopm::Result<T>>(out.results));
   });
   out.wall_seconds = timer.seconds();

@@ -103,13 +103,6 @@ struct SchedulerOptions {
   /// When non-empty: TableCache spill directory -- KernelTables are
   /// warm-started from disk and written back on cold builds.
   std::string table_spill_dir;
-  /// Lane width for the CPU backends' per-tensor start sweep: 1 = the
-  /// per-vector scalar path (bitwise-stable default, and what the
-  /// checkpoint bitwise-resume guarantee assumes -- resume with the same
-  /// width), 0 = autotuned hardware width, otherwise a registered power of
-  /// two (kernels::multi_widths()). Ignored by the kGpuSim backend, whose
-  /// device model is already one-thread-per-vector.
-  int simd_width = 1;
 };
 
 /// Handle to a submitted job.
@@ -136,7 +129,6 @@ struct SchedulerMetrics {
   obs::Gauge& pipe_hidden;
   obs::Counter& ckpt_chunks_appended;
   obs::Counter& ckpt_chunks_restored;
-  obs::Gauge& simd_width;
 
   static SchedulerMetrics& get() {
     static SchedulerMetrics m{
@@ -155,7 +147,6 @@ struct SchedulerMetrics {
         obs::global().gauge("batch.pipeline.hidden_seconds"),
         obs::global().counter("io.checkpoint.chunks_appended"),
         obs::global().counter("io.checkpoint.chunks_restored"),
-        obs::global().gauge("batch.scheduler.simd_width"),
     };
     return m;
   }
@@ -201,8 +192,6 @@ class Scheduler {
         external_pool_(external_pool) {
     TE_REQUIRE(opt_.chunk_tensors >= 1, "chunk size must be positive");
     TE_REQUIRE(opt_.cpu_threads >= 1, "cpu_threads must be positive");
-    TE_REQUIRE(opt_.simd_width == 0 || kernels::is_multi_width(opt_.simd_width),
-               "unsupported simd_width " << opt_.simd_width);
     if (owns_cache_ && !opt_.table_spill_dir.empty()) {
       cache_->set_spill_dir(opt_.table_spill_dir);
     }
@@ -246,7 +235,6 @@ class Scheduler {
       auto& m = detail::SchedulerMetrics::get();
       m.jobs_submitted.inc();
       m.queue_depth.set(static_cast<double>(queue_.size()));
-      m.simd_width.set(static_cast<double>(opt_.simd_width));
     });
     return id;
   }
@@ -575,8 +563,7 @@ class Scheduler {
       // is bitwise identical to solve_cpu_* (table contents are a pure
       // function of (order, dim), so cache sharing cannot perturb it).
       for (int t = c.begin; t < c.end; ++t) {
-        detail::solve_tensor(p, t, job.tier, tables.get(), opt_.simd_width,
-                             results);
+        detail::solve_tensor(p, t, job.tier, tables.get(), results);
       }
     }
     complete(c, timer.seconds());
@@ -618,7 +605,7 @@ class Scheduler {
       const Slice& s = slices[k];
       detail::solve_tensor(s.job->problem,
                            batch[k].begin + static_cast<int>(i - s.first),
-                           s.job->tier, s.tables.get(), opt_.simd_width,
+                           s.job->tier, s.tables.get(),
                            std::span<sshopm::Result<T>>(s.job->result.results));
     });
     const double seconds = timer.seconds();

@@ -5,15 +5,27 @@
 // exposes a registry of prebuilt shapes (the application sizes plus a sweep
 // used by the occupancy study), the registries of the multi-vector (SoA)
 // kernels, and the one BoundKernels facade that lets SS-HOPM and the batch
-// backends pick a tier and a width at runtime while the kernels themselves
-// stay fully typed.
+// backends pick a tier at runtime while the kernels themselves stay fully
+// typed.
+//
+// Every facade carries two call routes: the tier's scalar kernel (span
+// calls) and its width-kSweepLanes lane route (the raw-SoA lane calls
+// behind sshopm's start sweep, bound whatever the facade's width). Per lane
+// the vector kernels execute the scalar kernel's operation sequence and get
+// the same FMA contraction, so a lane's output is the scalar call's bit for
+// bit (DESIGN.md section 11); where that cannot hold (jit) or no vector
+// kernel exists (dim > kMaxBatchDim), the lanes run one by one through the
+// scalar kernel. The facade's `width` only sizes the
+// VectorBatch calls of direct callers (benches, te_analyze, the autotuner).
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "te/kernels/general.hpp"
 #include "te/kernels/jit_registry.hpp"
@@ -218,20 +230,28 @@ template <Real T>
 /// gathers a lane into a stack buffer of this size).
 inline constexpr int kMaxBatchDim = 64;
 
+/// Lanes of the start sweep's vector route: every facade binds its tier's
+/// width-kSweepLanes kernels (every unrolled registry shape has them). A
+/// constant, not an option: the sweep's results do not depend on it.
+inline constexpr int kSweepLanes = 8;
+
 /// Tensor + tier + lane width bound together behind a uniform call
 /// interface.
 ///
-/// Span calls (one vector) run the tier's scalar kernel. VectorBatch calls
-/// (width() vectors in SoA layout) run the vectorized multi kernel where a
-/// bit-compatible one exists -- general, precomputed, and unrolled/jit
-/// shapes registered at this width -- and otherwise gather each lane
-/// through the scalar kernel, which is bitwise identical to the span path
-/// by construction. Only the vectorized routes trade bit-identity for the
-/// documented contraction-level tolerance (DESIGN.md section 11).
+/// Span calls (one vector) run the tier's scalar kernel. The lane calls
+/// (ttsv{0,1}_lanes: kSweepLanes vectors in raw SoA rows) run the tier's
+/// width-kSweepLanes vector kernel, or each live lane through the scalar
+/// kernel where it has none (jit, and dim > kMaxBatchDim). VectorBatch calls
+/// (width() vectors in SoA layout) run the vectorized multi kernel where
+/// one is registered at this width -- general, precomputed, and
+/// unrolled/jit shapes registered at this width -- and otherwise gather
+/// each lane through the scalar kernel. The lane calls are bitwise the
+/// scalar kernel per lane, and so are the VectorBatch calls except jit's
+/// (DESIGN.md section 11).
 ///
-/// Width: 1 (the default) binds the scalar kernels only and never consults
-/// the multi registries; 0 resolves to pick_simd_width(); anything else must
-/// be a registered power of two (multi_widths()). Widths other than 1 need
+/// Width: 1 (the default) gives VectorBatch calls the per-lane scalar
+/// route; 0 resolves to pick_simd_width(); anything else must be a
+/// registered power of two (multi_widths()). Widths other than 1 need
 /// dim <= kMaxBatchDim.
 ///
 /// Binds host tiers only (kHostTiers); the device-only kBlocked is refused
@@ -269,6 +289,7 @@ class BoundKernels {
                      << a.order() << ", dim " << a.dim()
                      << " (acquire via te::jit first)");
     }
+    if (a.dim() <= kMaxBatchDim) bind_lanes();
     if (width != 1) bind_width(width);
   }
 
@@ -302,7 +323,7 @@ class BoundKernels {
 
   /// The span calls without their counter increment, for a loop that
   /// tallies its calls itself and publishes them once through
-  /// count_calls() (sshopm's width-1 start sweep). Same arithmetic.
+  /// count_calls() (sshopm's start sweep). Same arithmetic.
   [[nodiscard]] T ttsv0_uncounted(std::span<const T> x, OpCounts* ops) const {
     switch (tier_) {
       case Tier::kGeneral:
@@ -356,6 +377,50 @@ class BoundKernels {
       if (ttsv0_calls != 0) m.ttsv0_calls[tier_index(tier_)]->add(ttsv0_calls);
       if (ttsv1_calls != 0) m.ttsv1_calls[tier_index(tier_)]->add(ttsv1_calls);
     });
+  }
+
+  /// out[w] = A x_w^m for the kSweepLanes vectors of the SoA rows `xb`
+  /// (component i of lane w at xb[i * kSweepLanes + w]). Uncounted, like
+  /// ttsv0_uncounted: the sweep publishes its calls through count_calls().
+  /// `live` is a bit mask of the lanes whose output is wanted; the others
+  /// hold don't-care values, may be skipped, and leave their outputs
+  /// unspecified. `ops` gains one scalar call's counts per live lane, so a
+  /// sweep tallies exactly what its runs would alone.
+  void ttsv0_lanes(const T* xb, T* out, unsigned live, OpCounts* ops) const {
+    if (ops) *ops += scalar_ops(0) * std::popcount(live);
+    const T* values = a_->values().data();
+    if (lane_general_ != nullptr) {
+      lane_general_->ttsv0(a_->order(), a_->dim(), values, xb, out, nullptr);
+    } else if (lane_precomputed_ != nullptr) {
+      lane_precomputed_->ttsv0(*tables_, values, xb, out, nullptr);
+    } else if (lane_unrolled_ != nullptr) {
+      lane_unrolled_->ttsv0(values, xb, out);
+    } else {
+      per_lane(xb, live, [&](std::span<const T> x, int w) {
+        out[w] = ttsv0_uncounted(x, nullptr);
+      });
+    }
+  }
+
+  /// y_w = A x_w^{m-1} for the kSweepLanes vectors of `xb` into the SoA
+  /// rows `yb` (same layout); `live` and `ops` as for ttsv0_lanes.
+  void ttsv1_lanes(const T* xb, T* yb, unsigned live, OpCounts* ops) const {
+    if (ops) *ops += scalar_ops(1) * std::popcount(live);
+    const T* values = a_->values().data();
+    if (lane_general_ != nullptr) {
+      lane_general_->ttsv1(a_->order(), a_->dim(), values, xb, yb, nullptr);
+    } else if (lane_precomputed_ != nullptr) {
+      lane_precomputed_->ttsv1(*tables_, values, xb, yb, nullptr);
+    } else if (lane_unrolled_ != nullptr) {
+      lane_unrolled_->ttsv1(values, xb, yb);
+    } else {
+      const auto n = static_cast<std::size_t>(a_->dim());
+      std::vector<T> y(n);
+      per_lane(xb, live, [&](std::span<const T> x, int w) {
+        ttsv1_uncounted(x, std::span<T>(y), nullptr);
+        for (std::size_t i = 0; i < n; ++i) yb[i * kSweepLanes + w] = y[i];
+      });
+    }
   }
 
   /// out[w] = A x_w^m for every lane w; out.size() == width().
@@ -420,6 +485,61 @@ class BoundKernels {
   }
 
  private:
+  /// Look up the tier's width-kSweepLanes route for the lane calls. Past
+  /// kMaxBatchDim there is none, and jit keeps none either: the host
+  /// compiler vectorizes a generated scalar ttsv1 on its own, so its
+  /// rounding differs from the generated lane kernel's. Those facades run
+  /// the lanes one by one through the scalar kernel.
+  void bind_lanes() {
+    switch (tier_) {
+      case Tier::kGeneral:
+        lane_general_ = find_multi_general<T>(kSweepLanes);
+        break;
+      case Tier::kPrecomputed:
+        lane_precomputed_ = find_multi_precomputed<T>(kSweepLanes);
+        break;
+      case Tier::kUnrolled:
+        lane_unrolled_ =
+            find_multi_unrolled<T>(a_->order(), a_->dim(), kSweepLanes);
+        break;
+      case Tier::kJit:
+      case Tier::kBlocked:  // device-only: refused at bind
+        break;
+    }
+  }
+
+  /// One scalar call's operation mix (which = 0: ttsv0, 1: ttsv1).
+  [[nodiscard]] OpCounts scalar_ops(int which) const {
+    switch (tier_) {
+      case Tier::kGeneral:
+        return which == 0 ? ttsv0_general_ops(a_->order(), a_->dim())
+                          : ttsv1_general_ops(a_->order(), a_->dim());
+      case Tier::kPrecomputed:
+        return which == 0 ? ttsv0_precomputed_ops(*tables_)
+                          : ttsv1_precomputed_ops(*tables_);
+      case Tier::kUnrolled:
+        return which == 0 ? unrolled_->ops0 : unrolled_->ops1;
+      case Tier::kJit:
+        return which == 0 ? jit_->ops0 : jit_->ops1;
+      case Tier::kBlocked:  // device-only: refused at bind
+        break;
+    }
+    return {};
+  }
+
+  /// The lane calls' scalar route: gather each live lane of `xb` and hand
+  /// it to fn(x, w).
+  template <class Fn>
+  void per_lane(const T* xb, unsigned live, Fn fn) const {
+    const auto n = static_cast<std::size_t>(a_->dim());
+    std::vector<T> x(n);
+    for (int w = 0; w < kSweepLanes; ++w) {
+      if ((live >> w & 1u) == 0) continue;
+      for (std::size_t i = 0; i < n; ++i) x[i] = xb[i * kSweepLanes + w];
+      fn(std::span<const T>(x), w);
+    }
+  }
+
   /// Resolve a width other than 1 and look up its vectorized route.
   void bind_width(int width) {
     TE_REQUIRE(a_->dim() <= kMaxBatchDim,
@@ -470,6 +590,9 @@ class BoundKernels {
   const MultiPrecomputedFns<T>* multi_precomputed_ = nullptr;
   const MultiUnrolledEntry<T>* multi_unrolled_ = nullptr;
   const JitMultiEntry<T>* multi_jit_ = nullptr;
+  const MultiGeneralFns<T>* lane_general_ = nullptr;
+  const MultiPrecomputedFns<T>* lane_precomputed_ = nullptr;
+  const MultiUnrolledEntry<T>* lane_unrolled_ = nullptr;
 };
 
 }  // namespace te::kernels

@@ -28,6 +28,36 @@
 
 namespace te::kernels {
 
+/// Exact operation mix of one general-tier ttsv0 call on an [order, dim]
+/// tensor. The count is data-independent, so the kernel tallies it in one
+/// step, and a caller that runs the same arithmetic another way (the start
+/// sweep's SIMD lanes) can charge each lane what the scalar call costs.
+/// Per class: the m-1 product multiplies, c*A and *xhat, one add, and
+/// about 3 integer ops per index entry (index update + multinomial pass).
+[[nodiscard]] inline OpCounts ttsv0_general_ops(int order, int dim) {
+  const std::int64_t u = comb::num_unique_entries(order, dim);
+  OpCounts c;
+  c.fmul = u * (order + 1);
+  c.fadd = u;
+  c.iop = u * 3 * order;
+  return c;
+}
+
+/// Exact operation mix of one general-tier ttsv1 call. Per class: the
+/// prefix and suffix products (2m multiplies) and ~3m integer ops; per
+/// (class, distinct index) pair -- dim * C(dim + order - 2, order - 1) of
+/// them -- the xhat join, sigma*A and *xhat, one add, and the MULTINOMIAL1
+/// pass plus loop bookkeeping (m + 2 integer ops).
+[[nodiscard]] inline OpCounts ttsv1_general_ops(int order, int dim) {
+  const std::int64_t u = comb::num_unique_entries(order, dim);
+  const std::int64_t s = dim * comb::binomial(dim + order - 2, order - 1);
+  OpCounts c;
+  c.fmul = 3 * s + 2 * order * u;
+  c.fadd = s;
+  c.iop = (order + 2) * s + 3 * order * u;
+  return c;
+}
+
 /// Raw-pointer core of ttsv0: `values` is the packed unique-value array of
 /// a symmetric [order, dim] tensor (lexicographic class order). The GPU
 /// simulator calls this form directly on shared-memory arrays.
@@ -47,12 +77,8 @@ template <Real T>
     y += static_cast<double>(static_cast<T>(c) *
                              values[static_cast<std::size_t>(it.rank())] *
                              xhat);
-    if (ops) {
-      ops->fmul += m - 1 + 2;  // xhat product, c*A, *xhat
-      ops->fadd += 1;
-      ops->iop += 3 * m;  // index update + multinomial pass, ~3 ops/entry
-    }
   }
+  if (ops) *ops += ttsv0_general_ops(order, dim);
   return static_cast<T>(y);
 }
 
@@ -116,17 +142,9 @@ void ttsv1_general_raw(int order, int dim, const T* values,
       acc[static_cast<std::size_t>(i)] +=
           static_cast<double>(static_cast<T>(sigma) * av * xhat);
       while (t < m && idx[t] == i) ++t;  // skip repeats of i
-      if (ops) {
-        ops->fmul += 3;  // xhat join, sigma*A, *xhat
-        ops->fadd += 1;
-        ops->iop += m + 2;  // MULTINOMIAL1 pass + loop bookkeeping
-      }
-    }
-    if (ops) {
-      ops->fmul += 2 * m;  // prefix + suffix products
-      ops->iop += 3 * m;   // index update + iteration bookkeeping
     }
   }
+  if (ops) *ops += ttsv1_general_ops(order, dim);
   for (int i = 0; i < dim; ++i) {
     y[static_cast<std::size_t>(i)] = static_cast<T>(acc[static_cast<std::size_t>(i)]);
   }

@@ -155,6 +155,31 @@ class KernelTables {
   std::vector<Contribution> contribs_;
 };
 
+/// Exact operation mix of one precomputed-tier ttsv0 call (per class: the
+/// m-1 product multiplies, c*A and *xhat, one add, one bookkeeping op).
+/// Data-independent, like the general tier's (ttsv0_general_ops).
+template <Real T>
+[[nodiscard]] OpCounts ttsv0_precomputed_ops(const KernelTables<T>& tab) {
+  const std::int64_t u = tab.num_classes();
+  OpCounts c;
+  c.fmul = u * (tab.order() + 1);
+  c.fadd = u;
+  c.iop = u;
+  return c;
+}
+
+/// Exact operation mix of one precomputed-tier ttsv1 call (per
+/// contribution: m + 1 multiplies, one add, two integer ops).
+template <Real T>
+[[nodiscard]] OpCounts ttsv1_precomputed_ops(const KernelTables<T>& tab) {
+  const auto s = static_cast<std::int64_t>(tab.contributions().size());
+  OpCounts c;
+  c.fmul = s * (tab.order() + 1);
+  c.fadd = s;
+  c.iop = s * 2;
+  return c;
+}
+
 /// A x^m with precomputed tables: the loop body is pure floating point --
 /// load value, load m indices, multiply, accumulate.
 template <Real T>
@@ -175,11 +200,7 @@ template <Real T>
     y += static_cast<double>(tab.coeff0(r) *
                              vals[static_cast<std::size_t>(r)] * xhat);
   }
-  if (ops) {
-    ops->fmul += tab.num_classes() * (m + 1);
-    ops->fadd += tab.num_classes();
-    ops->iop += tab.num_classes();  // loop bookkeeping only
-  }
+  if (ops) *ops += ttsv0_precomputed_ops(tab);
   return static_cast<T>(y);
 }
 
@@ -218,12 +239,7 @@ void ttsv1_precomputed(const SymmetricTensor<T>& a, const KernelTables<T>& tab,
     y[static_cast<std::size_t>(i)] =
         static_cast<T>(acc[static_cast<std::size_t>(i)]);
   }
-  if (ops) {
-    const auto s = static_cast<std::int64_t>(tab.contributions().size());
-    ops->fmul += s * (m + 1);
-    ops->fadd += s;
-    ops->iop += s * 2;
-  }
+  if (ops) *ops += ttsv1_precomputed_ops(tab);
 }
 
 }  // namespace te::kernels

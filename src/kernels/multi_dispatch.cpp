@@ -48,10 +48,12 @@ std::span<const MultiPrecomputedFns<T>> precomputed_registry() {
   return entries;
 }
 
-// Unrolled multi shapes: the application size (4,3) and its neighbours plus
-// the bench sweep shapes. The straight-line expansion grows as kU x W, so
-// the set is intentionally smaller than the scalar unrolled registry; other
-// shapes fall back to per-lane scalar unrolled calls.
+// Unrolled multi shapes. At kSweepLanes every scalar registry shape
+// (dispatch.cpp) has one, because the start sweep runs every unrolled
+// facade through it. The other widths keep the application size (4,3), its
+// neighbours and the bench sweep shapes: the straight-line expansion grows
+// as kU x W, so those sets stay small, and their other shapes fall back to
+// per-lane scalar unrolled calls.
 template <Real T, int W>
 void append_unrolled_width(std::vector<MultiUnrolledEntry<T>>& v) {
   v.push_back(make_unrolled<T, 2, 3, W>());
@@ -63,12 +65,31 @@ void append_unrolled_width(std::vector<MultiUnrolledEntry<T>>& v) {
 }
 
 template <Real T>
+void append_sweep_width(std::vector<MultiUnrolledEntry<T>>& v) {
+  constexpr int W = kSweepLanes;
+  append_unrolled_width<T, W>(v);
+  v.push_back(make_unrolled<T, 2, 2, W>());
+  v.push_back(make_unrolled<T, 2, 4, W>());
+  v.push_back(make_unrolled<T, 2, 5, W>());
+  v.push_back(make_unrolled<T, 2, 6, W>());
+  v.push_back(make_unrolled<T, 3, 2, W>());
+  v.push_back(make_unrolled<T, 3, 4, W>());
+  v.push_back(make_unrolled<T, 3, 5, W>());
+  v.push_back(make_unrolled<T, 3, 6, W>());
+  v.push_back(make_unrolled<T, 4, 2, W>());
+  v.push_back(make_unrolled<T, 4, 6, W>());
+  v.push_back(make_unrolled<T, 5, 3, W>());
+  v.push_back(make_unrolled<T, 6, 4, W>());
+  v.push_back(make_unrolled<T, 8, 3, W>());
+}
+
+template <Real T>
 std::span<const MultiUnrolledEntry<T>> unrolled_multi_registry() {
   static const std::vector<MultiUnrolledEntry<T>> entries = [] {
     std::vector<MultiUnrolledEntry<T>> v;
     append_unrolled_width<T, 2>(v);
     append_unrolled_width<T, 4>(v);
-    append_unrolled_width<T, 8>(v);
+    append_sweep_width<T>(v);
     append_unrolled_width<T, 16>(v);
     return v;
   }();

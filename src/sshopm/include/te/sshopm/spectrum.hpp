@@ -131,14 +131,9 @@ struct MultiStartOptions {
   /// production pattern: cheap batched power iterations, then a handful of
   /// quadratic steps per *distinct* pair).
   bool refine_newton = false;
-  /// Lane width for the multi-start sweep: 1 = the per-vector scalar path
-  /// (bitwise-stable default), 0 = autotuned hardware width, otherwise a
-  /// registered power of two (see kernels::multi_widths()). Widths > 1 run
-  /// the sweep lane-blocked through solve_multi.
-  int simd_width = 1;
   /// Solver engine. kSshopm runs the multi-start power iteration above;
   /// kQrst runs the all-eigenpairs QRST backend (te::decomp) instead --
-  /// it ignores `starts`, `inner`, and `simd_width`, recovers the complete
+  /// it ignores `starts` and `inner`, recovers the complete
   /// spectrum of small shapes, and reports QRST harvest multiplicities as
   /// basin counts.
   enum class Engine { kSshopm, kQrst };
@@ -267,7 +262,7 @@ template <Real T>
     }
     return pairs;
   }
-  const kernels::BoundKernels<T> k(a, tier, tables, opt.simd_width);
+  const kernels::BoundKernels<T> k(a, tier, tables);
   std::vector<Result<T>> runs(starts.size());
   solve_starts(k, starts, opt.inner, std::span<Result<T>>(runs), ops);
   return cluster_results(a, std::span<const Result<T>>(runs.data(),

@@ -11,14 +11,19 @@
 // alpha < 0 forces concavity and local minima. The fixed points satisfy
 // A x^{m-1} = lambda x, i.e. they are Z-eigenpairs (Definition 3).
 //
-// The iteration itself is one state machine, detail::Run: the width-1
-// start sweep (detail::sweep_runs, behind solve() and solve_starts()), the
-// lanes of solve_multi(), solve_adaptive() and the simulated-GPU thread
-// only call kernels and feed it, so every loop stops and classifies a
-// run by the same rules. The sweep is tier-agnostic: it calls through a
-// BoundKernels facade, so the same loop drives every host tier.
+// The iteration itself is one state machine, detail::Run: the start sweep
+// (detail::sweep_runs, behind solve() and solve_starts()), solve_adaptive()
+// and the simulated-GPU thread only call kernels and feed it, so every loop
+// stops and classifies a run by the same rules. The shift-normalise update
+// is one expression, detail::shift_norm / detail::scale_to_unit, written
+// once over a value type: Run::update instantiates it for T and the sweep
+// for kSweepLanes SIMD lanes, so both round alike. The sweep is
+// tier-agnostic: it calls through a BoundKernels facade, so the same loop
+// drives every host tier.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -27,6 +32,7 @@
 #include "te/obs/obs.hpp"
 #include "te/util/linalg.hpp"
 #include "te/util/op_counter.hpp"
+#include "te/util/simd.hpp"
 #include "te/util/small_vector.hpp"
 
 namespace te::sshopm {
@@ -43,7 +49,7 @@ struct Options {
 /// NaN/Inf tensor entries, alpha cancellation producing a zero iterate)
 /// are *reported*, never thrown: solve() runs inside scheduler worker
 /// threads where an escaping exception is fatal.
-enum class FailureReason {
+enum class FailureReason : std::uint8_t {
   kNone,               ///< run converged
   kMaxIterations,      ///< budget exhausted before |dlambda| <= tol
   kDegenerateIterate,  ///< iterate norm zero or non-finite; cannot normalize
@@ -67,15 +73,16 @@ enum class FailureReason {
 
 /// Iterate entries a Result keeps inline; longer iterates spill to the
 /// heap. Four covers the paper's DW-MRI and tractography tensors (n = 3)
-/// and keeps Result<float> at 40 bytes.
+/// and keeps Result<float> at 32 bytes.
 inline constexpr std::size_t kInlineIterate = 4;
 
 /// Outcome of one SS-HOPM run.
-/// Members are ordered widest first so Result<float> packs into 40 bytes
-/// with an iterate of up to kInlineIterate entries inside it: a
-/// volume-scale batch holds one Result per (tensor, start), and none of
-/// them owns a heap block. The per-iteration lambda sequence is not kept
-/// here; solve() hands it out through its optional `lambda_trace` argument.
+/// Members are ordered widest first so Result<float> packs into 32 bytes
+/// (Result<double> into 56) with an iterate of up to kInlineIterate entries
+/// inside it: a volume-scale batch holds one Result per (tensor, start),
+/// and none of them owns a heap block. The per-iteration lambda sequence is
+/// not kept here; solve() hands it out through its optional `lambda_trace`
+/// argument.
 template <Real T>
 struct Result {
   /// final unit iterate (on kDegenerateIterate: the last pre-normalization
@@ -89,6 +96,53 @@ struct Result {
 };
 
 namespace detail {
+/// The one shift-normalise expression of SS-HOPM, over V = T (one iterate,
+/// entries contiguous) or V = simd::Pack<T, W> (W iterates in SoA rows:
+/// entry i of lane w at x[i * W + w]): x <- sign (y + alpha x), returning
+/// ||x||. scale_to_unit() then multiplies x by 1/||x||. Run::update and the
+/// start sweep's lanes both instantiate these, so every lane rounds -- FMA
+/// contraction included -- exactly as a lone run does (DESIGN.md section
+/// 11).
+///
+/// The squares are summed in order. In the leading blocks of four each
+/// square is rounded before it is added; only the n mod 4 trailing ones may
+/// contract into an FMA. That is what GCC's vectorizer makes of a plain
+/// scalar loop (an in-order reduction of four-wide products, then a scalar
+/// epilogue), and so what every run computed before the lanes existed;
+/// spelled out, it no longer depends on how the scalar instantiation is
+/// vectorized, and the lane instantiation rounds the same way.
+template <class V, Real T>
+[[nodiscard]] inline V shift_norm(T* x, const T* y, std::size_t n, V alpha,
+                                  V sign) {
+  constexpr std::size_t w = simd::kLanes<V>;
+  for (std::size_t i = 0; i < n; ++i) {
+    const V xi = simd::load<V>(x + i * w);
+    simd::store(sign * (simd::load<V>(y + i * w) + alpha * xi), x + i * w);
+  }
+  V ss = simd::splat<V>(T(0));
+  const std::size_t blocked = n - n % 4;
+  for (std::size_t i = 0; i < blocked; ++i) {
+    const V xi = simd::load<V>(x + i * w);
+    ss += simd::rounded(xi * xi);
+  }
+  for (std::size_t i = blocked; i < n; ++i) {
+    const V xi = simd::load<V>(x + i * w);
+    ss += xi * xi;
+  }
+  using std::sqrt;
+  return sqrt(ss);
+}
+
+/// x <- x * (1 / norm), the second half of the update (see shift_norm).
+template <class V, Real T>
+inline void scale_to_unit(T* x, std::size_t n, V norm) {
+  constexpr std::size_t w = simd::kLanes<V>;
+  const V inv = simd::splat<V>(T(1)) / norm;
+  for (std::size_t i = 0; i < n; ++i) {
+    simd::store(simd::load<V>(x + i * w) * inv, x + i * w);
+  }
+}
+
 /// One SS-HOPM run (paper Fig. 1) as a state machine over its Result: the
 /// callers run the kernels and feed the values in, and these steps alone
 /// decide when the run stops and what lambda, x, iterations and failure
@@ -99,10 +153,10 @@ namespace detail {
 /// kDegenerateIterate: the one that could not be normalized).
 ///
 /// All run state lives in the Result (Run adds only the tolerance and the
-/// trace sink), so a caller may rebuild a Run per step, as solve_multi and
-/// the width-1 sweep do per lane. The steps are inline and allocate
-/// nothing but the trace and, for an iterate longer than kInlineIterate,
-/// start()'s heap copy of it.
+/// trace sink), so a caller may rebuild a Run per step, as the start sweep
+/// does per lane. The steps are inline and allocate nothing but the trace
+/// and, for an iterate longer than kInlineIterate, start()'s heap copy of
+/// it.
 template <Real T>
 class Run {
  public:
@@ -137,23 +191,31 @@ class Run {
   }
 
   /// One iteration's update, x <- +-(y + alpha x) normalized, given
-  /// y = A x^{m-1}. A vanished (A x^{m-1} = -alpha x exactly, or the tensor
-  /// zeroed the iterate) or overflowed xhat is degenerate. `ops`, when
-  /// given, tallies this vector bookkeeping.
+  /// y = A x^{m-1}, on r.x (shift_norm, then scale_to_unit when stepped()
+  /// accepts the norm).
   bool update(std::span<const T> y, T alpha, T sign,
               OpCounts* ops = nullptr) {
-    std::span<T> x(r_.x.data(), r_.x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      x[i] = sign * (y[i] + alpha * x[i]);
-    }
+    const std::size_t n = r_.x.size();
+    const T norm = shift_norm(r_.x.data(), y.data(), n, alpha, sign);
+    if (!stepped(norm, n, ops)) return false;
+    scale_to_unit(r_.x.data(), n, norm);
+    return true;
+  }
+
+  /// Count one iteration whose shifted iterate xhat (n entries) has norm
+  /// `norm`: a vanished (A x^{m-1} = -alpha x exactly, or the tensor zeroed
+  /// the iterate) or overflowed xhat is degenerate, and the caller keeps
+  /// xhat as the run's iterate. `ops`, when given, tallies the update's
+  /// vector bookkeeping.
+  bool stepped(T norm, std::size_t n, OpCounts* ops) {
     ++r_.iterations;
-    if (try_normalize(x) == T(0)) {
+    if (!(norm > T(0)) || !std::isfinite(static_cast<double>(norm))) {
       return fail(FailureReason::kDegenerateIterate);
     }
     if (ops) {
-      const auto n = static_cast<std::int64_t>(x.size());
-      ops->fmul += 3 * n;  // shift fma + norm dot + scaling
-      ops->fadd += 2 * n;
+      const auto len = static_cast<std::int64_t>(n);
+      ops->fmul += 3 * len;  // shift fma + norm dot + scaling
+      ops->fadd += 2 * len;
       ops->sfu += 1;
     }
     return true;
@@ -283,122 +345,174 @@ inline void record_solve(const Result<T>& r, const Options& opt,
 }  // namespace detail
 #endif  // TE_OBS_ENABLED
 
+#if TE_OBS_ENABLED
 namespace detail {
-/// SS-HOPM runs the width-1 sweep keeps in flight. Each run is a chain of
-/// dependent kernel calls; stepping a fixed few independent chains in turn
-/// lets the core overlap them (the paper's thread-per-start latency hiding,
-/// Section V-B, on one CPU thread). A constant, not a tuning knob: the
-/// results do not depend on it, and past the core's reorder window more
-/// chains only add live state.
-inline constexpr int kRunsInFlight = 4;
+/// Start-sweep lane accounting, name-resolved once and published once per
+/// sweep: lane-steps of live runs and of idle lanes riding along.
+struct SweepMetrics {
+  obs::Counter& steps;                   ///< lane kernel-call pairs
+  obs::Counter& lane_iterations;         ///< lane-steps of live runs
+  obs::Counter& lane_iterations_wasted;  ///< idle lanes riding along
+  obs::Gauge& width;
+  obs::Gauge& occupancy;  ///< live fraction of lane-steps, last sweep
 
-/// The width-1 start sweep: SS-HOPM from start_at(i) into slot_at(i) for
-/// every i < count, through the span kernels. Up to kRunsInFlight runs
-/// are stepped in turn, one iteration each; a run that stops is recorded
-/// and its place taken by the next start. Every run executes exactly
-/// solve()'s sequence of kernel calls and Run steps, and the scalar
-/// kernels are pure functions of (tensor, x), so each slot is bitwise what
-/// a run alone would produce, whatever the interleaving. Kernel calls are
-/// tallied locally and published once per sweep (on every exit path).
-/// `lambda_trace` is only for a one-start sweep. A start of the wrong
-/// length throws when its turn comes, leaving the slots before it filled.
+  static SweepMetrics& get() {
+    static SweepMetrics m{
+        obs::global().counter("sshopm.multi.blocks"),
+        obs::global().counter("sshopm.multi.lane_iterations"),
+        obs::global().counter("sshopm.multi.lane_iterations_wasted"),
+        obs::global().gauge("sshopm.multi.width"),
+        obs::global().gauge("sshopm.multi.lane_occupancy"),
+    };
+    return m;
+  }
+};
+}  // namespace detail
+#endif  // TE_OBS_ENABLED
+
+namespace detail {
+/// SS-HOPM runs the start sweep keeps in flight: one per SIMD lane of the
+/// facade's lane route (the paper's thread-per-start, Section V-B, on CPU
+/// lanes). A constant, not an option, because no result depends on it.
+inline constexpr int kSweepLanes = kernels::kSweepLanes;
+
+/// The start sweep: SS-HOPM from start_at(i) into slot_at(i) for every
+/// i < count, kSweepLanes runs at a time. The live iterates sit in SoA rows
+/// (entry i of lane w at [i * kSweepLanes + w]); each step is one lane
+/// ttsv1, one lane-wide shift_norm/scale_to_unit, one lane ttsv0, and then
+/// per-lane Run decisions. A run that stops is recorded, its iterate
+/// written to its Result, and its lane takes the next start; each start is
+/// checked, normalised and given lambda_0 by the scalar ttsv0 exactly as a
+/// lone run is. Idle lanes at the tail ride along in the kernel calls but
+/// are never read.
+///
+/// Every slot is bitwise what a lone run produces: the lane kernels are the
+/// scalar kernels per lane, the update is the same expression as
+/// Run::update, and every decision is Run's. Kernel calls count one per
+/// live lane and OpCounts as the scalar calls would, tallied locally and
+/// published once per sweep (on every exit path). `lambda_trace` is only
+/// for a one-start sweep. A start of the wrong length throws when its turn
+/// comes.
 template <Real T, class StartAt, class SlotAt>
 void sweep_runs(const kernels::BoundKernels<T>& k, std::size_t count,
                 StartAt start_at, SlotAt slot_at, const Options& opt,
                 OpCounts* ops, std::vector<T>* lambda_trace) {
   TE_ASSERT(lambda_trace == nullptr || count <= 1);
   TE_REQUIRE(opt.max_iterations >= 1, "max_iterations must be positive");
+  using Lanes = simd::Pack<T, kSweepLanes>;
+  constexpr auto kW = static_cast<std::size_t>(kSweepLanes);
   struct Tally {
     const kernels::BoundKernels<T>& k;
     std::int64_t ttsv0 = 0;
     std::int64_t ttsv1 = 0;
-    ~Tally() { k.count_calls(ttsv0, ttsv1); }
+    std::int64_t steps = 0;
+    ~Tally() {
+      k.count_calls(ttsv0, ttsv1);
+      TE_OBS_ONLY(if (steps > 0) {
+        auto& m = SweepMetrics::get();
+        const std::int64_t lane_steps = steps * kSweepLanes;
+        m.steps.add(steps);
+        m.lane_iterations.add(ttsv1);
+        m.lane_iterations_wasted.add(lane_steps - ttsv1);
+        m.width.set(kSweepLanes);
+        m.occupancy.set(static_cast<double>(ttsv1) /
+                        static_cast<double>(lane_steps));
+      });
+    }
   } tally{k};
-  struct Lane {
-    std::size_t slot;
-    int iterations;
-    T* y;  ///< this lane's A x^{m-1} scratch
-  };
 
   const auto n = static_cast<std::size_t>(k.tensor().dim());
-  T y_stack[kRunsInFlight * kernels::kMaxBatchDim] = {};
-  std::vector<T> y_heap;
-  T* y_base = y_stack;
+  alignas(simd::kBatchAlignment) T stack[2 * kW * kernels::kMaxBatchDim];
+  std::vector<T, simd::AlignedAllocator<T>> heap;
+  T* xb = stack;
   if (n > static_cast<std::size_t>(kernels::kMaxBatchDim)) {
-    y_heap.resize(kRunsInFlight * n);
-    y_base = y_heap.data();
+    heap.resize(2 * kW * n);
+    xb = heap.data();
   }
-  const T alpha = static_cast<T>(opt.alpha);
-  const T sign = opt.alpha >= 0 ? T(1) : T(-1);
-  const auto iterate = [&](std::size_t slot) {
-    const Result<T>& r = slot_at(slot);
-    return std::span<const T>(r.x.data(), r.x.size());
+  T* const yb = xb + kW * n;
+  std::fill(xb, xb + 2 * kW * n, T(0));
+  const Lanes alpha = simd::splat<Lanes>(static_cast<T>(opt.alpha));
+  const Lanes sign = simd::splat<Lanes>(opt.alpha >= 0 ? T(1) : T(-1));
+
+  std::size_t slot[kW] = {};  ///< the run each lane holds
+  int iterations[kW] = {};    ///< that run's iterations so far
+  unsigned live = 0;          ///< lanes holding a run
+  const auto bit = [](std::size_t w) { return 1u << w; };
+  const auto finish = [&](Result<T>& r) {
+    Run<T>(r, opt.tolerance, lambda_trace).finish();
+    TE_OBS_ONLY(record_solve(r, opt, lambda_trace));
   };
-  const auto stop = [&](std::size_t slot) {
-    Run<T>(slot_at(slot), opt.tolerance, lambda_trace).finish();
-    TE_OBS_ONLY(record_solve(slot_at(slot), opt, lambda_trace));
+  // Stop lane w's run: its lane iterate becomes the Result's.
+  const auto stop = [&](std::size_t w) {
+    Result<T>& r = slot_at(slot[w]);
+    for (std::size_t i = 0; i < n; ++i) r.x[i] = xb[i * kW + w];
+    finish(r);
+    live &= ~bit(w);
   };
-  // Put the next start that survives lambda_0 on `lane`; false once every
-  // start has been taken.
+  // Put the next start that survives lambda_0 on lane w.
   std::size_t next = 0;
-  const auto launch = [&](Lane& lane) {
+  const auto launch = [&](std::size_t w) {
     while (next < count) {
-      const std::size_t slot = next++;
-      const std::span<const T> x0 = start_at(slot);
+      const std::size_t s = next++;
+      const std::span<const T> x0 = start_at(s);
       TE_REQUIRE(x0.size() == n, "start vector length mismatch");
-      Run<T> run(slot_at(slot), opt.tolerance, lambda_trace);
+      Result<T>& r = slot_at(s);
+      Run<T> run(r, opt.tolerance, lambda_trace);
       if (run.start(x0)) {
+        const std::span<const T> x(r.x.data(), r.x.size());
         ++tally.ttsv0;
-        if (run.accept_first(k.ttsv0_uncounted(iterate(slot), ops))) {
-          lane.slot = slot;
-          lane.iterations = 0;
-          return true;
+        if (run.accept_first(k.ttsv0_uncounted(x, ops))) {
+          for (std::size_t i = 0; i < n; ++i) xb[i * kW + w] = x[i];
+          slot[w] = s;
+          iterations[w] = 0;
+          live |= bit(w);
+          return;
         }
       }
-      stop(slot);
+      finish(r);
     }
-    return false;
   };
 
-  Lane lanes[kRunsInFlight] = {};
-  int active = 0;
-  while (active < kRunsInFlight) {
-    lanes[active].y = y_base + static_cast<std::size_t>(active) * n;
-    if (!launch(lanes[active])) break;
-    ++active;
-  }
-  while (active > 0) {
-    for (int i = 0; i < active;) {
-      Lane& lane = lanes[i];
-      Run<T> run(slot_at(lane.slot), opt.tolerance, lambda_trace);
-      const std::span<const T> x = iterate(lane.slot);
-      const std::span<T> y(lane.y, n);
-      k.ttsv1_uncounted(x, y, ops);
-      ++tally.ttsv1;
-      bool live = run.update(y, alpha, sign, ops);
-      if (live) {
-        ++tally.ttsv0;
-        live = run.accept(k.ttsv0_uncounted(x, ops));
+  for (std::size_t w = 0; w < kW; ++w) launch(w);
+  T lambda[kW] = {};
+  while (live != 0) {
+    ++tally.steps;
+    tally.ttsv1 += std::popcount(live);
+    k.ttsv1_lanes(xb, yb, live, ops);
+    const Lanes norm = shift_norm(xb, yb, n, alpha, sign);
+    unsigned freed = 0;
+    for (std::size_t w = 0; w < kW; ++w) {
+      if ((live & bit(w)) != 0 &&
+          !Run<T>(slot_at(slot[w]), opt.tolerance, lambda_trace)
+               .stepped(norm.lane(static_cast<int>(w)), n, ops)) {
+        stop(w);  // keeps the pre-normalisation iterate
+        freed |= bit(w);
       }
-      if (live && ++lane.iterations < opt.max_iterations) {
-        ++i;
-        continue;
+    }
+    scale_to_unit(xb, n, norm);
+    if (live != 0) {
+      tally.ttsv0 += std::popcount(live);
+      k.ttsv0_lanes(xb, lambda, live, ops);
+    }
+    for (std::size_t w = 0; w < kW; ++w) {
+      if ((live & bit(w)) == 0) continue;
+      const bool going =
+          Run<T>(slot_at(slot[w]), opt.tolerance, lambda_trace)
+              .accept(lambda[w]);
+      if (!going || ++iterations[w] >= opt.max_iterations) {
+        stop(w);
+        freed |= bit(w);
       }
-      stop(lane.slot);
-      if (launch(lane)) {
-        ++i;
-        continue;
-      }
-      // No start left for this lane: retire it; the last lane moves into
-      // its place and is stepped next.
-      std::swap(lane, lanes[--active]);
+    }
+    for (std::size_t w = 0; w < kW; ++w) {
+      if ((freed & bit(w)) != 0) launch(w);
     }
   }
 }
 }  // namespace detail
 
 /// One SS-HOPM run from a single start (paper Fig. 1): the one-start case
-/// of the width-1 sweep.
+/// of the start sweep.
 ///
 /// `x0` need not be normalized. Optional OpCounts tallies the floating-point
 /// work actually performed (used for measured-GFLOPS reports). Optional

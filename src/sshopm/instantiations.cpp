@@ -14,13 +14,6 @@ template Result<double> solve(const kernels::BoundKernels<double>&,
                               std::span<const double>, const Options&,
                               OpCounts*, std::vector<double>*);
 
-template std::vector<Result<float>> solve_multi(
-    const kernels::BoundKernels<float>&, std::span<const std::vector<float>>,
-    const Options&, OpCounts*);
-template std::vector<Result<double>> solve_multi(
-    const kernels::BoundKernels<double>&, std::span<const std::vector<double>>,
-    const Options&, OpCounts*);
-
 template void solve_starts(const kernels::BoundKernels<float>&,
                            std::span<const std::vector<float>>, const Options&,
                            std::span<Result<float>>, OpCounts*);

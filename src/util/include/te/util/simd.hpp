@@ -19,6 +19,7 @@
 // multi-vector kernels rely on this to stay bit-identical (or within one
 // contraction) to their scalar counterparts per lane.
 
+#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <new>
@@ -123,6 +124,15 @@ struct Pack {
     return a;
   }
 
+  friend Pack operator/(Pack a, Pack b) noexcept {
+#if TE_SIMD_VECTOR_EXT
+    a.v = a.v / b.v;
+#else
+    for (int i = 0; i < W; ++i) a.v.lane[i] = a.v.lane[i] / b.v.lane[i];
+#endif
+    return a;
+  }
+
   Pack& operator+=(Pack b) noexcept {
     *this = *this + b;
     return *this;
@@ -145,6 +155,80 @@ struct Pack {
     return r;
   }
 };
+
+/// Lane-wise square root (correctly rounded per lane, like std::sqrt).
+template <Real T, int W>
+[[nodiscard]] Pack<T, W> sqrt(Pack<T, W> p) noexcept {
+  for (int i = 0; i < W; ++i) {
+#if TE_SIMD_VECTOR_EXT
+    p.v[i] = std::sqrt(p.v[i]);
+#else
+    p.v.lane[i] = std::sqrt(p.v.lane[i]);
+#endif
+  }
+  return p;
+}
+
+// One source expression over either value kind: V is a scalar T (one
+// value, rows of stride 1) or a Pack<T, W> (W lanes, SoA rows of stride
+// W). Code written against these helpers gets the same FMA contraction in
+// both instantiations, so its per-lane results are the scalar ones bit for
+// bit.
+
+/// Values per V: 1 for a scalar, W for a Pack.
+template <class V>
+inline constexpr std::size_t kLanes = 1;
+template <Real T, int W>
+inline constexpr std::size_t kLanes<Pack<T, W>> = W;
+
+/// A V holding s in every lane.
+template <class V, Real T>
+[[nodiscard]] V splat(T s) noexcept {
+  if constexpr (kLanes<V> == 1) {
+    return s;
+  } else {
+    return V::broadcast(s);
+  }
+}
+
+/// v exactly as rounded: the compiler may neither fuse it into a following
+/// add (FMA contraction) nor reassociate across it. A no-op where the
+/// compiler offers no such barrier.
+template <class V>
+[[nodiscard]] V rounded(V v) noexcept {
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_assoc_barrier)
+  if constexpr (kLanes<V> == 1) {
+    v = __builtin_assoc_barrier(v);
+  } else {
+#if TE_SIMD_VECTOR_EXT
+    v.v = __builtin_assoc_barrier(v.v);
+#else
+    for (auto& lane : v.v.lane) lane = __builtin_assoc_barrier(lane);
+#endif
+  }
+#endif
+#endif
+  return v;
+}
+
+/// Row load/store at p (kLanes<V> contiguous values).
+template <class V, Real T>
+[[nodiscard]] V load(const T* p) noexcept {
+  if constexpr (kLanes<V> == 1) {
+    return *p;
+  } else {
+    return V::load(p);
+  }
+}
+template <class V, Real T>
+void store(V v, T* p) noexcept {
+  if constexpr (kLanes<V> == 1) {
+    *p = v;
+  } else {
+    v.store(p);
+  }
+}
 
 /// Minimal C++17 aligned-new allocator pinning every allocation to
 /// kBatchAlignment. Value-initializes nothing beyond what the container

@@ -9,10 +9,16 @@
 // iterate's readers use: data/size/empty, indexing, contiguous iteration
 // (so std::span binds to it), assign, resize and equality (with another
 // SmallVector or any contiguous run of T).
+//
+// The record is the N entries plus a 32-bit length and nothing else: a
+// vector is on the heap exactly when its length exceeds N, and then its
+// inline bytes hold the heap block's address (through memcpy, so the type
+// aligns as T). SmallVector<float, 4> is 20 bytes.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <iterator>
 #include <span>
@@ -54,20 +60,30 @@ class SmallVector {
   ~SmallVector() { release(); }
 
   /// Replace the contents with [first, last). Reuses the current storage
-  /// when it is large enough.
+  /// when the length class is unchanged: inline stays inline, and a heap
+  /// block is kept for a new contents of exactly its length.
   template <std::forward_iterator It>
   void assign(It first, It last) {
     const auto n = static_cast<std::size_t>(std::distance(first, last));
-    if (n > cap_) {
-      T* fresh = allocate(n);
-      std::copy(first, last, fresh);
-      release();
-      heap_ = fresh;
-      cap_ = static_cast<std::uint32_t>(n);
-    } else {
+    if (n <= N && !on_heap()) {
       // Element by element, so assigning a vector's own range is safe.
-      T* out = data();
+      T* out = inline_;
       for (; first != last; ++first, ++out) *out = *first;
+    } else if (n > N && n == size_) {
+      T* out = heap();
+      for (; first != last; ++first, ++out) *out = *first;
+    } else {
+      // The length class or the heap length changes: build the new
+      // contents before the old block (which may be the source) goes.
+      T* fresh = n > N ? allocate(n) : nullptr;
+      T* old = on_heap() ? heap() : nullptr;
+      if (fresh != nullptr) {
+        std::copy(first, last, fresh);
+        set_heap(fresh);
+      } else {
+        std::copy(first, last, inline_);  // overwrites the old address
+      }
+      delete[] old;
     }
     size_ = static_cast<std::uint32_t>(n);
   }
@@ -75,25 +91,32 @@ class SmallVector {
   /// Grow or shrink to n entries; new entries are value-initialized.
   void resize(std::size_t n) {
     const std::size_t kept = std::min<std::size_t>(n, size_);
-    if (n > cap_) {
-      T* fresh = allocate(n);
-      std::copy(begin(), begin() + kept, fresh);
-      release();
-      heap_ = fresh;
-      cap_ = static_cast<std::uint32_t>(n);
+    if ((n > N) != on_heap() || (n > N && n != size_)) {
+      T* fresh = n > N ? allocate(n) : inline_;
+      T* old = on_heap() ? heap() : nullptr;
+      if (old != nullptr) {
+        std::copy(old, old + kept, fresh);
+      } else if (fresh != inline_) {
+        std::copy(inline_, inline_ + kept, fresh);
+      }
+      if (fresh != inline_) set_heap(fresh);
+      delete[] old;
     }
-    std::fill(data() + kept, data() + n, T());
     size_ = static_cast<std::uint32_t>(n);
+    std::fill(data() + kept, data() + n, T());
   }
 
-  [[nodiscard]] T* data() noexcept { return on_heap() ? heap_ : inline_; }
+  [[nodiscard]] T* data() noexcept { return on_heap() ? heap() : inline_; }
   [[nodiscard]] const T* data() const noexcept {
-    return on_heap() ? heap_ : inline_;
+    return on_heap() ? heap() : inline_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  /// Entries that fit without reallocating: N while inline.
-  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
+  /// Entries that fit without reallocating: N while inline, the length on
+  /// the heap.
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return on_heap() ? size_ : N;
+  }
 
   T& operator[](std::size_t i) noexcept { return data()[i]; }
   const T& operator[](std::size_t i) const noexcept { return data()[i]; }
@@ -112,7 +135,19 @@ class SmallVector {
   }
 
  private:
-  [[nodiscard]] bool on_heap() const noexcept { return cap_ > N; }
+  static_assert(sizeof(T[N]) >= sizeof(T*),
+                "the inline entries must have room for the heap pointer");
+
+  /// On the heap exactly when longer than N: no capacity is stored.
+  [[nodiscard]] bool on_heap() const noexcept { return size_ > N; }
+
+  /// The heap block's address, kept in the inline bytes.
+  [[nodiscard]] T* heap() const noexcept {
+    T* p;
+    std::memcpy(&p, inline_, sizeof p);
+    return p;
+  }
+  void set_heap(T* p) noexcept { std::memcpy(inline_, &p, sizeof p); }
 
   static T* allocate(std::size_t n) {
     TE_REQUIRE(n <= UINT32_MAX, "SmallVector length " << n << " too large");
@@ -120,31 +155,22 @@ class SmallVector {
   }
 
   void release() noexcept {
-    if (on_heap()) delete[] heap_;
-    cap_ = static_cast<std::uint32_t>(N);
+    if (on_heap()) delete[] heap();
     size_ = 0;
   }
 
   /// Move other's contents here (this must hold nothing) and leave other
-  /// empty and inline.
+  /// empty and inline. A heap block moves as its pointer bytes.
   void take(SmallVector& other) noexcept {
-    if (other.on_heap()) {
-      heap_ = other.heap_;
-      cap_ = other.cap_;
-    } else {
-      std::copy(other.inline_, other.inline_ + other.size_, inline_);
-    }
+    const std::size_t bytes =
+        other.on_heap() ? sizeof(T*) : other.size_ * sizeof(T);
+    std::memcpy(inline_, other.inline_, bytes);
     size_ = other.size_;
-    other.cap_ = static_cast<std::uint32_t>(N);
     other.size_ = 0;
   }
 
-  union {
-    T inline_[N] = {};
-    T* heap_;
-  };
+  T inline_[N] = {};  ///< the entries, or the heap block's address
   std::uint32_t size_ = 0;
-  std::uint32_t cap_ = static_cast<std::uint32_t>(N);
 };
 
 }  // namespace te

@@ -95,8 +95,8 @@ TEST(DifferentialOracle, NegativeShiftMinimaMatchQrstToo) {
 }
 
 TEST(DifferentialOracle, MultiStartLanesAllWidthsMatchQrst) {
-  // The lane-blocked SIMD path must produce spectrum members at every
-  // registered width (and the scalar width-1 path).
+  // The start sweep's SIMD lanes must produce spectrum members whatever
+  // the facade's width.
   const auto a = kofidis_regalia_example<double>();
   const Oracle<double> oracle(a);
   const auto starts = fibonacci_sphere<double>(24);
@@ -106,9 +106,10 @@ TEST(DifferentialOracle, MultiStartLanesAllWidthsMatchQrst) {
   opt.max_iterations = 1000;
   for (const int width : kernels::multi_widths()) {
     const kernels::BoundKernels<double> k(a, Tier::kGeneral, nullptr, width);
-    const auto runs = sshopm::solve_multi(
+    std::vector<sshopm::Result<double>> runs(starts.size());
+    sshopm::solve_starts(
         k, std::span<const std::vector<double>>(starts.data(), starts.size()),
-        opt);
+        opt, std::span<sshopm::Result<double>>(runs));
     const auto rep = verify_results(oracle, runs);
     EXPECT_TRUE(rep.clean())
         << "width " << width << ": " << rep.mismatched << " of "

@@ -1,10 +1,10 @@
 // Multi-vector (SoA) kernel tier tests: the W-lane kernels must reproduce
-// the scalar tiers lane-for-lane, solve_multi must match solve()
-// slot-for-slot in classification (values within the documented
-// contraction tolerance, DESIGN.md section 11), and the batch scheduler
-// must keep that parity end to end. Plus the satellites that ride along:
-// the reusable ttsv workspace, the width autotuner, and the te-obs-v1
-// gauge reader.
+// the scalar tiers lane-for-lane, bitwise; the start sweep
+// (sshopm::solve_starts, kSweepLanes runs in SIMD lanes) must match a lone
+// solve() slot-for-slot, bitwise, with a lone run's counters and OpCounts;
+// and the batch scheduler must keep that parity end to end. Plus the
+// satellites that ride along: the reusable ttsv workspace, the width
+// autotuner, and the te-obs-v1 gauge reader.
 
 #include <gtest/gtest.h>
 
@@ -189,43 +189,45 @@ TEST_P(MultiKernelTest, PrecomputedTierMatchesScalarPerLaneExactly) {
   }
 }
 
-// The unrolled tier accumulates in T like its scalar twin; the compiler may
-// contract multiply-add pairs differently for vector and scalar code, so
-// the contract is the documented relative tolerance, not bit-equality.
-TEST_P(MultiKernelTest, UnrolledTierMatchesScalarWithinTolerance) {
-  const auto [m, n] = GetParam();
-  if (kernels::find_unrolled<double>(m, n) == nullptr) {
-    GTEST_SKIP() << "shape not in scalar unrolled registry";
-  }
+// The unrolled tier accumulates in T like its scalar twin, and per lane
+// the vector form is the same source expression, so it gets the same FMA
+// contraction: the match is exact at every width, in float and double.
+template <Real T>
+void expect_unrolled_lanes_exact(int m, int n) {
   CounterRng rng(202);
-  const auto a = random_symmetric_tensor<double>(rng, 0, m, n);
-  BoundKernels<double> scalar(a, Tier::kUnrolled);
+  const auto a = random_symmetric_tensor<T>(rng, 0, m, n);
+  BoundKernels<T> scalar(a, Tier::kUnrolled);
   for (int width : kernels::multi_widths()) {
-    BoundKernels<double> multi(a, Tier::kUnrolled, nullptr, width);
-    auto x = random_batch<double>(n, width, 500 + static_cast<std::uint64_t>(
-                                                      width));
-    std::vector<double> out(static_cast<std::size_t>(width));
-    VectorBatch<double> y(n, width);
+    BoundKernels<T> multi(a, Tier::kUnrolled, nullptr, width);
+    auto x = random_batch<T>(n, width, 500 + static_cast<std::uint64_t>(
+                                                 width));
+    std::vector<T> out(static_cast<std::size_t>(width));
+    VectorBatch<T> y(n, width);
     multi.ttsv0(x, {out.data(), out.size()});
     multi.ttsv1(x, y);
-    std::vector<double> sx(static_cast<std::size_t>(n)),
+    std::vector<T> sx(static_cast<std::size_t>(n)),
         sy(static_cast<std::size_t>(n));
     for (int w = 0; w < width; ++w) {
       x.store_lane(w, {sx.data(), sx.size()});
-      const double s0 = scalar.ttsv0({sx.data(), sx.size()});
-      EXPECT_NEAR(out[static_cast<std::size_t>(w)], s0,
-                  1e-12 * std::max(1.0, std::abs(s0)))
+      EXPECT_EQ(out[static_cast<std::size_t>(w)],
+                scalar.ttsv0({sx.data(), sx.size()}))
           << "ttsv0 width " << width << " lane " << w;
       scalar.ttsv1({sx.data(), sx.size()}, {sy.data(), sy.size()});
       for (int i = 0; i < n; ++i) {
-        EXPECT_NEAR(y.at(i, w), sy[static_cast<std::size_t>(i)],
-                    1e-12 *
-                        std::max(1.0,
-                                 std::abs(sy[static_cast<std::size_t>(i)])))
+        EXPECT_EQ(y.at(i, w), sy[static_cast<std::size_t>(i)])
             << "ttsv1 width " << width << " lane " << w << " entry " << i;
       }
     }
   }
+}
+
+TEST_P(MultiKernelTest, UnrolledTierMatchesScalarPerLaneExactly) {
+  const auto [m, n] = GetParam();
+  if (kernels::find_unrolled<double>(m, n) == nullptr) {
+    GTEST_SKIP() << "shape not in scalar unrolled registry";
+  }
+  expect_unrolled_lanes_exact<double>(m, n);
+  expect_unrolled_lanes_exact<float>(m, n);
 }
 
 // A width with no vectorized route gathers each lane through the scalar
@@ -283,6 +285,23 @@ INSTANTIATE_TEST_SUITE_P(
       return "m" + std::to_string(pinfo.param.first) + "n" +
              std::to_string(pinfo.param.second);
     });
+
+// The start sweep runs every unrolled facade through its kSweepLanes
+// route, so every scalar registry shape has one.
+TEST(MultiKernels, EveryUnrolledShapeHasASweepLaneRoute) {
+  for (const auto& e : kernels::unrolled_registry<float>()) {
+    EXPECT_NE(kernels::find_multi_unrolled<float>(e.order, e.dim,
+                                                  kernels::kSweepLanes),
+              nullptr)
+        << "float (" << e.order << ", " << e.dim << ")";
+  }
+  for (const auto& e : kernels::unrolled_registry<double>()) {
+    EXPECT_NE(kernels::find_multi_unrolled<double>(e.order, e.dim,
+                                                   kernels::kSweepLanes),
+              nullptr)
+        << "double (" << e.order << ", " << e.dim << ")";
+  }
+}
 
 TEST(MultiKernels, WidthResolutionAndValidation) {
   CounterRng rng(204);
@@ -345,40 +364,60 @@ TEST(MultiKernels, OpCountsScaleWithWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// solve_multi: slot-for-slot parity with the per-vector scalar solver.
+// The start sweep: slot-for-slot bitwise parity with solve() per start.
 // ---------------------------------------------------------------------------
 
 template <Real T>
-void expect_slot_parity(const std::vector<sshopm::Result<T>>& multi,
-                        const std::vector<sshopm::Result<T>>& scalar,
-                        double tol, const char* what) {
-  ASSERT_EQ(multi.size(), scalar.size()) << what;
-  for (std::size_t i = 0; i < multi.size(); ++i) {
-    const auto& a = multi[i];
-    const auto& b = scalar[i];
-    // Classification is exact: converged flag, failure reason and
-    // iteration count must match slot-for-slot.
-    EXPECT_EQ(a.converged, b.converged) << what << " slot " << i;
-    EXPECT_EQ(static_cast<int>(a.failure), static_cast<int>(b.failure))
-        << what << " slot " << i;
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <Real T>
+void expect_bitwise_slots(std::span<const sshopm::Result<T>> got,
+                          std::span<const sshopm::Result<T>> ref,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), ref.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto& a = got[i];
+    const auto& b = ref[i];
+    EXPECT_TRUE(same_bits(a.lambda, b.lambda)) << what << " slot " << i;
     EXPECT_EQ(a.iterations, b.iterations) << what << " slot " << i;
-    // Values match within the documented tolerance (exactly, for routes
-    // that are bitwise by construction -- tol == 0 asserts that).
-    if (std::isfinite(static_cast<double>(b.lambda))) {
-      EXPECT_LE(std::abs(static_cast<double>(a.lambda - b.lambda)),
-                tol * std::max(1.0, std::abs(static_cast<double>(b.lambda))))
-          << what << " slot " << i;
-    }
+    EXPECT_EQ(a.failure, b.failure) << what << " slot " << i;
+    EXPECT_EQ(a.converged, b.converged) << what << " slot " << i;
     ASSERT_EQ(a.x.size(), b.x.size()) << what << " slot " << i;
     for (std::size_t j = 0; j < a.x.size(); ++j) {
-      if (!std::isfinite(static_cast<double>(b.x[j]))) continue;
-      EXPECT_LE(std::abs(static_cast<double>(a.x[j] - b.x[j])),
-                tol * std::max(1.0, std::abs(static_cast<double>(b.x[j]))))
+      EXPECT_TRUE(same_bits(a.x[j], b.x[j]))
           << what << " slot " << i << " entry " << j;
     }
   }
 }
 
+/// solve() from every start, one at a time.
+template <Real T>
+std::vector<sshopm::Result<T>> per_start_solve(
+    const BoundKernels<T>& k, const std::vector<std::vector<T>>& starts,
+    const sshopm::Options& opt) {
+  std::vector<sshopm::Result<T>> out;
+  for (const auto& x0 : starts) {
+    out.push_back(sshopm::solve(k, {x0.data(), x0.size()}, opt));
+  }
+  return out;
+}
+
+/// solve_starts over every start into fresh slots.
+template <Real T>
+std::vector<sshopm::Result<T>> sweep(const BoundKernels<T>& k,
+                                     const std::vector<std::vector<T>>& starts,
+                                     const sshopm::Options& opt) {
+  std::vector<sshopm::Result<T>> out(starts.size());
+  sshopm::solve_starts(
+      k, std::span<const std::vector<T>>(starts.data(), starts.size()), opt,
+      std::span<sshopm::Result<T>>(out));
+  return out;
+}
+
+// The parameter is the facade's width, which sizes only its VectorBatch
+// calls: the sweep runs the same lanes at every width.
 class SolveMultiTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
@@ -391,7 +430,8 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
   sshopm::Options opt;
   opt.alpha = 2.0;
   opt.max_iterations = 60;
-  // width + 3 starts: the final block is partial unless width divides it.
+  // width + 3 starts: the lanes never divide the count evenly for every
+  // width, so the sweep's tail runs with idle lanes.
   const auto starts = random_starts<double>(width + 3, n, 211);
 
   struct TierCase {
@@ -401,25 +441,14 @@ TEST_P(SolveMultiTest, MatchesScalarSolveAcrossTiersAndPartialBlocks) {
   const TierCase cases[] = {
       {Tier::kGeneral, nullptr},
       {Tier::kPrecomputed, &tab},
-      {Tier::kUnrolled, nullptr},  // (4, 6): per-lane fallback
+      {Tier::kUnrolled, nullptr},  // (4, 6): lane route at kSweepLanes only
   };
   for (const auto& c : cases) {
-    BoundKernels<double> sk(a, c.tier, c.tables);
-    std::vector<sshopm::Result<double>> ref;
-    for (const auto& x0 : starts) {
-      ref.push_back(sshopm::solve(sk, {x0.data(), x0.size()}, opt));
-    }
-    BoundKernels<double> mk(a, c.tier, c.tables, width);
-    const auto got = sshopm::solve_multi(
-        mk, std::span<const std::vector<double>>(starts.data(),
-                                                 starts.size()),
-        opt);
-    // Classification is exact for every tier -- and because the lane
-    // iterate lives contiguously in Result::x and goes through solve()'s
-    // own update/normalize code shape, the lane-exact kernel routes
-    // (general/precomputed vector routes, the unrolled per-lane fallback)
-    // make the whole run bitwise identical to the scalar path.
-    expect_slot_parity(got, ref, 0.0, kernels::tier_name(c.tier).data());
+    const auto ref =
+        per_start_solve(BoundKernels<double>(a, c.tier, c.tables), starts, opt);
+    const auto got =
+        sweep(BoundKernels<double>(a, c.tier, c.tables, width), starts, opt);
+    expect_bitwise_slots<double>(got, ref, kernels::tier_name(c.tier).data());
   }
 }
 
@@ -435,27 +464,20 @@ TEST_P(SolveMultiTest, PoisonedLanesRetireIndependentlyWithScalarParity) {
   // A healthy sweep with poisoned lanes mixed in: an all-zero start (initial
   // degenerate), a NaN start (non-finite lambda), and a huge start that
   // normalizes fine. The scalar solver classifies each independently; the
-  // lane-blocked solver must match even though the poisoned lanes share a
-  // SIMD block with healthy ones.
+  // sweep must match even though the poisoned runs share SIMD steps with
+  // healthy ones.
   auto starts = random_starts<double>(2 * width + 1, n, 213);
   starts[1].assign(static_cast<std::size_t>(n), 0.0);  // degenerate
   starts[2].assign(static_cast<std::size_t>(n),
                    std::numeric_limits<double>::quiet_NaN());
   starts[3].assign(static_cast<std::size_t>(n), 1e154);  // huge but normal
 
-  BoundKernels<double> sk(a, Tier::kGeneral);
-  std::vector<sshopm::Result<double>> ref;
-  for (const auto& x0 : starts) {
-    ref.push_back(sshopm::solve(sk, {x0.data(), x0.size()}, opt));
-  }
+  const auto ref =
+      per_start_solve(BoundKernels<double>(a, Tier::kGeneral), starts, opt);
   ASSERT_EQ(ref[1].failure, sshopm::FailureReason::kDegenerateIterate);
-
-  BoundKernels<double> mk(a, Tier::kGeneral, nullptr, width);
-  const auto got = sshopm::solve_multi(
-      mk,
-      std::span<const std::vector<double>>(starts.data(), starts.size()),
-      opt);
-  expect_slot_parity(got, ref, 1e-10, "poisoned");
+  const auto got = sweep(BoundKernels<double>(a, Tier::kGeneral, nullptr, width),
+                         starts, opt);
+  expect_bitwise_slots<double>(got, ref, "poisoned");
   // The degenerate lane keeps its untouched start vector.
   EXPECT_EQ(got[1].x, starts[1]);
 }
@@ -468,25 +490,20 @@ INSTANTIATE_TEST_SUITE_P(Widths, SolveMultiTest,
 
 TEST(SolveMulti, UnrolledTierClassificationParity) {
   const int m = 4;
-  const int n = 3;  // registered in both unrolled registries
+  const int n = 3;  // the application shape
   CounterRng rng(214);
   const auto a = random_symmetric_tensor<float>(rng, 0, m, n);
   sshopm::Options opt;
   opt.alpha = 1.5;
   opt.max_iterations = 80;
   const auto starts = random_starts<float>(10, n, 215);
-  BoundKernels<float> sk(a, Tier::kUnrolled);
-  std::vector<sshopm::Result<float>> ref;
-  for (const auto& x0 : starts) {
-    ref.push_back(sshopm::solve(sk, {x0.data(), x0.size()}, opt));
-  }
-  for (int width : {4, 8}) {
-    BoundKernels<float> mk(a, Tier::kUnrolled, nullptr, width);
-    const auto got = sshopm::solve_multi(
-        mk,
-        std::span<const std::vector<float>>(starts.data(), starts.size()),
-        opt);
-    expect_slot_parity(got, ref, 1e-4, "unrolled");
+  const auto ref =
+      per_start_solve(BoundKernels<float>(a, Tier::kUnrolled), starts, opt);
+  for (int width : {1, 4, 8}) {
+    const auto got =
+        sweep(BoundKernels<float>(a, Tier::kUnrolled, nullptr, width), starts,
+              opt);
+    expect_bitwise_slots<float>(got, ref, "unrolled");
   }
 }
 
@@ -494,6 +511,8 @@ TEST(SolveMulti, UnrolledTierClassificationParity) {
 // Spectrum + Scheduler consumers keep parity end to end.
 // ---------------------------------------------------------------------------
 
+// find_eigenpairs sweeps its starts through the lanes; its pairs are the
+// ones clustered from per-start solve() runs.
 TEST(Spectrum, SimdWidthFindsTheSameEigenpairs) {
   const int m = 4;
   const int n = 5;
@@ -503,23 +522,22 @@ TEST(Spectrum, SimdWidthFindsTheSameEigenpairs) {
   sshopm::MultiStartOptions opt;
   opt.inner.alpha = 2.0;
   opt.inner.max_iterations = 300;
-  const auto scalar = sshopm::find_eigenpairs(
-      a, Tier::kGeneral,
-      std::span<const std::vector<double>>(starts.data(), starts.size()),
+  const auto runs =
+      per_start_solve(BoundKernels<double>(a, Tier::kGeneral), starts,
+                      opt.inner);
+  const auto scalar = sshopm::cluster_results(
+      a, std::span<const sshopm::Result<double>>(runs.data(), runs.size()),
       opt);
-  for (int width : {0, 4}) {
-    opt.simd_width = width;
-    const auto multi = sshopm::find_eigenpairs(
-        a, Tier::kGeneral,
-        std::span<const std::vector<double>>(starts.data(), starts.size()),
-        opt);
-    ASSERT_EQ(multi.size(), scalar.size()) << "width " << width;
-    for (std::size_t i = 0; i < multi.size(); ++i) {
-      EXPECT_NEAR(multi[i].lambda, scalar[i].lambda, 1e-8);
-      EXPECT_EQ(multi[i].basin_count, scalar[i].basin_count);
-      EXPECT_EQ(static_cast<int>(multi[i].type),
-                static_cast<int>(scalar[i].type));
-    }
+  const auto swept = sshopm::find_eigenpairs(
+      a, Tier::kGeneral,
+      std::span<const std::vector<double>>(starts.data(), starts.size()), opt);
+  ASSERT_EQ(swept.size(), scalar.size());
+  ASSERT_FALSE(swept.empty());
+  for (std::size_t i = 0; i < swept.size(); ++i) {
+    EXPECT_TRUE(same_bits(swept[i].lambda, scalar[i].lambda)) << i;
+    EXPECT_EQ(swept[i].basin_count, scalar[i].basin_count);
+    EXPECT_EQ(static_cast<int>(swept[i].type),
+              static_cast<int>(scalar[i].type));
   }
 }
 
@@ -527,34 +545,28 @@ TEST(SchedulerMulti, LaneBlockedBackendsMatchScalarScheduler) {
   auto p = batch::BatchProblem<double>::random(222, 6, 9, 4, 3);
   p.options.alpha = 1.0;
   for (Tier tier : {Tier::kGeneral, Tier::kPrecomputed}) {
-    batch::SchedulerOptions scalar_opt;
-    scalar_opt.chunk_tensors = 2;
-    batch::Scheduler<double> scalar_sched(batch::Backend::kCpuSequential,
-                                          scalar_opt);
-    const auto sid = scalar_sched.submit(p, tier);
-    scalar_sched.run();
-    const auto& ref = scalar_sched.result(sid).results;
-
+    // The reference: solve() per (tensor, start), tensor-major.
+    const kernels::KernelTables<double> tab(p.order, p.dim);
+    std::vector<sshopm::Result<double>> ref;
+    for (const auto& t : p.tensors) {
+      const auto runs = per_start_solve(
+          BoundKernels<double>(t, tier,
+                               kernels::uses_tables(tier) ? &tab : nullptr),
+          p.starts, p.options);
+      ref.insert(ref.end(), runs.begin(), runs.end());
+    }
     for (auto backend : {batch::Backend::kCpuSequential,
                          batch::Backend::kCpuParallel}) {
       batch::SchedulerOptions opt;
       opt.chunk_tensors = 2;
       opt.cpu_threads = 3;
-      opt.simd_width = 4;
       batch::Scheduler<double> sched(backend, opt);
       const auto id = sched.submit(p, tier);
       sched.run();
-      expect_slot_parity(sched.result(id).results, ref, 1e-10,
-                         kernels::tier_name(tier).data());
+      expect_bitwise_slots<double>(sched.result(id).results, ref,
+                                   kernels::tier_name(tier).data());
     }
   }
-}
-
-TEST(SchedulerMulti, RejectsUnregisteredWidth) {
-  batch::SchedulerOptions opt;
-  opt.simd_width = 5;
-  EXPECT_THROW(batch::Scheduler<float>(batch::Backend::kCpuSequential, opt),
-               InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,6 +574,8 @@ TEST(SchedulerMulti, RejectsUnregisteredWidth) {
 // ---------------------------------------------------------------------------
 
 TEST(SolveStarts, WidthOneIsPerStartSolveAndWiderIsSolveMulti) {
+  // Width 1 and a wider facade run the same lane sweep: both are solve()
+  // per start.
   const int n = 3;
   CounterRng rng(223);
   const auto a = random_symmetric_tensor<double>(rng, 0, 4, n);
@@ -570,22 +584,12 @@ TEST(SolveStarts, WidthOneIsPerStartSolveAndWiderIsSolveMulti) {
                                                   starts.size());
   sshopm::Options opt;
   opt.alpha = 1.0;
-  std::vector<sshopm::Result<double>> got(starts.size());
-
   const BoundKernels<double> scalar(a, Tier::kGeneral);
-  sshopm::solve_starts(scalar, span, opt,
-                       std::span<sshopm::Result<double>>(got));
-  std::vector<sshopm::Result<double>> ref;
-  for (const auto& x0 : starts) {
-    ref.push_back(sshopm::solve(scalar, {x0.data(), x0.size()}, opt));
-  }
-  expect_slot_parity(got, ref, 0.0, "width 1");
-
-  const BoundKernels<double> wide(a, Tier::kGeneral, nullptr, 4);
-  sshopm::solve_starts(wide, span, opt,
-                       std::span<sshopm::Result<double>>(got));
-  expect_slot_parity(got, sshopm::solve_multi(wide, span, opt), 0.0,
-                     "width 4");
+  const auto ref = per_start_solve(scalar, starts, opt);
+  expect_bitwise_slots<double>(sweep(scalar, starts, opt), ref, "width 1");
+  expect_bitwise_slots<double>(
+      sweep(BoundKernels<double>(a, Tier::kGeneral, nullptr, 4), starts, opt),
+      ref, "width 4");
 
   std::vector<sshopm::Result<double>> short_out(2);
   EXPECT_THROW(sshopm::solve_starts(
@@ -594,8 +598,8 @@ TEST(SolveStarts, WidthOneIsPerStartSolveAndWiderIsSolveMulti) {
                InvalidArgument);
 }
 
-// The width-1 sweep keeps detail::kRunsInFlight runs in flight and
-// publishes its kernel-call counts once per sweep. Its oracle is the
+// The sweep keeps kSweepLanes runs in flight as SIMD lanes and publishes
+// its kernel-call counts once per sweep. Its oracle is the
 // one-run-at-a-time loop solve() ran before the sweep existed, kept here
 // verbatim (solve() itself now runs the sweep): every slot, the OpCounts
 // totals and every counter delta must match it exactly.
@@ -656,31 +660,6 @@ struct SweepCounters {
   }
 };
 
-template <Real T>
-bool same_bits(T a, T b) {
-  return std::memcmp(&a, &b, sizeof(T)) == 0;
-}
-
-template <Real T>
-void expect_bitwise_slots(std::span<const sshopm::Result<T>> got,
-                          std::span<const sshopm::Result<T>> ref,
-                          const std::string& what) {
-  ASSERT_EQ(got.size(), ref.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const auto& a = got[i];
-    const auto& b = ref[i];
-    EXPECT_TRUE(same_bits(a.lambda, b.lambda)) << what << " slot " << i;
-    EXPECT_EQ(a.iterations, b.iterations) << what << " slot " << i;
-    EXPECT_EQ(a.failure, b.failure) << what << " slot " << i;
-    EXPECT_EQ(a.converged, b.converged) << what << " slot " << i;
-    ASSERT_EQ(a.x.size(), b.x.size()) << what << " slot " << i;
-    for (std::size_t j = 0; j < a.x.size(); ++j) {
-      EXPECT_TRUE(same_bits(a.x[j], b.x[j]))
-          << what << " slot " << i << " entry " << j;
-    }
-  }
-}
-
 /// Sweep `starts` against the oracle at every (alpha, max_iterations) the
 /// contract names: slots bitwise, OpCounts and counter deltas exact.
 template <Real T>
@@ -730,17 +709,28 @@ void expect_sweep_matches_reference(const BoundKernels<T>& k,
   }
 }
 
-/// Random starts plus the degenerate ones: a zero start, a NaN start.
+/// Random starts plus degenerate ones next to live ones: zero starts and
+/// NaN starts at scattered positions, so they share lane steps with
+/// healthy runs and their lanes refill mid-sweep.
 template <Real T>
 std::vector<std::vector<T>> sweep_starts(int count, int n,
                                          std::uint64_t seed) {
   auto starts = random_starts<T>(count, n, seed);
-  if (count >= 3) {
-    std::fill(starts[1].begin(), starts[1].end(), T(0));
-    starts[2][0] = std::numeric_limits<T>::quiet_NaN();
+  for (int v = 1; v < count; v += 5) {
+    if (v % 2 == 1) {
+      std::fill(starts[static_cast<std::size_t>(v)].begin(),
+                starts[static_cast<std::size_t>(v)].end(), T(0));
+    } else {
+      starts[static_cast<std::size_t>(v)][0] =
+          std::numeric_limits<T>::quiet_NaN();
+    }
   }
   return starts;
 }
+
+/// Start counts the sweep must handle: one run, fewer runs than lanes,
+/// exactly one lane set, one more, two sets and one more, many refills.
+constexpr int kSweepCounts[] = {1, 7, 8, 9, 17, 128};
 
 template <Real T>
 void expect_sweep_parity_on_tier(Tier tier, int m, int n) {
@@ -750,12 +740,14 @@ void expect_sweep_parity_on_tier(Tier tier, int m, int n) {
   poisoned.value(1) = std::numeric_limits<T>::quiet_NaN();
   std::optional<kernels::KernelTables<T>> tables;
   if (kernels::uses_tables(tier)) tables.emplace(m, n);
-  const std::string tier_tag(kernels::tier_name(tier));
+  const std::string tier_tag = std::string(kernels::tier_name(tier)) + " m" +
+                               std::to_string(m) + "n" + std::to_string(n) +
+                               (sizeof(T) == 4 ? " float" : " double");
   for (const auto* tensor : {&a, &poisoned}) {
     const BoundKernels<T> k(*tensor, tier, tables ? &*tables : nullptr);
     const std::string what =
         tier_tag + (tensor == &poisoned ? " NaN-entry" : "");
-    for (const int count : {1, 3, 4, 5, 11, 128}) {
+    for (const int count : kSweepCounts) {
       expect_sweep_matches_reference<T>(
           k, sweep_starts<T>(count, n, 232 + static_cast<std::uint64_t>(count)),
           what);
@@ -763,17 +755,47 @@ void expect_sweep_parity_on_tier(Tier tier, int m, int n) {
   }
 }
 
+// Every host tier x float and double x every unrolled registry shape.
+class SweepParityTest
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(SweepParityTest, SweepIsBitwiseTheReferenceLoopOnEveryHostTier) {
+  const auto [m, n] = GetParam();
+  for (const Tier tier :
+       {Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled}) {
+    expect_sweep_parity_on_tier<float>(tier, m, n);
+    expect_sweep_parity_on_tier<double>(tier, m, n);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RegistryShapes, SweepParityTest,
+    ::testing::ValuesIn([] {
+      std::vector<std::pair<int, int>> shapes;
+      for (const auto& e : kernels::unrolled_registry<double>()) {
+        shapes.emplace_back(e.order, e.dim);
+      }
+      return shapes;
+    }()),
+    [](const auto& pinfo) {
+      return "m" + std::to_string(pinfo.param.first) + "n" +
+             std::to_string(pinfo.param.second);
+    });
+
 TEST(SolveStarts, WidthOneSweepIsBitwiseTheReferenceLoopOnEveryHostTier) {
   for (const Tier tier :
        {Tier::kGeneral, Tier::kPrecomputed, Tier::kUnrolled}) {
     expect_sweep_parity_on_tier<float>(tier, 4, 3);
     expect_sweep_parity_on_tier<double>(tier, 4, 3);
   }
-  // A shape with a longer iterate than Result keeps inline, and a general
-  // shape past kMaxBatchDim, where the sweep's y scratch moves to the heap.
+  // A shape with a longer iterate than Result keeps inline, and shapes
+  // past kMaxBatchDim (dim 67), where the sweep's rows move to the heap
+  // and the lanes run one by one through the scalar kernel.
   expect_sweep_parity_on_tier<double>(Tier::kPrecomputed, 3, 7);
   expect_sweep_parity_on_tier<float>(Tier::kGeneral, 2,
                                      kernels::kMaxBatchDim + 3);
+  expect_sweep_parity_on_tier<double>(Tier::kPrecomputed, 2,
+                                      kernels::kMaxBatchDim + 3);
 }
 
 TEST(SolveStarts, WidthOneSweepIsBitwiseTheReferenceLoopOnJit) {
@@ -786,13 +808,18 @@ TEST(SolveStarts, WidthOneSweepIsBitwiseTheReferenceLoopOnJit) {
   std::filesystem::remove_all(dir);
   jit::set_cache_dir(dir.string());
   // (3, 7) is outside the compile-time unrolled registry: only the JIT
-  // serves it as generated straight-line code.
+  // serves it as generated straight-line code. (4, 3) is the application
+  // shape, where the JIT's lanes stand beside the unrolled tier's.
   const bool admitted = jit::acquire<float>(3, 7).available &&
-                        jit::acquire<double>(3, 7).available;
+                        jit::acquire<double>(3, 7).available &&
+                        jit::acquire<float>(4, 3).available &&
+                        jit::acquire<double>(4, 3).available;
   ::unsetenv(jit::kCompilerEnv);
   ASSERT_TRUE(admitted);
   expect_sweep_parity_on_tier<float>(Tier::kJit, 3, 7);
   expect_sweep_parity_on_tier<double>(Tier::kJit, 3, 7);
+  expect_sweep_parity_on_tier<float>(Tier::kJit, 4, 3);
+  expect_sweep_parity_on_tier<double>(Tier::kJit, 4, 3);
   std::filesystem::remove_all(dir);
 }
 
@@ -833,17 +860,17 @@ TEST(MultiKernels, BatchCallsCountOncePerCallOnTheTierCounter) {
 #if TE_OBS_ENABLED
   CounterRng rng(225);
   const auto a = random_symmetric_tensor<double>(rng, 0, 3, 4);
-  // (3, 4) is in the scalar unrolled registry but not the multi one, so
-  // the unrolled batch calls take the per-lane fallback.
+  // (3, 4) has an unrolled multi kernel only at kSweepLanes, so the
+  // unrolled batch calls at width 4 take the per-lane fallback.
   for (Tier tier : {Tier::kGeneral, Tier::kUnrolled}) {
     const std::string base(kernels::tier_name(tier));
     const auto& calls0 = obs::global().counter("kernels.ttsv0.calls." + base);
     const auto& calls1 = obs::global().counter("kernels.ttsv1.calls." + base);
-    const BoundKernels<double> k(a, tier, nullptr, 8);
+    const BoundKernels<double> k(a, tier, nullptr, 4);
     EXPECT_EQ(k.vectorized(), tier == Tier::kGeneral);
-    const auto x = random_batch<double>(4, 8, 226);
-    VectorBatch<double> y(4, 8);
-    std::vector<double> out(8);
+    const auto x = random_batch<double>(4, 4, 226);
+    VectorBatch<double> y(4, 4);
+    std::vector<double> out(4);
     const auto before0 = calls0.value();
     const auto before1 = calls1.value();
     k.ttsv0(x, {out.data(), out.size()});
@@ -905,13 +932,16 @@ TEST(AutotuneMultiWidth, ReportsValidWidthAndMeasuresEveryCandidate) {
     EXPECT_TRUE(kernels::is_multi_width(w));
     EXPECT_GT(us, 0.0) << "width " << w;
   }
-  // Unrolled (3, 4) has no vectorized candidate: the scalar math plus
-  // gather overhead can never beat width 1, so only width 1 is timed.
+  // Unrolled (3, 4) is vectorized only at the sweep's kSweepLanes: a
+  // per-lane fallback width (the scalar math plus gather overhead) can
+  // never beat width 1, so only widths 1 and kSweepLanes are timed.
   const auto fallback =
       kernels::autotune_multi_width(3, 4, Tier::kUnrolled, 2);
-  EXPECT_EQ(fallback.best_width, 1);
-  ASSERT_EQ(fallback.lane_us.size(), 1u);
+  ASSERT_EQ(fallback.lane_us.size(), 2u);
   EXPECT_EQ(fallback.lane_us.front().first, 1);
+  EXPECT_EQ(fallback.lane_us.back().first, kernels::kSweepLanes);
+  EXPECT_TRUE(fallback.best_width == 1 ||
+              fallback.best_width == kernels::kSweepLanes);
 }
 
 TEST(ObsExport, ReadExportGaugeFindsGaugesAndRejectsGarbage) {

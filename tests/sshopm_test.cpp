@@ -123,13 +123,15 @@ TEST(Sshopm, IterateStaysUnitNorm) {
               1e-12);
 }
 
-TEST(Sshopm, FloatResultIsFortyBytes) {
+TEST(Sshopm, FloatResultIsThirtyTwoBytes) {
   // A batch holds one Result per (tensor, start), 524,288 of them in a
   // 4096-voxel x 128-start volume: with the lambda trace gone and the
-  // widest-first member order, the float record is a 24-byte iterate
-  // (four floats inline, or a heap pointer) plus 16 bytes, and an n = 3
-  // run's iterate lives inside it.
-  EXPECT_EQ(sizeof(Result<float>), 40u);
+  // widest-first member order, the float record is a 20-byte iterate
+  // (four floats inline, or a heap pointer in their place, plus a 32-bit
+  // length) and 12 bytes of lambda, iterations, a one-byte FailureReason
+  // and the flag; an n = 3 run's iterate lives inside it.
+  EXPECT_EQ(sizeof(Result<float>), 32u);
+  EXPECT_EQ(sizeof(Result<double>), 56u);
   CounterRng rng(140);
   const auto a = random_symmetric_tensor<float>(rng, 0, 4, 3);
   const BoundKernels<float> k(a, Tier::kUnrolled);

@@ -319,7 +319,9 @@ TEST(SmallVector, InlineUpToCapacityHeapAbove) {
     EXPECT_EQ(inside, n <= 4) << n;
     EXPECT_EQ(v.capacity(), std::max<std::size_t>(n, 4)) << n;
   }
-  EXPECT_EQ(sizeof(Small), 24u);
+  // Four floats, or the heap pointer in their bytes, plus the length.
+  EXPECT_EQ(sizeof(Small), 20u);
+  EXPECT_EQ(alignof(Small), alignof(float));
 }
 
 TEST(SmallVector, CopyAndMoveAcrossTheBoundary) {
@@ -387,6 +389,51 @@ TEST(SmallVector, AssignAndResizeAcrossTheBoundary) {
   v = {9.0f};
   EXPECT_TRUE(v == std::vector<float>{9.0f});
   EXPECT_FALSE(v == std::vector<float>({9.0f, 0.0f}));
+}
+
+TEST(SmallVector, ChainsAcrossTheBoundaryKeepTheContents) {
+  // inline -> heap -> inline (and every other path) on one object: the
+  // heap address lives in the inline bytes, so each transition must move
+  // it in and out without losing entries or the block.
+  for (const std::size_t a : kBoundarySizes) {
+    for (const std::size_t b : kBoundarySizes) {
+      for (const std::size_t c : kBoundarySizes) {
+        Small v = filled(a, 1.0f);
+        v = filled(b, 2.0f);
+        EXPECT_TRUE(holds(v, b, 2.0f)) << a << " -> " << b;
+        const Small src = filled(c, 3.0f);
+        v = src;
+        EXPECT_TRUE(holds(v, c, 3.0f)) << a << " -> " << b << " -> " << c;
+        v.resize(a);
+        ASSERT_EQ(v.size(), a);
+        for (std::size_t i = 0; i < a; ++i) {
+          EXPECT_EQ(v[i], i < c ? 3.0f + static_cast<float>(i) : 0.0f)
+              << a << " -> " << b << " -> " << c << " entry " << i;
+        }
+      }
+    }
+  }
+  // heap -> heap at the same length keeps the block; at a new length, and
+  // from the vector's own range, it moves the entries to a fresh one.
+  Small v = filled(40, 1.0f);
+  const float* block = v.data();
+  const Small same = filled(40, 2.0f);
+  v = same;
+  EXPECT_EQ(v.data(), block);
+  EXPECT_TRUE(holds(v, 40, 2.0f));
+  v.assign(v.begin() + 1, v.begin() + 6);
+  EXPECT_TRUE(holds(v, 5, 3.0f));
+  v.assign(v.begin() + 1, v.begin() + 4);  // heap -> inline, own range
+  EXPECT_TRUE(holds(v, 3, 4.0f));
+  v.resize(40);
+  EXPECT_TRUE(v == std::vector<float>(
+                       [] {
+                         std::vector<float> w(40, 0.0f);
+                         w[0] = 4.0f;
+                         w[1] = 5.0f;
+                         w[2] = 6.0f;
+                         return w;
+                       }()));
 }
 
 TEST(Linalg, LeastSquaresRecoversExactSolution) {
